@@ -10,7 +10,8 @@ cell.
 
 Each cuboid draws from its own random stream derived from (seed, box), so a
 subtree's construction is reproducible in isolation and independent of build
-order; that is also why the number of query threads cannot change a mesh.
+order.  Queries run on the calling thread; a profile that gains from running
+points at once, such as an external command, does so inside its ``batch``.
 """
 
 from __future__ import annotations
@@ -18,16 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .domain import GridCuboid, GridDomain, GridPoint, sample_cell_indices
-from .errors import NonDeterministicProfileError, ProfileQueryError
+from .errors import NonDeterministicProfileError, OutOfDomainError, ProfileQueryError
 from .mesh import Branch, Leaf, Node, Subdivision
 
 @dataclass(frozen=True)
@@ -36,17 +35,17 @@ class ProfileFunction:
 
     ``query`` maps a grid point to an m-component value vector.  ``pure``
     declares that repeated queries at one point return identical vectors
-    (spot-checked during builds); ``thread_safe`` permits concurrent queries.
-    ``batch``, if given, evaluates many points in one call: it maps a
-    ``(k, ndim)`` array of world coordinates to a ``(k, arity)`` array (or a
-    ``(k,)`` array when the arity is 1) holding exactly what ``query`` returns
-    point by point.  Builds then send each level's new cells to it at once.
+    (spot-checked during builds).  ``batch``, if given, evaluates many points
+    in one call: it maps a ``(k, ndim)`` array of world coordinates to a
+    ``(k, arity)`` array (or a ``(k,)`` array when the arity is 1) holding
+    exactly what ``query`` returns point by point.  Builds then send each
+    level's new cells to it at once; a row with a non-finite value is left
+    unanswered and asked of ``query``.
     """
 
     arity: int
     query: Callable[[GridPoint], tuple[float, ...]]
     pure: bool = True
-    thread_safe: bool = True
     name: str = ""
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -61,16 +60,24 @@ def median_of_repeats(f: ProfileFunction, repeats: int = 5) -> ProfileFunction:
 
     Intended for noisy measurements such as wall-clock timings; the result is
     steadier but still not pure, so it stays exempt from purity spot-checks.
+    A ``batch`` of ``f`` is repeated the same way, a whole batch per round.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
-    def query(p: GridPoint) -> tuple[float, ...]:
-        rounds = np.array([f.query(p) for _ in range(repeats)], dtype=np.float64)
-        return tuple(float(v) for v in np.median(rounds, axis=0))
+    def median(rounds) -> np.ndarray:
+        return np.median(np.array(rounds, dtype=np.float64), axis=0)
 
-    return ProfileFunction(f.arity, query, pure=False, thread_safe=f.thread_safe,
-                           name=f"median{repeats}({f.name})" if f.name else "")
+    def query(p: GridPoint) -> tuple[float, ...]:
+        return tuple(median([f.query(p) for _ in range(repeats)]).tolist())
+
+    def batch(world: np.ndarray) -> np.ndarray:
+        return median([np.reshape(f.batch(world), (len(world), f.arity))
+                       for _ in range(repeats)])
+
+    return ProfileFunction(f.arity, query, pure=False,
+                           name=f"median{repeats}({f.name})" if f.name else "",
+                           batch=batch if f.batch is not None else None)
 
 
 # -- Sample-size policies -------------------------------------------------
@@ -144,7 +151,6 @@ class BuildConfig:
     min_samples: int = 2
     spread_mode: str = "range"
     purity_check_rate: float = 0.01
-    jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "threshold", tuple(float(t) for t in self.threshold))
@@ -154,8 +160,6 @@ class BuildConfig:
             raise ValueError("min_samples must be >= 1")
         if self.spread_mode not in ("range", "mean_dev"):
             raise ValueError(f"unknown spread mode {self.spread_mode!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
     def echo(self) -> dict:
         return {
@@ -234,26 +238,27 @@ class QueryCache:
     """Memoizes profile queries by grid cell and counts traffic.
 
     A small fraction of cache hits re-queries the profile and compares, to
-    catch quantities that were declared pure but are not.
+    catch quantities that were declared pure but are not.  ``preload``, keyed
+    by linear cell index, becomes the store itself: it starts with its values
+    and receives every new answer as soon as it arrives.
     """
 
     def __init__(self, f: ProfileFunction, domain: GridDomain, config: BuildConfig,
-                 use_cache: bool = True, preload: dict | None = None):
+                 preload: dict | None = None):
         self._f = f
         self._domain = domain
-        self._use_cache = use_cache
         self._check_rate = config.purity_check_rate if f.pure else 0.0
-        self._jobs = config.jobs
         self._check_rng = random.Random(config.seed ^ 0x5EEDCAFE)
-        self._lock = threading.Lock()
-        self.store: dict[int, tuple[float, ...]] = {}
+        self.store: dict[int, tuple[float, ...]] = {} if preload is None else preload
         self.total_requests = 0
-        if preload:
-            for lin, value in preload.items():
-                if len(value) != f.arity:
-                    raise ValueError(f"preloaded cell {lin} has {len(value)} components, "
-                                     f"profile arity is {f.arity}")
-            self.store.update(preload)
+        n = domain.cell_count
+        for lin, value in self.store.items():
+            if not 0 <= lin < n:
+                raise OutOfDomainError(f"preloaded cell {lin} lies outside the domain's "
+                                       f"{n} cells")
+            if len(value) != f.arity:
+                raise ValueError(f"preloaded cell {lin} has {len(value)} components, "
+                                 f"profile arity is {f.arity}")
 
     @property
     def distinct_queries(self) -> int:
@@ -274,102 +279,63 @@ class QueryCache:
             raise ProfileQueryError(point, f"non-finite value {value}")
         return value
 
-    def _verify(self, point: GridPoint, cached: tuple[float, ...]) -> None:
-        value = self._run_query(point)
-        if value != cached:
-            raise NonDeterministicProfileError(
-                f"profile declared pure but point {point.index} "
-                f"returned {value} after {cached}")
-
-    def query_linear(self, lin: int) -> tuple[float, ...]:
-        """Value at one cell: ``query_many`` on that cell alone."""
-        return tuple(self.query_many(np.array([lin]))[0].tolist())
-
-    def query_many(self, lins: np.ndarray,
-                   executor: ThreadPoolExecutor | None = None) -> np.ndarray:
+    def query_many(self, lins: np.ndarray) -> np.ndarray:
         """Values at distinct cells, in order, as a ``(len(lins), arity)`` array.
 
-        Each cell counts one request.  One locked pass looks up every cell and
-        draws a purity spot-check for each hit, in order; only misses and
-        checked hits then reach the profile.  Misses go to the profile's
-        ``batch`` in one call where it has one.  Otherwise, and for checked
-        hits, points are queried one by one; with an ``executor`` that work
-        is cut into ``config.jobs`` contiguous chunks, and a failure is raised
-        from the first failing chunk.
+        Each cell counts one request.  One pass looks up every cell and draws
+        a purity spot-check for each hit, in order; only misses and checked
+        hits then reach the profile.  Misses go to the profile's ``batch`` in
+        one call where it has one.  The misses it leaves unanswered and the
+        checked hits are then queried one by one, in order.
         """
         keys = lins.tolist()
-        with self._lock:
-            self.total_requests += len(keys)
-            rows = list(map(self.store.get, keys)) if self._use_cache else [None] * len(keys)
-            rate, draw = self._check_rate, self._check_rng.random
-            checked = {i for i, row in enumerate(rows)
-                       if row is not None and draw() < rate} if rate > 0 else set()
-        missing = None in rows
-        if checked or missing:
-            todo = [i for i, row in enumerate(rows)
-                    if row is None or i in checked] if missing else sorted(checked)
-            if self._f.batch is not None:
-                todo = self._answer_batch(keys, rows, checked, todo)
-            work = list(zip(todo, self._domain.points_from_linear([keys[i] for i in todo])))
-            if executor is None or len(work) < 2:
-                self._answer(keys, rows, checked, work)
-            else:
-                size = -(-len(work) // self._jobs)
-                for done in [executor.submit(self._answer, keys, rows, checked,
-                                             work[at:at + size])
-                             for at in range(0, len(work), size)]:
-                    done.result()
+        self.total_requests += len(keys)
+        rows = list(map(self.store.get, keys))
+        rate, draw = self._check_rate, self._check_rng.random
+        checked = [i for i, row in enumerate(rows)
+                   if row is not None and draw() < rate] if rate > 0 else []
+        if checked or None in rows:
+            misses = [i for i, row in enumerate(rows) if row is None]
+            if misses and self._f.batch is not None:
+                misses = self._answer_batch(keys, rows, misses)
+            todo = sorted(misses + checked)
+            for i, point in zip(todo, self._domain.points_from_linear([keys[i] for i in todo])):
+                value = self._run_query(point)
+                if rows[i] is None:
+                    rows[i] = self.store[keys[i]] = value
+                elif value != rows[i]:
+                    raise NonDeterministicProfileError(
+                        f"profile declared pure but point {point.index} "
+                        f"returned {value} after {rows[i]}")
         flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.float64,
                            count=len(rows) * self._f.arity)
         return flat.reshape(len(rows), self._f.arity)
 
-    def _answer_batch(self, keys: list[int], rows: list, checked: set[int],
-                      todo: list[int]) -> list[int]:
-        """Answer the misses among ``todo`` in one batch call; return the rest.
+    def _answer_batch(self, keys: list[int], rows: list, misses: list[int]) -> list[int]:
+        """Answer ``misses`` in one batch call; return the ones left unanswered.
 
-        If the call raises, or returns an array of the wrong shape or with a
-        non-finite value, nothing is answered: the misses are then queried
-        one by one, so that an error names its point.
+        Every finite row answers its cell.  A row with a non-finite value is
+        left to a point query, so that an error names its point.  If the call
+        raises, or returns an array of the wrong shape, nothing is answered.
         """
-        misses = [i for i in todo if i not in checked]
-        if not misses:
-            return todo
         k, arity = len(misses), self._f.arity
         try:
             values = np.asarray(
                 self._f.batch(self._domain.world_from_linear([keys[i] for i in misses])),
                 dtype=np.float64)
         except Exception:
-            return todo
-        shape_ok = values.shape == (k, arity) or (arity == 1 and values.shape == (k,))
-        if not shape_ok or not np.isfinite(values).all():
-            return todo
-        self._keep(keys, rows, zip(misses, map(tuple, values.reshape(k, arity).tolist())))
-        return [i for i in todo if i in checked]
-
-    def _answer(self, keys: list[int], rows: list, checked: set[int],
-                work: list[tuple[int, GridPoint]]) -> None:
-        """Verify the checked hits and query the misses of ``work``; fill ``rows``."""
-        fresh = []
-        for i, point in work:
-            if i in checked:
-                self._verify(point, rows[i])
+            return misses
+        if not (values.shape == (k, arity) or (arity == 1 and values.shape == (k,))):
+            return misses
+        values = values.reshape(k, arity)
+        finite = np.isfinite(values).all(axis=1).tolist()
+        left = []
+        for i, value, ok in zip(misses, values.tolist(), finite):
+            if ok:
+                rows[i] = self.store[keys[i]] = tuple(value)
             else:
-                fresh.append((i, self._run_query(point)))
-        self._keep(keys, rows, fresh)
-
-    def _keep(self, keys: list[int], rows: list, fresh) -> None:
-        """Store new (row, value) pairs and fill ``rows``; the first write wins.
-
-        So one consistent value is kept per cell even when two threads race
-        to compute it.
-        """
-        with self._lock:
-            for i, value in fresh:
-                prior = self.store.get(keys[i]) if self._use_cache else None
-                if prior is None:
-                    self.store[keys[i]] = prior = value
-                rows[i] = prior
+                left.append(i)
+        return left
 
     def sorted_rows(self) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
         """Distinct queries as (index, value), ordered by linear index."""
@@ -537,15 +503,16 @@ def _linear_indices(level: list[GridCuboid], shapes: list[tuple[int, ...]],
     return lin
 
 
-def _build_levels(domain: GridDomain, config: BuildConfig, cache: QueryCache,
-                  executor: ThreadPoolExecutor | None) -> tuple[Node, int, int, int]:
+def _build_levels(domain: GridDomain, config: BuildConfig,
+                  cache: QueryCache) -> tuple[Node, int, int, int]:
     """Build the tree one depth level at a time.
 
     Boxes of one level are disjoint, so their samples go to the cache as one
     batch of distinct cells, and the spread test runs once over the whole
     batch, segment by segment.  A passing box becomes a Leaf holding its
-    sample mean; a failing one hands its ``split()`` children to the next
-    level.  The tree is then assembled bottom-up.  Returns the root plus the
+    sample mean, clamped into the samples' range; a failing one hands its
+    ``split()`` children to the next level.  The tree is then assembled
+    bottom-up.  Returns the root plus the
     leaf count, depth and saturated-leaf count.
     """
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
@@ -560,7 +527,7 @@ def _build_levels(domain: GridDomain, config: BuildConfig, cache: QueryCache,
         depth = len(levels)
         shapes = [box.extents() for box in level]
         offsets = _level_offsets(level, shapes, config, domain, seed, sizes, rng)
-        values = cache.query_many(_linear_indices(level, shapes, offsets, strides), executor)
+        values = cache.query_many(_linear_indices(level, shapes, offsets, strides))
         counts = [len(o) for o in offsets]
         starts = (np.cumsum(counts) - counts).tolist()
         if config.spread_mode == "range":
@@ -579,10 +546,12 @@ def _build_levels(domain: GridDomain, config: BuildConfig, cache: QueryCache,
                 leaf = Leaf(box, value, 1, value, value, saturated=depth > 0)
             elif ok:
                 # The same reductions as sample.mean/min/max(axis=0), minus
-                # their Python wrappers.
-                leaf = Leaf(box, tuple((np.add.reduce(sample, axis=0) / k).tolist()), k,
-                            tuple(np.minimum.reduce(sample, axis=0).tolist()),
-                            tuple(np.maximum.reduce(sample, axis=0).tolist()))
+                # their Python wrappers.  sum / k can land an ulp outside the
+                # samples' range, e.g. when they are all equal; clamp it back.
+                lo = np.minimum.reduce(sample, axis=0)
+                hi = np.maximum.reduce(sample, axis=0)
+                mean = np.minimum(np.maximum(np.add.reduce(sample, axis=0) / k, lo), hi)
+                leaf = Leaf(box, tuple(mean.tolist()), k, tuple(lo.tolist()), tuple(hi.tolist()))
             else:
                 children = box.split()
                 outcome.append(len(children))
@@ -609,31 +578,22 @@ def _build_levels(domain: GridDomain, config: BuildConfig, cache: QueryCache,
 
 
 def build(f: ProfileFunction, domain: GridDomain, config: BuildConfig, *,
-          use_cache: bool = True, sample_log=None,
-          preload: dict | None = None) -> tuple[Subdivision, BuildReport]:
+          sample_log=None, preload: dict | None = None) -> tuple[Subdivision, BuildReport]:
     """Approximate ``f`` over ``domain`` by an adaptive subdivision.
 
     Returns the subdivision plus a report with query counts, tree shape, and
     wall time.  ``sample_log`` may be a writable text file; every distinct
     query is appended as a CSV row (cell indices, then value components),
     ordered by cell.  ``preload`` seeds the cache with known values, keyed by
-    row-major linear cell index (used for resuming external profiling runs).
-    With ``config.jobs > 1`` and a thread-safe profile, each level's new
-    queries run on that many threads; the result does not depend on it.
+    row-major linear cell index, and receives each new answer as it arrives,
+    also when the build then fails (used for resuming external profiling runs).
     """
     if f.arity != len(config.threshold):
         raise ValueError(
             f"profile arity {f.arity} does not match threshold arity {len(config.threshold)}")
     started = time.perf_counter()
-    cache = QueryCache(f, domain, config, use_cache=use_cache, preload=preload)
-    executor = None
-    if config.jobs > 1 and f.thread_safe:
-        executor = ThreadPoolExecutor(max_workers=config.jobs)
-    try:
-        root, n_leaves, max_depth, saturated = _build_levels(domain, config, cache, executor)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    cache = QueryCache(f, domain, config, preload)
+    root, n_leaves, max_depth, saturated = _build_levels(domain, config, cache)
     wall = time.perf_counter() - started
 
     report = BuildReport(cache.distinct_queries, cache.total_requests,

@@ -25,6 +25,7 @@ import os
 import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -258,44 +259,49 @@ def _flush_exec_cache(path: str | None, entries: dict[int, tuple[float, ...]]) -
     _write_atomic(path, (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def _exec_profile(command: str, arity: int, repeat: int, domain: GridDomain,
-                  parallel_ok: bool, recorded: dict[int, tuple[float, ...]]) -> ProfileFunction:
+def _exec_profile(command: str, arity: int, repeat: int, jobs: int) -> ProfileFunction:
     """One process invocation per query; arguments are the world coordinates.
 
     The command must print ``arity`` decimal numbers on stdout.  A nonzero
     exit or unparseable output aborts the run with the offending point and
-    the raw output attached.
+    the raw output attached.  With ``jobs > 1`` the profile gets a batch
+    that runs up to ``jobs`` invocations at once; a point that fails there
+    gets a NaN row, so the builder runs it again on its own to report it.
     """
     argv = shlex.split(command)
     if not argv:
         raise _CliError("--exec command is empty")
 
-    def run_once(p) -> tuple[float, ...]:
-        full = argv + [repr(float(c)) for c in p.world]
+    def run_once(world) -> tuple[float, ...]:
+        full = argv + [repr(float(c)) for c in world]
         proc = subprocess.run(full, capture_output=True, text=True)
         if proc.returncode != 0:
-            raise ProfileQueryError(
-                p, f"exit status {proc.returncode}; stderr: {proc.stderr.strip()!r}")
+            raise RuntimeError(
+                f"exit status {proc.returncode}; stderr: {proc.stderr.strip()!r}")
         tokens = proc.stdout.split()
         if len(tokens) != arity:
-            raise ProfileQueryError(
-                p, f"expected {arity} numbers on stdout, got {proc.stdout!r}")
+            raise RuntimeError(f"expected {arity} numbers on stdout, got {proc.stdout!r}")
         try:
             return tuple(float(t) for t in tokens)
         except ValueError:
-            raise ProfileQueryError(p, f"non-numeric output {proc.stdout!r}") from None
+            raise RuntimeError(f"non-numeric output {proc.stdout!r}") from None
 
-    base = ProfileFunction(arity, run_once, pure=False, thread_safe=parallel_ok,
-                           name=f"exec:{argv[0]}")
-    inner = median_of_repeats(base, repeat) if repeat > 1 else base
+    def attempt(world) -> tuple[float, ...]:
+        try:
+            return run_once(world)
+        except Exception:
+            return (np.nan,) * arity
 
-    def query(p) -> tuple[float, ...]:
-        value = inner.query(p)
-        recorded[domain.linear_index(p.index)] = value
-        return value
+    def batch(world: np.ndarray) -> np.ndarray:
+        pool = ThreadPoolExecutor(max_workers=jobs)
+        try:
+            return np.array(list(pool.map(attempt, world.tolist())), dtype=np.float64)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    return ProfileFunction(arity, query, pure=False, thread_safe=parallel_ok,
-                           name=inner.name)
+    base = ProfileFunction(arity, lambda p: run_once(p.world), pure=False,
+                           name=f"exec:{argv[0]}", batch=batch if jobs > 1 else None)
+    return median_of_repeats(base, repeat) if repeat > 1 else base
 
 
 # -- Subcommands -----------------------------------------------------------
@@ -312,40 +318,36 @@ def _cmd_build(args) -> int:
         seed=args.seed,
         min_samples=args.min_samples,
         spread_mode=args.spread_mode,
-        jobs=args.jobs,
     )
+    if args.jobs < 1:
+        raise _CliError(f"--jobs must be >= 1, got {args.jobs}")
     outputs = [args.out, _manifest_path(args.out)]
     _ensure_writable(outputs, args.force)
 
     inputs: list[str] = []
     cache_file = None
-    recorded: dict[int, tuple[float, ...]] = {}
+    answered: dict[int, tuple[float, ...]] = {}
     if args.fixture is not None:
         try:
             profile = resolve_fixture(args.fixture, domain)
         except ValueError as e:
             raise _CliError(str(e)) from e
         source = {"fixture": args.fixture}
-        preload = None
     else:
-        arity = len(threshold)
         cache_file = _exec_cache_file(args.exec, domain, args.repeat)
-        preload = _load_exec_cache(cache_file)
-        recorded.update(preload)
-        profile = _exec_profile(args.exec, arity, args.repeat, domain,
-                                not args.exec_serial, recorded)
+        answered = _load_exec_cache(cache_file)
+        profile = _exec_profile(args.exec, len(threshold), args.repeat, args.jobs)
         source = {"exec": args.exec, "repeat": args.repeat}
         head = shlex.split(args.exec)[0]
         if os.path.isfile(head):
             inputs.append(head)
 
     try:
-        sub, report = build(profile, domain, config, preload=preload)
-    except ProfileQueryError:
-        # Keep what was answered so a fixed command can resume from it.
-        _flush_exec_cache(cache_file, recorded)
-        raise
-    _flush_exec_cache(cache_file, recorded)
+        # The build's cache fills ``answered`` as answers arrive.
+        sub, report = build(profile, domain, config, preload=answered)
+    finally:
+        # Keep what was answered, however the build ends, so a rerun resumes from it.
+        _flush_exec_cache(cache_file, answered)
 
     _write_mesh(sub, args.out)
     echo = dict(config.echo())
@@ -531,7 +533,7 @@ def _cmd_quality(args) -> int:
              "mean_abs_error,max_abs_error"]
     for s in thresholds:
         config = BuildConfig(threshold=(s,) * profile.arity, policy=policy,
-                             seed=args.seed, jobs=args.jobs)
+                             seed=args.seed)
         sub, report = build(profile, domain, config)
         stats = error_vs_oracle(sub, profile)
         lines.append(",".join([
@@ -608,15 +610,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="diam",
                    help="sample-size policy: fixed:K, diam[:FACTOR], sup[:c=C], rms[:c=C]")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="threads for profile queries")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="with --exec: invocations run at once (default 1)")
     p.add_argument("--min-samples", type=int, default=2)
     p.add_argument("--spread-mode", choices=("range", "mean_dev"), default="range")
     p.add_argument("--oversample", type=float, default=2.0,
                    help="exponent on the log oversampling factor")
     p.add_argument("--repeat", type=int, default=1,
                    help="with --exec: invocations per point, median taken")
-    p.add_argument("--exec-serial", action="store_true",
-                   help="with --exec: never run invocations concurrently")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_build)
 
@@ -670,7 +671,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", required=True, help="comma-separated, e.g. 10,50,100,500")
     p.add_argument("--policy", default="diam")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     _add_output_flags(p, required=False)
     p.set_defaults(handler=_cmd_quality)
 

@@ -86,6 +86,10 @@ class GridDomain:
         return lin
 
     def point_from_linear(self, lin: int) -> GridPoint:
+        """The cell of row-major linear index ``lin``, which lies in ``[0, cell_count)``."""
+        if not 0 <= lin < self.cell_count:
+            raise OutOfDomainError(f"linear index {lin} outside the {self.cell_count} cells "
+                                   f"of extents {self.extents}")
         index = []
         for e in reversed(self.extents):
             index.append(lin % e)
@@ -185,10 +189,6 @@ class GridCuboid:
 
     def contains_index(self, index: tuple[int, ...]) -> bool:
         return all(l <= i < h for i, l, h in zip(index, self.lo, self.hi))
-
-    def contains_cuboid(self, other: GridCuboid) -> bool:
-        return all(sl <= ol and oh <= sh for sl, sh, ol, oh in
-                   zip(self.lo, self.hi, other.lo, other.hi))
 
     def iter_cells(self):
         """Yield every cell index in the box, row-major."""

@@ -71,8 +71,7 @@ def _fit_to_domain(inner: ProfileFunction, world: tuple[float, float],
         scaled = tuple((i + 0.5) * s for i, s in zip(p.index[:2], scale))
         return inner.query(GridPoint(p.index, scaled + p.world[2:]))
 
-    return ProfileFunction(inner.arity, query, pure=inner.pure,
-                           thread_safe=inner.thread_safe, name=inner.name)
+    return ProfileFunction(inner.arity, query, pure=inner.pure, name=inner.name)
 
 
 def resolve_fixture(token: str, domain: GridDomain) -> ProfileFunction:

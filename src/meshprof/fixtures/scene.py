@@ -411,12 +411,20 @@ def default_scene(rays_per_side: int = 16) -> Scene2D:
     Object sizes, positions, and polygon counts come from a fixed seed, so
     the scene is one deterministic value.
     """
-    rng = np.random.default_rng(1405)
+    return scene_variant(1405, rays_per_side, jitter=5.0)
+
+
+def scene_variant(seed: int, rays_per_side: int = 16, jitter: float = 6.0) -> Scene2D:
+    """The default scene's walls, with a tree layout drawn from ``seed``.
+
+    Each tree is moved off its grid slot by up to ``jitter`` per axis.
+    """
+    rng = np.random.default_rng(seed)
     objects = []
     for j in range(10):
         for i in range(10):
-            cx = (i + 0.5) * 25.6 + rng.uniform(-5.0, 5.0)
-            cy = (j + 0.5) * 25.6 + rng.uniform(-5.0, 5.0)
+            cx = (i + 0.5) * 25.6 + rng.uniform(-jitter, jitter)
+            cy = (j + 0.5) * 25.6 + rng.uniform(-jitter, jitter)
             w = rng.uniform(2.0, 4.0)
             h = rng.uniform(2.0, 4.0)
             polys = int(round(math.exp(rng.uniform(math.log(1e2), math.log(1e4)))))
@@ -427,28 +435,6 @@ def default_scene(rays_per_side: int = 16) -> Scene2D:
         (0.0, 100.0, 103.0, 103.0),     # pocket wall, horizontal
         (100.0, 0.0, 103.0, 103.0),     # pocket wall, vertical
         (140.0, 180.0, 250.0, 183.0),   # free-standing wall upper right
-    )
-    return Scene2D((256.0, 256.0), tuple(objects), blockers, rays_per_side)
-
-
-def scene_variant(seed: int, rays_per_side: int = 16) -> Scene2D:
-    """Like the default scene but with tree layout drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    objects = []
-    for j in range(10):
-        for i in range(10):
-            cx = (i + 0.5) * 25.6 + rng.uniform(-6.0, 6.0)
-            cy = (j + 0.5) * 25.6 + rng.uniform(-6.0, 6.0)
-            w = rng.uniform(2.0, 4.0)
-            h = rng.uniform(2.0, 4.0)
-            polys = int(round(math.exp(rng.uniform(math.log(1e2), math.log(1e4)))))
-            box = (max(0.0, cx - w / 2), max(0.0, cy - h / 2),
-                   min(256.0, cx + w / 2), min(256.0, cy + h / 2))
-            objects.append(SceneObject(box, max(1, polys)))
-    blockers = (
-        (0.0, 100.0, 103.0, 103.0),
-        (100.0, 0.0, 103.0, 103.0),
-        (140.0, 180.0, 250.0, 183.0),
     )
     return Scene2D((256.0, 256.0), tuple(objects), blockers, rays_per_side)
 

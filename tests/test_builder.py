@@ -1,4 +1,4 @@
-"""Adaptive build loop: sampling policies, spread tests, cache, concurrency."""
+"""Adaptive build loop: sampling policies, spread tests, cache, batches."""
 
 import io
 import math
@@ -24,7 +24,7 @@ from meshprof.builder import (
     _box_states,
 )
 from meshprof.domain import GridCuboid, GridDomain
-from meshprof.errors import NonDeterministicProfileError, ProfileQueryError
+from meshprof.errors import NonDeterministicProfileError, OutOfDomainError, ProfileQueryError
 from meshprof.fixtures.lipschitz import ramp
 from meshprof.mesh import depth, iter_leaf_nodes, leaf_count, leaves, serialize, to_dense
 
@@ -182,7 +182,7 @@ class TestBuild:
         assert doc["leaf_count"] == report.leaf_count
 
     def test_metadata_echoes_config_without_jobs(self):
-        cfg = config(4.0, FixedSampling(12), seed=3, jobs=3)
+        cfg = config(4.0, FixedSampling(12), seed=3)
         sub, _ = build(RAMP, GridDomain((16, 16)), cfg)
         echo = sub.metadata["config"]
         assert echo["threshold"] == [4.0]
@@ -207,14 +207,6 @@ class TestDeterminismAndCache:
         for _ in trees:
             pass
 
-    def test_cache_presence_does_not_change_tree(self):
-        dom = GridDomain((32, 32))
-        f = profile_from_world(lambda x, y: (x // 8) * 10 + (y // 8))
-        cfg = config(0.5, FixedSampling(20), seed=7)
-        with_cache, _ = build(f, dom, cfg, use_cache=True)
-        without, _ = build(f, dom, cfg, use_cache=False)
-        assert serialize(with_cache) == serialize(without)
-
     def test_preload_skips_profile_calls(self):
         dom = GridDomain((16, 16))
         calls = []
@@ -229,6 +221,21 @@ class TestDeterminismAndCache:
         again, _ = build(pf, dom, cfg, preload=full)
         assert calls == []
         assert serialize(again) == serialize(build(pf, dom, cfg)[0])
+
+    def test_preload_receives_every_answer(self):
+        dom = GridDomain((16, 16))
+        store = {0: (0.5,)}
+        _, report = build(ramp().profile(), dom, config(0.5, FixedSampling(10), seed=1),
+                          preload=store)
+        assert len(store) == report.distinct_queries > 1
+        assert all(v == (sum(dom.point_from_linear(lin).world),) for lin, v in store.items()
+                   if lin != 0)
+
+    def test_preload_outside_the_domain_rejected(self):
+        for lin in (-1, 16):
+            with pytest.raises(OutOfDomainError):
+                build(RAMP, GridDomain((4, 4)), config(1.0, FixedSampling(4)),
+                      preload={lin: (1.0,)})
 
     def test_preload_of_wrong_arity_rejected(self):
         with pytest.raises(ValueError, match="components"):
@@ -258,7 +265,8 @@ class TestDeterminismAndCache:
         for _ in range(20):
             lins = rng.choice(64, size=int(rng.integers(1, 20)), replace=False)
             batched = caches[0].query_many(lins)
-            single = np.array([caches[1].query_linear(int(l)) for l in lins])
+            single = np.concatenate([caches[1].query_many(lins[i:i + 1])
+                                     for i in range(len(lins))])
             assert np.array_equal(batched, single)
         assert [(p.index, p.world) for p in logs[0]] == [(p.index, p.world) for p in logs[1]]
         assert len(logs[0]) > 64  # purity spot-checks re-queried some hits
@@ -286,6 +294,19 @@ class TestDeterminismAndCache:
             build(pf, GridDomain((8, 8)), config(1.0, FixedSampling(64), seed=0))
         assert "(2, 5)" in str(err.value)
 
+    def test_batch_keeps_its_finite_rows(self):
+        calls = []
+
+        def batch(world):
+            return np.where(world[:, 0] == 2.5, np.nan, world[:, 0])
+        pf = ProfileFunction(1, lambda p: calls.append(p.index) or (p.world[0],), batch=batch)
+        sub, _ = build(pf, GridDomain((8, 8)),
+                       config(0.5, FixedSampling(64), seed=0, purity_check_rate=0.0))
+        assert sorted(calls) == [(2, j) for j in range(8)]
+        ref, _ = build(ProfileFunction(1, lambda p: (p.world[0],)), GridDomain((8, 8)),
+                       config(0.5, FixedSampling(64), seed=0, purity_check_rate=0.0))
+        assert serialize(sub) == serialize(ref)
+
     def test_batch_disagreeing_with_query_is_caught(self):
         pf = ProfileFunction(1, lambda p: (p.world[0],), batch=lambda w: w[:, 0] + 1.0)
         with pytest.raises(NonDeterministicProfileError):
@@ -297,7 +318,7 @@ class TestDeterminismAndCache:
         pf = ramp().profile()
         pointwise = ProfileFunction(1, pf.query, name=pf.name)
         for cfg in (config(1.5, SupNormSampling(1.0), seed=4),
-                    config(1.5, RmsSampling(1.0), seed=2, spread_mode="mean_dev", jobs=2)):
+                    config(1.5, RmsSampling(1.0), seed=2, spread_mode="mean_dev")):
             runs = []
             for f in (pf, pointwise):
                 log = io.StringIO()
@@ -306,20 +327,6 @@ class TestDeterminismAndCache:
                 counts.pop("wall_time_s")
                 runs.append((serialize(sub), counts, log.getvalue()))
             assert runs[0] == runs[1]
-
-    def test_parallel_build_identical_to_sequential(self):
-        dom = GridDomain((64, 64))
-        f = profile_from_world(lambda x, y: (x // 4) * (y // 4) % 13)
-        seq, _ = build(f, dom, config(1.0, FixedSampling(24), seed=5, jobs=1))
-        par, _ = build(f, dom, config(1.0, FixedSampling(24), seed=5, jobs=4))
-        assert serialize(seq) == serialize(par)
-
-    def test_not_thread_safe_profile_builds_sequentially(self):
-        dom = GridDomain((16, 16))
-        pf = ProfileFunction(1, lambda p: (p.world[0],), thread_safe=False)
-        sub, _ = build(pf, dom, config(0.5, FixedSampling(10), seed=1, jobs=8))
-        ref, _ = build(pf, dom, config(0.5, FixedSampling(10), seed=1, jobs=1))
-        assert serialize(sub) == serialize(ref)
 
     def test_query_failure_carries_point(self):
         def bad(p):
@@ -405,6 +412,14 @@ def test_median_of_repeats_takes_median():
     assert not wrapped.pure
     dom = GridDomain((4,))
     assert wrapped.query(dom.point((0,))) == (6.0,)
+
+
+def test_median_of_repeats_repeats_the_batch():
+    rounds = iter([[1.0, 9.0], [5.0, 2.0], [3.0, 4.0]])
+    pf = ProfileFunction(1, lambda p: (0.0,), batch=lambda w: np.array(next(rounds)))
+    wrapped = median_of_repeats(pf, repeats=3)
+    assert wrapped.batch(np.zeros((2, 1))).tolist() == [[3.0], [4.0]]
+    assert median_of_repeats(ProfileFunction(1, lambda p: (0.0,)), 3).batch is None
 
 
 def test_lipschitz_estimator_on_linear_profile():

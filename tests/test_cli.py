@@ -73,6 +73,12 @@ class TestBuild:
         assert run(*base, "--domain", "8x8", "--threshold", "0.5",
                    "--policy", "psychic") == 2
 
+    def test_jobs_below_one_rejected(self, tmp_path):
+        for jobs in ("0", "-2"):
+            assert run("build", "--fixture", "ramp", "--domain", "4x4", "--threshold", "1",
+                       "--jobs", jobs, "--out", str(tmp_path / "m.json")) == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_vector_fixture_needs_matching_threshold(self, tmp_path):
         code = run("build", "--fixture", "scene:symmetric:sides", "--domain", "8x8",
                    "--threshold", "4", "--out", str(tmp_path / "x.json"))
@@ -378,6 +384,85 @@ class TestExec:
         second = set(log2.read_text().splitlines())
         assert first | second >= {f"{i + 0.5},{j + 0.5}" for i in range(4) for j in range(4)}
         assert first & second == {"3.5,3.5"}  # only the failed point is retried
+
+    def test_cache_entry_outside_the_domain_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        command, log = self.ok_script(tmp_path)
+        args = ["build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
+                "--policy", "fixed:16", "--force", "--out", str(tmp_path / "m.json")]
+        assert run(*args) == 0
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        doc = json.loads(cache.read_text())
+        doc["entries"]["16"] = [1.0]
+        cache.write_text(json.dumps(doc))
+        calls = len(log.read_text().splitlines())
+        assert run(*args) == 2
+        assert "outside" in capsys.readouterr().err
+        assert len(log.read_text().splitlines()) == calls
+
+    def test_interrupt_keeps_every_answer_so_far(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        k, calls = 6, []
+
+        def fake_run(argv, **kwargs):
+            calls.append(argv)
+            if len(calls) == k:
+                raise KeyboardInterrupt
+            x, y = map(float, argv[-2:])
+            return subprocess.CompletedProcess(argv, 0, stdout=f"{x + y}\n", stderr="")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        with pytest.raises(KeyboardInterrupt):
+            run("build", "--exec", "probe", "--domain", "4x4", "--threshold", "0.5",
+                "--policy", "fixed:16", "--out", str(tmp_path / "m.json"))
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        saved = json.loads(cache.read_text())["entries"]
+        answered = {str(GridDomain((4, 4)).linear_index((int(float(x)), int(float(y))))):
+                    [float(x) + float(y)] for _, x, y in calls[:k - 1]}
+        assert saved == answered and len(saved) == k - 1
+        assert not (tmp_path / "m.json").exists()
+
+    def test_jobs_2_writes_the_same_mesh_and_cache_as_jobs_1(self, tmp_path, monkeypatch):
+        command, log = self.ok_script(tmp_path)
+        written = []
+        for jobs in ("1", "2"):
+            cache_dir = tmp_path / f"cache{jobs}"
+            monkeypatch.setenv("MESHPROF_CACHE_DIR", str(cache_dir))
+            out = tmp_path / f"m{jobs}.json"
+            assert run("build", "--exec", command, "--domain", "8x8", "--threshold", "4",
+                       "--policy", "diam", "--seed", "3", "--jobs", jobs,
+                       "--out", str(out)) == 0
+            cache, = cache_dir.glob("exec-*.json")
+            written.append((out.read_bytes(), cache.name, cache.read_bytes()))
+        assert written[0] == written[1]
+        calls = log.read_text().splitlines()
+        assert len(calls) == 2 * len(set(calls))  # each point ran once per build
+
+    def test_failure_under_jobs_2_names_its_point_and_keeps_the_rest(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        log = tmp_path / "calls.txt"
+        script = tmp_path / "flaky.py"
+        script.write_text(
+            "import sys\n"
+            "x, y = float(sys.argv[1]), float(sys.argv[2])\n"
+            f"open({str(log)!r}, 'a').write(f'{{x}},{{y}}\\n')\n"
+            "if (x, y) == (3.5, 3.5):\n"
+            "    sys.exit(1)\n"
+            "print(x + y)\n"
+        )
+        code = run("build", "--exec", f"{sys.executable} {script}", "--domain", "4x4",
+                   "--threshold", "0.5", "--policy", "fixed:16", "--jobs", "2",
+                   "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "(3, 3)" in err and "exit status 1" in err
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        saved = json.loads(cache.read_text())["entries"]
+        assert set(saved) == {str(lin) for lin in range(15)}
+        calls = log.read_text().splitlines()
+        assert sorted(calls) == sorted(
+            [f"{i + 0.5},{j + 0.5}" for i in range(4) for j in range(4)] + ["3.5,3.5"])
 
 
 class TestDeterminism:

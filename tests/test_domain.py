@@ -54,6 +54,12 @@ class TestGridDomain:
             assert dom.point_from_linear(lin).index == index
         assert seen == set(range(30))
 
+    def test_point_from_linear_rejects_indices_outside_the_domain(self):
+        dom = GridDomain((4, 4))
+        for lin in (-1, 16, 17, -16):
+            with pytest.raises(OutOfDomainError):
+                dom.point_from_linear(lin)
+
     def test_points_from_linear_match_point_from_linear(self):
         dom = GridDomain((3, 5, 2), origin=(0.1, -2.0, 7.0), cell_size=(0.3, 1.5, 0.7))
         lins = [29, 0, 17, 4, 11]
