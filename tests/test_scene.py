@@ -1,5 +1,6 @@
 """The 2D visibility world: ray ground truth, quadtree culling, cost model."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -337,3 +338,73 @@ class TestConservativeness:
                 for d in (3, 4):
                     stats = cull_render(scene, CullingConfig(d), p)
                     assert stats.classified_visible >= truth, (i, j, d)
+
+
+def _observers(scene_name):
+    """The observer set a golden digest covers, as GridPoints in world coordinates."""
+    if scene_name == "default":
+        dom = GridDomain((32, 32), cell_size=(8.0, 8.0))
+        return [dom.point((i, j)) for i in range(32) for j in range(32)]
+    dom = GridDomain((16, 16), cell_size=(16.0, 16.0))
+    grid = [dom.point((i, j)) for i in range(16) for j in range(16)]
+    # Corners, edge midpoints and the world centre: zero-distance ties and
+    # rays that graze the world's rim.
+    rim = [P(x, y) for x in (0.0, 128.0, 256.0) for y in (0.0, 128.0, 256.0)]
+    return grid + rim
+
+
+_GOLDEN_SCENES = {
+    "default": default_scene,
+    "symmetric": symmetric_scene,
+    "variant77": lambda: scene_variant(77, rays_per_side=9),
+}
+
+
+def _digest(rows):
+    return hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
+
+
+def cull_digest(scene_name):
+    scene = _GOLDEN_SCENES[scene_name]()
+    rows = []
+    for p in _observers(scene_name):
+        for d in range(1, 7):
+            for side in (None, 0, 1, 2, 3):
+                s = cull_render(scene, CullingConfig(d), p, side)
+                rows.append((p.world, d, side, s.classified_visible, s.occlusion_tests,
+                             s.polygons_rendered))
+    return _digest(rows)
+
+
+def visibility_digest(scene_name):
+    scene = _GOLDEN_SCENES[scene_name]()
+    return _digest([(p.world, num_visible(scene, p), visible_by_side(scene, p))
+                    for p in _observers(scene_name)])
+
+
+class TestGoldenResults:
+    """SHA-256 pins of every culling and visibility result over fixed observer sets.
+
+    The digests were taken from the one-node-at-a-time renderer that predates
+    the flat, vectorized node tests; any change to a count, to the front-to-back
+    tie order or to what the fan test treats as an occluder changes them.
+    """
+
+    CULL = {
+        "default": "bb9e01ced9ce958b3ba93ea57354c1434202338f6ac979920fe4bfc3c5174199",
+        "symmetric": "3fb8ccf571f35cd707f087f10dabfd4c10e4b2794fa0286c5fea5c636eadea51",
+        "variant77": "80abe14f2c7a2cfd838d1a782646946e9c9bd040109e632e01b046eaead49188",
+    }
+    VISIBILITY = {
+        "default": "30086b7ead9922a24f8219d70fa1e58d46cb434f894c37aec3a90e47cb38746a",
+        "symmetric": "803a126055a52cb5f619f20cc97d27c70e30e45d5c89a2c45d22696b28647cb2",
+        "variant77": "3c4c3b93a5772db5bd5fe8177bd8b6973f87f9b3845aebbebdbd859f9c19f14d",
+    }
+
+    @pytest.mark.parametrize("scene_name", sorted(_GOLDEN_SCENES))
+    def test_cull_render(self, scene_name):
+        assert cull_digest(scene_name) == self.CULL[scene_name]
+
+    @pytest.mark.parametrize("scene_name", sorted(_GOLDEN_SCENES))
+    def test_visibility(self, scene_name):
+        assert visibility_digest(scene_name) == self.VISIBILITY[scene_name]
