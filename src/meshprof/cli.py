@@ -10,7 +10,8 @@ Conventions shared by all subcommands:
 * results go to stdout (machine-parseable); diagnostics go to stderr
 * exit status 0 on success, 2 on a validation problem (bad flags, malformed
   files, existing outputs without ``--force``), 3 when the profiled quantity
-  itself fails (external command crashes, unparseable output, impure profile)
+  itself fails (external command crashes, unparseable output, impure profile),
+  130 when interrupted by Ctrl-C
 * every output file gets a ``<name>.manifest.json`` written atomically next
   to it; re-running the same command on the same inputs reproduces every
   artifact byte for byte
@@ -71,6 +72,7 @@ from .mesh import constant, deserialize, evaluate, serialize
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_PROFILE = 3
+_EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 class _CliError(Exception):
@@ -321,6 +323,8 @@ def _cmd_build(args) -> int:
     )
     if args.jobs < 1:
         raise _CliError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.repeat < 1:
+        raise _CliError(f"--repeat must be >= 1, got {args.repeat}")
     outputs = [args.out, _manifest_path(args.out)]
     _ensure_writable(outputs, args.force)
 
@@ -706,6 +710,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"meshprof: {e}", file=sys.stderr)
         return _EXIT_VALIDATION
+    except KeyboardInterrupt:
+        print("meshprof: interrupted", file=sys.stderr)
+        return _EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -28,9 +28,7 @@ from .scene import (
     directional_profile,
     named_scene,
     num_visible,
-    scene_from_json,
     scene_profile,
-    scene_to_json,
     scene_variant,
     simulated_cost,
     symmetric_scene,

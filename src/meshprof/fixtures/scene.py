@@ -12,14 +12,19 @@ front-to-back from the viewpoint, and occlusion-tests each node against the
 blockers plus everything rendered so far.  It is deliberately conservative:
 whatever the shared ray set can see, the renderer also classifies visible.
 
-All quantities are pure functions of (scene, config, point); results are
-memoized per point, so dense scans and repeated builds stay cheap.
+Precomputed once per scene: its hash and its object and blocker rects as
+arrays; per (scene, depth): the quadtree in preorder, as one (N, 4) array of
+node boxes plus each node's objects and children as indices.  Per point, the
+shared rays' test of every node is one (rays x nodes) slab test, and every
+blocked node's fan is tested against its box and the blockers at once; only
+the check of a fan against the objects rendered so far depends on traversal
+order, so it runs when the traversal reaches the node.  All quantities are
+pure functions of (scene, config, point), memoized per point.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,6 +71,12 @@ class Scene2D:
                 raise ValueError(f"object polygon count must be >= 1, got {obj.polys}")
         for rect in self.blockers:
             _check_rect(rect, self.world, "blocker")
+        # Every cache lookup hashes its scene: hash the nested tuples once.
+        object.__setattr__(self, "_hash", hash(
+            (self.world, self.objects, self.blockers, self.rays_per_side)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total_polys(self) -> int:
@@ -112,25 +123,23 @@ def _ray_dirs(rays_per_side: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _entry_exit(px: float, py: float, dirs: np.ndarray,
-                rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slab intersection of every ray with every rect: (enter, exit), shape (M, K)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-        tx_a = (rects[None, :, 0] - px) * inv[:, 0, None]
-        tx_b = (rects[None, :, 2] - px) * inv[:, 0, None]
-        ty_a = (rects[None, :, 1] - py) * inv[:, 1, None]
-        ty_b = (rects[None, :, 3] - py) * inv[:, 1, None]
+def _entry_exit(rel: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slab test of rays against rects, broadcast over leading axes: (enter, exit).
+
+    ``rel`` holds rects (..., 4) relative to the rays' origin, ``inv`` reciprocal
+    ray directions (..., 2); ``inv[:, None]`` against (K, 4) pairs all with all.
+    Axis-parallel rays make inf * 0, so callers ignore invalid-value warnings."""
+    tx_a = rel[..., 0] * inv[..., 0]
+    tx_b = rel[..., 2] * inv[..., 0]
+    ty_a = rel[..., 1] * inv[..., 1]
+    ty_b = rel[..., 3] * inv[..., 1]
     enter = np.maximum(np.minimum(tx_a, tx_b), np.minimum(ty_a, ty_b))
     exit_ = np.minimum(np.maximum(tx_a, tx_b), np.maximum(ty_a, ty_b))
     return enter, exit_
 
 
-def _hit_distances(px: float, py: float, dirs: np.ndarray, rects: np.ndarray) -> np.ndarray:
+def _hit_distances(enter: np.ndarray, exit_: np.ndarray) -> np.ndarray:
     """Distance at which each ray first reaches each rect; inf where it never does."""
-    if rects.size == 0:
-        return np.full((len(dirs), 0), np.inf)
-    enter, exit_ = _entry_exit(px, py, dirs, rects)
     hit = (exit_ >= enter) & (exit_ > 0)
     return np.where(hit, np.maximum(enter, 0.0), np.inf)
 
@@ -144,14 +153,22 @@ def _world_xy(p: GridPoint) -> tuple[float, float]:
     return (float(p.world[0]), float(p.world[1]))
 
 
+@lru_cache(maxsize=256)
+def _rect_arrays(scene: Scene2D) -> tuple[np.ndarray, np.ndarray]:
+    """The scene's object rects and blocker rects, each as an (n, 4) array."""
+    return (np.array([o.box for o in scene.objects], dtype=np.float64).reshape(-1, 4),
+            np.array(scene.blockers, dtype=np.float64).reshape(-1, 4))
+
+
 @lru_cache(maxsize=300_000)
+@np.errstate(divide="ignore", invalid="ignore")
 def _visibility(scene: Scene2D, pw: tuple[float, float]) -> tuple[int, tuple[int, ...]]:
     """(total ray-visible objects, per-side counts) from world point pw."""
-    dirs = _ray_dirs(scene.rays_per_side)
-    obj_rects = np.array([o.box for o in scene.objects], dtype=np.float64).reshape(-1, 4)
-    blk_rects = np.array(scene.blockers, dtype=np.float64).reshape(-1, 4)
-    obj_t = _hit_distances(pw[0], pw[1], dirs, obj_rects)
-    blk_t = _hit_distances(pw[0], pw[1], dirs, blk_rects).min(axis=1, initial=np.inf)
+    origin = np.array(pw + pw)
+    obj_rects, blk_rects = _rect_arrays(scene)
+    inv = 1.0 / _ray_dirs(scene.rays_per_side)[:, None]
+    obj_t = _hit_distances(*_entry_exit(obj_rects - origin, inv))
+    blk_t = _hit_distances(*_entry_exit(blk_rects - origin, inv)).min(axis=1, initial=np.inf)
     seen = obj_t < blk_t[:, None]
     r = scene.rays_per_side
     sides = tuple(int(seen[k * r:(k + 1) * r].any(axis=0).sum()) for k in range(4))
@@ -175,71 +192,62 @@ def visible_by_side(scene: Scene2D, p: GridPoint) -> tuple[int, ...]:
 # -- Quadtree culling -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _QNode:
-    box: Rect
-    direct: tuple[int, ...]
-    children: tuple["_QNode", ...]
-    order: int
-
-
 def _fits(rect: Rect, box: Rect) -> bool:
     return (box[0] <= rect[0] and rect[2] <= box[2]
             and box[1] <= rect[1] and rect[3] <= box[3])
 
 
-def _build_qnode(box: Rect, items: list[int], rects: list[Rect], levels_left: int,
-                 counter: list[int]) -> _QNode:
-    order = counter[0]
-    counter[0] += 1
-    if levels_left <= 1:
-        return _QNode(box, tuple(items), (), order)
-    x0, y0, x1, y1 = box
-    mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    quads = ((x0, y0, mx, my), (mx, y0, x1, my), (x0, my, mx, y1), (mx, my, x1, y1))
-    direct: list[int] = []
-    per_quad: list[list[int]] = [[], [], [], []]
-    for i in items:
-        for q, quad in enumerate(quads):
-            if _fits(rects[i], quad):
-                per_quad[q].append(i)
-                break
-        else:
-            direct.append(i)
-    children = tuple(
-        _build_qnode(quad, bucket, rects, levels_left - 1, counter)
-        for quad, bucket in zip(quads, per_quad) if bucket
-    )
-    return _QNode(box, tuple(direct), children, order)
-
-
 @lru_cache(maxsize=256)
-def _quadtree(scene: Scene2D, max_depth: int) -> _QNode:
+def _quadtree(scene: Scene2D, max_depth: int) -> tuple[np.ndarray, tuple, tuple]:
+    """The quadtree in preorder, so a node's index is its tie-break order:
+    node boxes as one (N, 4) array, then each node's objects and children."""
     rects = [o.box for o in scene.objects]
-    return _build_qnode((0.0, 0.0, scene.world[0], scene.world[1]),
-                        list(range(len(rects))), rects, max_depth, [0])
+    boxes: list[Rect] = []
+    direct: list[tuple[int, ...]] = []
+    children: list[tuple[int, ...]] = []
+
+    def add(box: Rect, items: list[int], levels_left: int) -> int:
+        k = len(boxes)
+        boxes.append(box)
+        direct.append(tuple(items))
+        children.append(())
+        if levels_left <= 1:
+            return k
+        x0, y0, x1, y1 = box
+        mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        quads = ((x0, y0, mx, my), (mx, y0, x1, my), (x0, my, mx, y1), (mx, my, x1, y1))
+        own: list[int] = []
+        per_quad: list[list[int]] = [[], [], [], []]
+        for i in items:
+            for q, quad in enumerate(quads):
+                if _fits(rects[i], quad):
+                    per_quad[q].append(i)
+                    break
+            else:
+                own.append(i)
+        direct[k] = tuple(own)
+        children[k] = tuple(add(quad, bucket, levels_left - 1)
+                            for quad, bucket in zip(quads, per_quad) if bucket)
+        return k
+
+    add((0.0, 0.0, scene.world[0], scene.world[1]), list(range(len(rects))), max_depth)
+    return np.array(boxes, dtype=np.float64), tuple(direct), tuple(children)
 
 
-def _dist_to_rect(px: float, py: float, rect: Rect) -> float:
-    dx = max(rect[0] - px, 0.0, px - rect[2])
-    dy = max(rect[1] - py, 0.0, py - rect[3])
-    return math.hypot(dx, dy)
-
-
-def _fan_dirs(px: float, py: float, box: Rect, count: int) -> np.ndarray:
-    """``count`` directions from p spread evenly across the box's angular span."""
-    corners = np.array([(box[0], box[1]), (box[2], box[1]),
-                        (box[0], box[3]), (box[2], box[3])])
-    angles = np.arctan2(corners[:, 1] - py, corners[:, 0] - px)
+def _fan_dirs(px: float, py: float, boxes: np.ndarray, count: int) -> np.ndarray:
+    """``count`` directions from p spread evenly across each box's angular span,
+    for (n, 4) boxes: shape (n, count, 2)."""
+    angles = np.arctan2(boxes[:, [1, 1, 3, 3]] - py, boxes[:, [0, 2, 0, 2]] - px)
     # Unwrap around the first corner so the span never straddles the cut.
-    ref = angles[0]
+    ref = angles[:, :1]
     rel = (angles - ref + np.pi) % (2 * np.pi) - np.pi
-    lo, hi = ref + rel.min(), ref + rel.max()
+    lo, hi = ref + rel.min(axis=1, keepdims=True), ref + rel.max(axis=1, keepdims=True)
     fan = lo + (np.arange(count) + 0.5) * (hi - lo) / count
-    return np.stack([np.cos(fan), np.sin(fan)], axis=1)
+    return np.stack([np.cos(fan), np.sin(fan)], axis=-1)
 
 
 @lru_cache(maxsize=300_000)
+@np.errstate(divide="ignore", invalid="ignore")
 def _cull(scene: Scene2D, max_depth: int, pw: tuple[float, float],
           side: int | None) -> CullStats:
     # The occlusion test has two halves.  The shared ground-truth rays are
@@ -248,43 +256,60 @@ def _cull(scene: Scene2D, max_depth: int, pw: tuple[float, float],
     # conservativeness (classified >= ray-visible) holds by construction.
     # The culling power beyond blockers comes from the fan: directions
     # spread over the box's whole projected span, checked against blockers
-    # plus everything rendered so far — the analog of testing a bounding
-    # box against the current depth buffer.
+    # plus everything rendered so far — the analog of testing a bounding box
+    # against the current depth buffer.  Only that last check depends on
+    # traversal order; all else runs for every node at once.
     dirs = _ray_dirs(scene.rays_per_side)
     if side is not None:
-        r = scene.rays_per_side
-        dirs = dirs[side * r:(side + 1) * r]
+        dirs = dirs.reshape(4, -1, 2)[side]
     px, py = pw
-    blk_rects = np.array(scene.blockers, dtype=np.float64).reshape(-1, 4)
-    min_blk = _hit_distances(px, py, dirs, blk_rects).min(axis=1, initial=np.inf)
-    occluders = [tuple(b) for b in scene.blockers]
+    origin = np.array(pw + pw)
+    obj_rects, blk_rects = _rect_arrays(scene)
+    boxes, direct, children = _quadtree(scene, max_depth)
+    blk_rel = blk_rects - origin
+    inv = 1.0 / dirs[:, None]
+    min_blk = _hit_distances(*_entry_exit(blk_rel, inv)).min(axis=1, initial=np.inf)
+    enter, exit_ = _entry_exit(boxes - origin, inv)
+    toward = (exit_ >= enter) & (exit_ > 0)
+    unblocked = (toward & (min_blk[:, None] >= np.maximum(enter, 0.0))).any(axis=0)
 
-    def fan_reaches(box: Rect) -> bool:
-        fan = _fan_dirs(px, py, box, scene.rays_per_side)
-        rect = np.array([box], dtype=np.float64)
-        enter, exit_ = _entry_exit(px, py, fan, rect)
-        enter, exit_ = enter[:, 0], exit_[:, 0]
-        toward = (exit_ >= enter) & (exit_ > 0)
-        if not toward.any():
-            return False
-        occl = np.array(occluders, dtype=np.float64).reshape(-1, 4)
-        nearest = _hit_distances(px, py, fan, occl).min(axis=1, initial=np.inf)
-        return bool((toward & (nearest >= np.maximum(enter, 0.0))).any())
+    # Fans of the nodes the shared rays leave blocked, (C, F, 2); the open
+    # rays go into one flat array, node by node, with spans[k] = (start, end).
+    failed = np.flatnonzero(~unblocked)
+    fan_inv = 1.0 / _fan_dirs(px, py, boxes[failed], scene.rays_per_side)
+    enter, exit_ = _entry_exit((boxes[failed] - origin)[:, None], fan_inv)
+    fan_t = np.maximum(enter, 0.0)
+    fan_blk = _hit_distances(*_entry_exit(blk_rel, fan_inv[:, :, None])).min(
+        axis=2, initial=np.inf)
+    is_open = (exit_ >= enter) & (exit_ > 0) & (fan_blk >= fan_t)
+    open_inv, open_t = fan_inv[is_open][:, None], fan_t[is_open][:, None]
+    counts = is_open.sum(axis=1).tolist()
+    ends = np.cumsum(counts).tolist()
+    spans = {k: (e - c, e) for k, c, e in zip(failed.tolist(), counts, ends) if c}
 
-    root = _quadtree(scene, max_depth)
-    heap = [(_dist_to_rect(px, py, root.box), root.order, root)]
+    obj_rel = obj_rects - origin
+    occluders = np.empty_like(obj_rel)   # rendered objects, rows [0, n)
+    n = 0
+    # Front-to-back: distance from p to each node's box, ties by preorder.
+    gap = np.maximum(np.maximum(boxes[:, :2] - pw, 0.0), pw - boxes[:, 2:])
+    dist = list(map(math.hypot, gap[:, 0].tolist(), gap[:, 1].tolist()))
+    unblocked = unblocked.tolist()
+    heap = [(dist[0], 0)]
     tests = classified = polys = 0
     while heap:
-        _, _, node = heapq.heappop(heap)
+        _, k = heapq.heappop(heap)
         tests += 1
-        box = np.array([node.box], dtype=np.float64)
-        enter, exit_ = _entry_exit(px, py, dirs, box)
-        enter, exit_ = enter[:, 0], exit_[:, 0]
-        toward = (exit_ >= enter) & (exit_ > 0)
-        unblocked = toward & (min_blk >= np.maximum(enter, 0.0))
-        if not unblocked.any() and not fan_reaches(node.box):
-            continue
-        for i in node.direct:
+        if not unblocked[k]:
+            span = spans.get(k)
+            if span is None:
+                continue
+            if n:
+                rays = slice(*span)
+                enter, exit_ = _entry_exit(occluders[:n], open_inv[rays])
+                blocked = (exit_ >= enter) & (exit_ > 0) & (np.maximum(enter, 0.0) < open_t[rays])
+                if np.logical_or.reduce(blocked, axis=1).all():
+                    continue
+        for i in direct[k]:
             obj = scene.objects[i]
             classified += 1
             polys += obj.polys
@@ -292,9 +317,10 @@ def _cull(scene: Scene2D, max_depth: int, pw: tuple[float, float],
             # sits inside it; a box containing the camera would otherwise
             # occlude the whole world at distance zero.
             if not (obj.box[0] <= px <= obj.box[2] and obj.box[1] <= py <= obj.box[3]):
-                occluders.append(obj.box)
-        for child in node.children:
-            heapq.heappush(heap, (_dist_to_rect(px, py, child.box), child.order, child))
+                occluders[n] = obj_rel[i]
+                n += 1
+        for c in children[k]:
+            heapq.heappush(heap, (dist[c], c))
     return CullStats(classified, tests, polys)
 
 
@@ -477,34 +503,3 @@ def named_scene(name: str, rays_per_side: int = 16) -> Scene2D:
     if name.startswith("variant"):
         return scene_variant(int(name[len("variant"):]), rays_per_side)
     raise ValueError(f"unknown scene {name!r} (try default, symmetric, variantN)")
-
-
-# -- Scene files ----------------------------------------------------------
-
-
-def scene_to_json(scene: Scene2D) -> str:
-    doc = {
-        "world": list(scene.world),
-        "objects": [{"box": list(o.box), "polys": o.polys} for o in scene.objects],
-        "blockers": [list(b) for b in scene.blockers],
-        "rays_per_side": scene.rays_per_side,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def scene_from_json(text: str) -> Scene2D:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"scene file is not valid JSON: {e}") from None
-    try:
-        world = tuple(float(v) for v in doc["world"])
-        objects = tuple(
-            SceneObject(tuple(float(v) for v in o["box"]), int(o["polys"]))
-            for o in doc["objects"]
-        )
-        blockers = tuple(tuple(float(v) for v in b) for b in doc.get("blockers", []))
-        rays = int(doc.get("rays_per_side", 16))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"malformed scene file: {e}") from None
-    return Scene2D(world, objects, blockers, rays)

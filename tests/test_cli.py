@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from meshprof import cli
 from meshprof.cli import main
 from meshprof.domain import GridDomain
 from meshprof.mesh import constant, deserialize, evaluate, serialize
@@ -78,6 +79,13 @@ class TestBuild:
             assert run("build", "--fixture", "ramp", "--domain", "4x4", "--threshold", "1",
                        "--jobs", jobs, "--out", str(tmp_path / "m.json")) == 2
         assert not (tmp_path / "m.json").exists()
+
+    def test_repeat_below_one_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        for repeat in ("0", "-1"):
+            assert run("build", "--exec", "/bin/echo", "--domain", "8", "--threshold", "100",
+                       "--repeat", repeat, "--out", str(tmp_path / "m.json")) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_vector_fixture_needs_matching_threshold(self, tmp_path):
         code = run("build", "--fixture", "scene:symmetric:sides", "--domain", "8x8",
@@ -412,9 +420,8 @@ class TestExec:
             return subprocess.CompletedProcess(argv, 0, stdout=f"{x + y}\n", stderr="")
 
         monkeypatch.setattr(subprocess, "run", fake_run)
-        with pytest.raises(KeyboardInterrupt):
-            run("build", "--exec", "probe", "--domain", "4x4", "--threshold", "0.5",
-                "--policy", "fixed:16", "--out", str(tmp_path / "m.json"))
+        assert run("build", "--exec", "probe", "--domain", "4x4", "--threshold", "0.5",
+                   "--policy", "fixed:16", "--out", str(tmp_path / "m.json")) == 130
         cache, = (tmp_path / "cache").glob("exec-*.json")
         saved = json.loads(cache.read_text())["entries"]
         answered = {str(GridDomain((4, 4)).linear_index((int(float(x)), int(float(y))))):
@@ -497,6 +504,15 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exit_info:
             run("frobnicate")
         assert exit_info.value.code == 2
+
+    def test_interrupt_exits_130_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_eval", interrupted)
+        assert run("eval", str(tmp_path / "m.json"), "0,0") == 130
+        captured = capsys.readouterr()
+        assert captured.err == "meshprof: interrupted\n" and captured.out == ""
 
     @pytest.mark.skipif(
         shutil.which("meshprof") is None,

@@ -19,9 +19,7 @@ from meshprof.fixtures import (
     directional_profile,
     named_scene,
     num_visible,
-    scene_from_json,
     scene_profile,
-    scene_to_json,
     scene_variant,
     simulated_cost,
     symmetric_scene,
@@ -295,16 +293,6 @@ class TestSymmetricScene:
 
 
 class TestSceneFiles:
-    def test_round_trip(self):
-        for scene in (default_scene(), symmetric_scene(), scene_variant(9)):
-            assert scene_from_json(scene_to_json(scene)) == scene
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError, match="not valid JSON"):
-            scene_from_json("{nope")
-        with pytest.raises(ValueError, match="malformed"):
-            scene_from_json('{"world": [10, 10]}')
-
     def test_named_scenes(self):
         assert named_scene("default") == default_scene()
         assert named_scene("symmetric") == symmetric_scene()
