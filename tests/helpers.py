@@ -1,4 +1,4 @@
-"""Shared test utilities: random tree construction and dense oracles."""
+"""Shared test utilities: random tree construction and dense and JSON oracles."""
 
 from __future__ import annotations
 
@@ -33,3 +33,37 @@ def dense_eval(sub: Subdivision) -> np.ndarray:
         block = tuple(slice(l, h) for l, h in zip(box.lo, box.hi))
         out[block] = value if sub.value_arity > 1 else value[0]
     return out
+
+
+def oracle_doc(sub: Subdivision) -> dict:
+    """The v1 mesh document as nested dicts and lists, built the way the first
+    v1 writer built it; ``json.dumps(oracle_doc(sub), indent=2)`` is the v1
+    text that ``serialize`` must reproduce byte for byte."""
+
+    def node_doc(node) -> dict:
+        box = {"lo": list(node.box.lo), "hi": list(node.box.hi)}
+        if isinstance(node, Branch):
+            return {"box": box, "children": [node_doc(c) for c in node.children]}
+        doc = {
+            "box": box,
+            "value": list(node.value),
+            "samples": node.samples,
+            "lo_seen": list(node.lo_seen),
+            "hi_seen": list(node.hi_seen),
+        }
+        if node.saturated:
+            doc["saturated"] = True
+        if node.degenerate:
+            doc["degenerate"] = True
+        return doc
+
+    return {
+        "domain": {
+            "extents": list(sub.domain.extents),
+            "origin": list(sub.domain.origin),
+            "cell_size": list(sub.domain.cell_size),
+        },
+        "value_arity": sub.value_arity,
+        "metadata": sub.metadata,
+        "root": node_doc(sub.root),
+    }

@@ -3,12 +3,16 @@
 Each case builds one mesh from a fixture token, a small grid, a sampling
 policy, a seed, a spread mode and a threshold, then checks that the leaves
 tile the domain, that every leaf value lies within the range of its own
-samples, and that serialization round-trips bit for bit.  The runs are
+samples, and that serialization round-trips bit for bit and writes the
+same text as the v1 oracle encoder.  The runs are
 derandomized so that the suite is repeatable; the explicit examples are the
 cases where a leaf mean used to land an ulp outside its samples' range.
 """
 
+import json
+
 import numpy as np
+from helpers import oracle_doc
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -111,3 +115,12 @@ def test_serialization_round_trips_bit_exactly(case):
     assert again.metadata == sub.metadata
     assert bits(again) == bits(sub)
     assert serialize(again) == text
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+@example(UNEVEN)
+@example(SCENE)
+def test_serialize_matches_the_v1_oracle_encoder(case):
+    sub = build_case(case)
+    assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
