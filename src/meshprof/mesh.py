@@ -9,6 +9,7 @@ evaluate from many threads at once.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -157,29 +158,121 @@ def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
 #     or   {"box": ..., "value": [...], "samples": n,
 #           "lo_seen": [...], "hi_seen": [...]}   (+ "saturated"/"degenerate": true)
 #
-# Floats go through repr-based JSON encoding, which round-trips bit-exactly.
+# The text is exactly what ``json.dumps(doc, indent=2)`` makes of that layout
+# when box and leaf fields hold numbers.  The tree part is written directly:
+# json's indenting encoder is pure Python and several times slower.  Floats
+# use repr, which round-trips bit-exactly.
 
 
-def _node_to_doc(node: Node) -> dict:
-    box = {"lo": list(node.box.lo), "hi": list(node.box.hi)}
+def _number(v) -> str:
+    """One box or leaf component, spelled as ``json.dumps`` spells it."""
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if v is None or isinstance(v, str):
+        return json.dumps(v)
+    raise TypeError(f"cannot write a {type(v).__name__} as a mesh number")
+
+
+class _Layout:
+    """The constant text around one node's fields, for a node at one nesting level."""
+
+    def __init__(self, level: int):
+        i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
+        self.open = '{' + i1 + '"box": {' + i2 + '"lo": '
+        self.hi = ',' + i2 + '"hi": '
+        self.value = i1 + '},' + i1 + '"value": '
+        self.samples = ',' + i1 + '"samples": '
+        self.lo_seen = ',' + i1 + '"lo_seen": '
+        self.hi_seen = ',' + i1 + '"hi_seen": '
+        self.saturated = ',' + i1 + '"saturated": true'
+        self.degenerate = ',' + i1 + '"degenerate": true'
+        self.children = i1 + '},' + i1 + '"children": [' + i2
+        self.no_children = i1 + '},' + i1 + '"children": []' + i0 + '}'
+        self.child_sep = ',' + i2
+        self.children_end = i1 + ']'
+        self.close = i0 + '}'
+        # (open, separator, close) of number arrays: box bounds sit two
+        # levels in, leaf fields one.
+        self.box = ('[' + i3, ',' + i3, i2 + ']')
+        self.field = ('[' + i2, ',' + i2, i1 + ']')
+
+
+def _write_node(node: Node, level: int, layouts: list[_Layout], out: list[str]) -> None:
+    while len(layouts) <= level:
+        layouts.append(_Layout(len(layouts)))
+    f = layouts[level]
+    box = node.box
+    parts = [f.open, _box_array(box.lo, *f.box), f.hi, _box_array(box.hi, *f.box)]
     if isinstance(node, Branch):
-        return {"box": box, "children": [_node_to_doc(c) for c in node.children]}
-    doc = {
-        "box": box,
-        "value": list(node.value),
-        "samples": node.samples,
-        "lo_seen": list(node.lo_seen),
-        "hi_seen": list(node.hi_seen),
-    }
+        if not node.children:
+            parts.append(f.no_children)
+            out.append("".join(parts))
+            return
+        parts.append(f.children)
+        out.append("".join(parts))
+        for i, child in enumerate(node.children):
+            if i:
+                out.append(f.child_sep)
+            _write_node(child, level + 2, layouts, out)
+        out.append(f.children_end + f.close)
+        return
+    parts += (f.value, _float_array(node.value, *f.field),
+              f.samples, _number(node.samples),
+              f.lo_seen, _float_array(node.lo_seen, *f.field),
+              f.hi_seen, _float_array(node.hi_seen, *f.field))
     if node.saturated:
-        doc["saturated"] = True
+        parts.append(f.saturated)
     if node.degenerate:
-        doc["degenerate"] = True
-    return doc
+        parts.append(f.degenerate)
+    parts.append(f.close)
+    out.append("".join(parts))
+
+
+def _array(values, start: str, sep: str, end: str) -> str:
+    if not values:
+        return "[]"
+    return start + sep.join(map(_number, values)) + end
+
+
+def _box_array(values, start: str, sep: str, end: str) -> str:
+    """``_array`` for box bounds, with a fast path for plain ints."""
+    if values and bool not in map(type, values):
+        try:
+            return start + sep.join(map(int.__repr__, values)) + end
+        except TypeError:
+            pass
+    return _array(values, start, sep, end)
+
+
+def _float_array(values, start: str, sep: str, end: str) -> str:
+    """``_array`` for leaf fields, with a fast path for finite floats."""
+    if values:
+        try:
+            text = sep.join(map(float.__repr__, values))
+        except TypeError:
+            pass
+        else:
+            # repr spells only nan and inf with an "n"; json spells them otherwise.
+            if "n" not in text:
+                return start + text + end
+    return _array(values, start, sep, end)
 
 
 def serialize(sub: Subdivision) -> str:
-    doc = {
+    """The v1 JSON text of ``sub``: ``json.dumps`` of the layout above, ``indent=2``."""
+    header = json.dumps({
         "domain": {
             "extents": list(sub.domain.extents),
             "origin": list(sub.domain.origin),
@@ -187,9 +280,12 @@ def serialize(sub: Subdivision) -> str:
         },
         "value_arity": sub.value_arity,
         "metadata": sub.metadata,
-        "root": _node_to_doc(sub.root),
-    }
-    return json.dumps(doc, indent=2)
+    }, indent=2)
+    # The header ends in "\n}"; the root goes in as its last key.
+    out = [header[:-2], ',\n  "root": ']
+    _write_node(sub.root, 1, [], out)
+    out.append("\n}")
+    return "".join(out)
 
 
 def _expect(doc, key: str, types, path: str):
@@ -244,6 +340,19 @@ def _node_from_doc(doc, box: GridCuboid, arity: int, path: str) -> Node:
 
 
 def deserialize(text: str) -> Subdivision:
+    """The subdivision in v1 JSON ``text``; MeshFormatError names the first bad path."""
+    # A mesh document and its tree hold no reference cycles, so the cyclic
+    # collector would only rescan the growing heap while they are built.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _from_text(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _from_text(text: str) -> Subdivision:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -10,6 +10,7 @@ change that alters one of them changes the format.  To add a case, add it to
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -113,6 +114,26 @@ def test_corpus_covers_its_cases():
     assert '"metadata": {}' in texts["constant_empty_metadata_2d.json"]
     for spelled in ("-0.0", "5e-324", "1e+16", "1e-07", "0.1", "\\u00df"):
         assert spelled in texts["special_floats_1d.json"]
+
+
+@pytest.mark.parametrize("value", [(math.nan,), (math.inf, -math.inf), (np.float64("-inf"),),
+                                   (), (None, "x", 2**70), (np.float64(1e-310), -0.0)])
+def test_serialize_spells_every_number_as_json_does(value):
+    dom = GridDomain((4,))
+    for root in (Leaf(dom.root_cuboid(), value, 0, value, value),
+                 Branch(dom.root_cuboid(), (Leaf(GridDomain((2,)).root_cuboid(), value, True,
+                                                 value, value),)),
+                 Branch(dom.root_cuboid(), ())):
+        sub = Subdivision(dom, 1, root)
+        assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), [1.0]])
+def test_serialize_refuses_what_json_refuses(value):
+    dom = GridDomain((4,))
+    sub = Subdivision(dom, 1, Leaf(dom.root_cuboid(), (value,), 0, (0.0,), (0.0,)))
+    with pytest.raises(TypeError):
+        serialize(sub)
 
 
 def write(names) -> None:
