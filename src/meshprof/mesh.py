@@ -299,27 +299,73 @@ def _expect(doc, key: str, types, path: str):
     return value
 
 
-def _floats(doc, key: str, arity: int, path: str) -> tuple[float, ...]:
+# json.loads makes exact int, float and bool objects, so the checks below
+# test exact types: JSON true and false are not integers here.
+_INT_ONLY, _FLOAT_ONLY = {int}, {float}
+
+
+def _count(doc, key: str, minimum: int, path: str) -> int:
+    value = _expect(doc, key, int, path)
+    if type(value) is not int or value < minimum:
+        raise MeshFormatError(f"{path}.{key}", f"expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _finite(v, path: str) -> float:
+    if type(v) is float:
+        if math.isfinite(v):
+            return v
+    elif type(v) is int:
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    raise MeshFormatError(path, "not a finite number")
+
+
+def _floats(doc, key: str, arity: int | None, path: str) -> tuple[float, ...]:
     raw = _expect(doc, key, list, path)
-    if len(raw) != arity:
+    if arity is not None and len(raw) != arity:
         raise MeshFormatError(f"{path}.{key}", f"expected {arity} components, got {len(raw)}")
-    out = []
-    for i, v in enumerate(raw):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise MeshFormatError(f"{path}.{key}[{i}]", "not a finite number")
-        out.append(float(v))
-    return tuple(out)
+    values = tuple(raw)
+    # Fast path: all floats, and a finite sum means none is NaN or infinite.
+    if _FLOAT_ONLY == set(map(type, values)) and math.isfinite(sum(values)):
+        return values
+    return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(values))
+
+
+def _flag(doc, key: str, path: str) -> bool:
+    value = doc.get(key, False)
+    if type(value) is not bool:
+        raise MeshFormatError(f"{path}.{key}", f"expected true or false, got {type(value).__name__}")
+    return value
+
+
+def _domain_from_doc(doc) -> GridDomain:
+    dom_doc = _expect(doc, "domain", dict, "$")
+    extents = _expect(dom_doc, "extents", list, "$.domain")
+    for i, e in enumerate(extents):
+        if type(e) is not int:
+            raise MeshFormatError(f"$.domain.extents[{i}]", "not an integer")
+    origin = _floats(dom_doc, "origin", None, "$.domain")
+    cell_size = _floats(dom_doc, "cell_size", None, "$.domain")
+    try:
+        return GridDomain(tuple(extents), origin, cell_size)
+    except ValueError as e:
+        raise MeshFormatError("$.domain", str(e)) from e
 
 
 def _node_from_doc(doc, box: GridCuboid, arity: int, path: str) -> Node:
     got = _expect(doc, "box", dict, path)
     lo = _expect(got, "lo", list, f"{path}.box")
     hi = _expect(got, "hi", list, f"{path}.box")
-    if tuple(lo) != box.lo or tuple(hi) != box.hi:
-        raise MeshFormatError(f"{path}.box", f"expected lo={box.lo} hi={box.hi}, got lo={tuple(lo)} hi={tuple(hi)}")
+    if tuple(lo) != box.lo or tuple(hi) != box.hi or _INT_ONLY != set(map(type, lo + hi)):
+        raise MeshFormatError(f"{path}.box", f"expected lo={box.lo} hi={box.hi}, got lo={lo} hi={hi}")
     if "children" in doc:
-        expected = box.split()
         raw = _expect(doc, "children", list, path)
+        if box.cell_count == 1:
+            raise MeshFormatError(f"{path}.children", "a single-cell box cannot have children")
+        expected = box.split()
         if len(raw) != len(expected):
             raise MeshFormatError(
                 f"{path}.children",
@@ -331,22 +377,27 @@ def _node_from_doc(doc, box: GridCuboid, arity: int, path: str) -> Node:
         )
         return Branch(box, children)
     value = _floats(doc, "value", arity, path)
-    samples = _expect(doc, "samples", int, path)
+    samples = _count(doc, "samples", 0, path)
     lo_seen = _floats(doc, "lo_seen", arity, path)
     hi_seen = _floats(doc, "hi_seen", arity, path)
-    saturated = bool(doc.get("saturated", False))
-    degenerate = bool(doc.get("degenerate", False))
-    return Leaf(box, value, samples, lo_seen, hi_seen, saturated, degenerate)
+    return Leaf(box, value, samples, lo_seen, hi_seen,
+                _flag(doc, "saturated", path), _flag(doc, "degenerate", path))
 
 
 def deserialize(text: str) -> Subdivision:
-    """The subdivision in v1 JSON ``text``; MeshFormatError names the first bad path."""
+    """The subdivision in v1 JSON ``text``.
+
+    Raises MeshFormatError, naming the JSON path of the first problem, on
+    any document that is not a well-formed v1 mesh.
+    """
     # A mesh document and its tree hold no reference cycles, so the cyclic
     # collector would only rescan the growing heap while they are built.
     enabled = gc.isenabled()
     gc.disable()
     try:
         return _from_text(text)
+    except RecursionError:
+        raise MeshFormatError("$", "nested too deeply") from None
     finally:
         if enabled:
             gc.enable()
@@ -355,20 +406,11 @@ def deserialize(text: str) -> Subdivision:
 def _from_text(text: str) -> Subdivision:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an integer literal too long to convert.
         raise MeshFormatError("$", f"invalid JSON: {e}") from e
-    dom_doc = _expect(doc, "domain", dict, "$")
-    try:
-        domain = GridDomain(
-            tuple(_expect(dom_doc, "extents", list, "$.domain")),
-            tuple(_expect(dom_doc, "origin", list, "$.domain")),
-            tuple(_expect(dom_doc, "cell_size", list, "$.domain")),
-        )
-    except (TypeError, ValueError) as e:
-        raise MeshFormatError("$.domain", str(e)) from e
-    arity = _expect(doc, "value_arity", int, "$")
-    if arity < 1:
-        raise MeshFormatError("$.value_arity", f"must be >= 1, got {arity}")
+    domain = _domain_from_doc(doc)
+    arity = _count(doc, "value_arity", 1, "$")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise MeshFormatError("$.metadata", "expected object")

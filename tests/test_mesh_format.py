@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_doc, random_subdivision
 from meshprof.analysis import combine
@@ -129,11 +131,178 @@ def test_serialize_spells_every_number_as_json_does(value):
 
 
 @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), [1.0]])
-def test_serialize_refuses_what_json_refuses(value):
+def test_serialize_refuses_what_is_not_a_json_number(value):
     dom = GridDomain((4,))
     sub = Subdivision(dom, 1, Leaf(dom.root_cuboid(), (value,), 0, (0.0,), (0.0,)))
     with pytest.raises(TypeError):
         serialize(sub)
+
+
+# -- Malformed documents ------------------------------------------------------
+
+
+def document(name: str) -> dict:
+    return json.loads(golden(name))
+
+
+def rejected(doc) -> MeshFormatError:
+    with pytest.raises(MeshFormatError) as err:
+        deserialize(json.dumps(doc))
+    return err.value
+
+
+def first_leaf(node: dict) -> dict:
+    while "children" in node:
+        node = node["children"][0]
+    return node
+
+
+def leaf_docs(node: dict):
+    if "children" in node:
+        for child in node["children"]:
+            yield from leaf_docs(child)
+    else:
+        yield node
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"domain": ' * 100000, "1" * 5000],
+                         ids=["deep-array", "deep-object", "long-integer"])
+def test_unreadable_json_is_a_format_error(text):
+    with pytest.raises(MeshFormatError) as err:
+        deserialize(text)
+    assert err.value.path == "$"
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("extents", [1.5], "$.domain.extents[0]"),
+    ("extents", [True], "$.domain.extents[0]"),
+    ("extents", [0], "$.domain"),
+    ("origin", ["nan"], "$.domain.origin[0]"),
+    ("origin", [None], "$.domain.origin[0]"),
+    ("cell_size", [float("nan")], "$.domain.cell_size[0]"),
+    ("cell_size", [10**400], "$.domain.cell_size[0]"),
+    ("cell_size", [-0.25], "$.domain"),
+])
+def test_bad_domain_is_named(key, value, path):
+    doc = document("line_ramp_1d.json")
+    doc["domain"][key] = value
+    assert rejected(doc).path == path
+
+
+@pytest.mark.parametrize("key, value", [
+    ("samples", True), ("samples", -1), ("samples", 2.0),
+    ("saturated", 1), ("degenerate", "yes"), ("value", [True]), ("hi_seen", ["0.5"]),
+])
+def test_bad_leaf_field_is_named(key, value):
+    doc = document("line_ramp_1d.json")
+    first_leaf(doc["root"])[key] = value
+    assert rejected(doc).path.startswith("$.root.children[0]")
+
+
+@pytest.mark.parametrize("value", [True, 0, 2.0, "1"])
+def test_bad_value_arity_is_named(value):
+    doc = document("line_ramp_1d.json")
+    doc["value_arity"] = value
+    assert rejected(doc).path == "$.value_arity"
+
+
+def test_children_of_a_single_cell_box_are_refused():
+    doc = document("spike_saturated_1d.json")
+    leaf = next(leaf for leaf in leaf_docs(doc["root"]) if leaf.get("saturated"))
+    assert leaf["box"]["hi"][0] - leaf["box"]["lo"][0] == 1
+    leaf["children"] = [dict(leaf), dict(leaf)]
+    assert rejected(doc).path.endswith(".children")
+
+
+def test_leaves_an_ulp_or_two_outside_their_samples_still_load():
+    # Meshes written before leaf means were clamped into their sample range.
+    doc = document("line_ramp_1d.json")
+    leaf = first_leaf(doc["root"])
+    outside = math.nextafter(math.nextafter(leaf["hi_seen"][0], math.inf), math.inf)
+    leaf["value"] = [outside]
+    loaded = deserialize(json.dumps(doc)).root
+    while isinstance(loaded, Branch):
+        loaded = loaded.children[0]
+    assert loaded.value == (outside,) and loaded.hi_seen[0] < outside
+
+
+LOADABLE = sorted(set(corpus()) - set(UNLOADABLE))
+KINDS = {"integer": 7, "number": 2.5, "bool": True, "string": "x", "null": None,
+         "array": [], "object": {}}
+
+
+def kind(value) -> str:
+    for name, types in (("bool", bool), ("integer", int), ("number", float), ("string", str),
+                        ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return name
+    return "null"
+
+
+def sites(doc, path=()):
+    """(path, value) of the document and everything in it, except inside metadata."""
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        if path == () and key == "metadata":
+            yield (key,), value
+        else:
+            yield from sites(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def mutations(doc):
+    """Every (mutation, path, new value) of the five kinds the reader must refuse."""
+    for path, value in sites(doc):
+        if isinstance(value, list) and value:
+            for keep in range(len(value)):
+                yield "truncated list", path, value[:keep]
+        if path and path[-1] == "children":
+            yield "child count", path, value[:-1]
+            yield "child count", path, value + value[:1]
+        if isinstance(value, float):
+            for bad in (math.nan, math.inf, -math.inf):
+                yield "non-finite", path, bad
+        if len(path) >= 2 and path[-2] in ("lo", "hi"):
+            for delta in (-2, -1, 1, 2):
+                yield "box off the tiling", path, value + delta
+        # A float slot takes an integer; every other swap of kind is wrong.
+        allowed = {kind(value)} | ({"integer"} if isinstance(value, float) else set())
+        for name, other in KINDS.items():
+            if name not in allowed:
+                yield "wrong type", path, other
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_mutation_of_a_valid_document_is_a_format_error(data):
+    doc = document(data.draw(st.sampled_from(LOADABLE), label="file"))
+    candidates = list(mutations(doc))
+    what, path, value = data.draw(st.sampled_from(candidates), label="mutation")
+    with pytest.raises(MeshFormatError):
+        deserialize(json.dumps(replaced(doc, path, value)))
+
+
+def test_mutations_reach_every_kind_and_key():
+    doc = document("ratio_derived_2d.json")
+    found = list(mutations(doc))
+    assert {what for what, _, _ in found} == {"truncated list", "child count", "non-finite",
+                                              "box off the tiling", "wrong type"}
+    keys = {path[-1] for _, path, _ in found if path and isinstance(path[-1], str)}
+    assert keys >= {"domain", "extents", "origin", "cell_size", "value_arity", "metadata", "root",
+                    "box", "lo", "hi", "children", "value", "samples", "lo_seen", "hi_seen",
+                    "degenerate"}
 
 
 def write(names) -> None:
