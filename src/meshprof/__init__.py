@@ -20,7 +20,6 @@ from .analysis import (
     evaluate_view,
     parameter_profile,
     parameter_sweep,
-    reduce_components,
     select,
     selection_map,
     view_weights,
@@ -63,7 +62,6 @@ from .mesh import (
     evaluate,
     leaf_count,
     leaves,
-    min_max,
     serialize,
     to_dense,
 )

@@ -199,28 +199,6 @@ def combine(a: Subdivision, b: Subdivision, op: str) -> Subdivision:
     return Subdivision(domain, a.value_arity, root, {"derived": f"combine:{op}"})
 
 
-def reduce_components(sub: Subdivision, how: str = "max") -> Subdivision:
-    """Fold an m-vector subdivision to a scalar one (max/min/mean/sum).
-
-    All four folds are monotone in each component, so the per-leaf sample
-    bounds fold along with the value and stay valid.
-    """
-    folds = {"max": max, "min": min, "mean": lambda v: sum(v) / len(v), "sum": sum}
-    if how not in folds:
-        raise ValueError(f"unknown reduction {how!r}")
-    g = folds[how]
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Branch):
-            return Branch(node.box, tuple(walk(c) for c in node.children))
-        return Leaf(node.box, (float(g(node.value)),), node.samples,
-                    (float(g(node.lo_seen)),), (float(g(node.hi_seen)),),
-                    node.saturated, node.degenerate)
-
-    return Subdivision(sub.domain, 1, walk(sub.root),
-                       {"derived": f"reduce:{how}"})
-
-
 # -- Cost models ----------------------------------------------------------
 
 

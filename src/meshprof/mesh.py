@@ -120,17 +120,6 @@ def depth(sub: Subdivision) -> int:
     return max(d for _, d in iter_leaf_nodes(sub))
 
 
-def min_max(sub: Subdivision) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Componentwise extremes of the leaf values (the best/worst case pieces)."""
-    lo = [math.inf] * sub.value_arity
-    hi = [-math.inf] * sub.value_arity
-    for _, value, _ in leaves(sub):
-        for j, v in enumerate(value):
-            lo[j] = min(lo[j], v)
-            hi[j] = max(hi[j], v)
-    return tuple(lo), tuple(hi)
-
-
 def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
     """Materialize the subdivision on the full grid.
 

@@ -15,7 +15,6 @@ from meshprof.analysis import (
     evaluate_view,
     parameter_profile,
     parameter_sweep,
-    reduce_components,
     select,
     selection_map,
     view_weights,
@@ -152,30 +151,6 @@ class TestCombine:
         dom = GridDomain((4, 4))
         with pytest.raises(ValueError, match="unknown op"):
             combine(constant(dom, (1.0,)), constant(dom, (1.0,)), "divide")
-
-
-class TestReduceComponents:
-    def test_folds(self):
-        dom = GridDomain((4, 4))
-        sub = constant(dom, (1.0, 5.0, 3.0))
-        p = dom.point((0, 0))
-        assert evaluate(reduce_components(sub, "max"), p) == (5.0,)
-        assert evaluate(reduce_components(sub, "min"), p) == (1.0,)
-        assert evaluate(reduce_components(sub, "mean"), p) == (3.0,)
-        assert evaluate(reduce_components(sub, "sum"), p) == (9.0,)
-
-    def test_preserves_structure_and_bounds(self):
-        rng = np.random.default_rng(9)
-        sub = random_subdivision(rng, GridDomain((8, 8)), arity=4)
-        out = reduce_components(sub, "max")
-        assert out.value_arity == 1
-        np.testing.assert_array_equal(dense_eval(out), dense_eval(sub).max(axis=-1))
-        for leaf, _ in iter_leaf_nodes(out):
-            assert leaf.lo_seen[0] <= leaf.value[0] <= leaf.hi_seen[0]
-
-    def test_unknown_reduction(self):
-        with pytest.raises(ValueError):
-            reduce_components(constant(GridDomain((2, 2)), (1.0, 2.0)), "median")
 
 
 class TestCostModels:

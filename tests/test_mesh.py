@@ -19,7 +19,6 @@ from meshprof.mesh import (
     evaluate,
     leaf_count,
     leaves,
-    min_max,
     serialize,
     to_dense,
 )
@@ -75,21 +74,6 @@ def test_leaf_tiling_is_exact_on_random_trees():
         for box, _, _ in leaves(sub):
             covered[tuple(slice(l, h) for l, h in zip(box.lo, box.hi))] += 1
         assert np.all(covered == 1)
-
-
-def test_min_max():
-    assert min_max(constant(GridDomain((4,)), (3.0,))) == ((3.0,), (3.0,))
-    sub = one_split_tree(values=(1.0, 5.0, 2.0, 4.0))
-    assert min_max(sub) == ((1.0,), (5.0,))
-
-
-def test_min_max_agrees_with_leaf_scan():
-    rng = np.random.default_rng(3)
-    sub = random_subdivision(rng, GridDomain((16, 16)), arity=3)
-    vals = np.array([v for _, v, _ in leaves(sub)])
-    lo, hi = min_max(sub)
-    assert np.array_equal(lo, vals.min(axis=0))
-    assert np.array_equal(hi, vals.max(axis=0))
 
 
 def test_descend_step_count_bounded_by_depth():
