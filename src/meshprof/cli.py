@@ -64,7 +64,7 @@ from .errors import (
     OutOfDomainError,
     ProfileQueryError,
 )
-from .export import write_heatmap, write_leaf_csv
+from .export import write_files, write_heatmap, write_leaf_csv
 from .fixtures import FIXTURE_HELP, resolve_fixture
 from .fixtures.scene import DEFAULT_POLY_COST_MS, DEFAULT_TEST_COST_MS
 from .mesh import constant, deserialize, evaluate, serialize
@@ -178,11 +178,8 @@ def _input_hashes(paths) -> dict[str, str]:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        write_files([(path, data)])
     except OSError as e:
         raise _CliError(f"cannot write {path}: {e}") from e
 

@@ -8,11 +8,13 @@ value range behind either ramp lands in a JSON sidecar next to the image,
 since the pixels alone cannot be inverted back to values.
 
 Nothing here timestamps its output: identical subdivisions yield identical
-bytes.
+bytes.  Every file goes through a temporary file beside it and lands with
+``os.replace``, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -42,11 +44,11 @@ def slice_grid(sub: Subdivision, fixed: dict[int, int] | None = None) -> np.ndar
 
     ``fixed`` pins axes to cell indices until at most two stay free; a
     single free axis renders as a one-pixel-tall strip.  Scalar
-    subdivisions only — fold vector ones first.
+    subdivisions only.
     """
     if sub.value_arity != 1:
         raise ValueError(
-            f"heatmaps need scalar values, got arity {sub.value_arity}; reduce first")
+            f"heatmaps need scalar values, got arity {sub.value_arity}")
     fixed = dict(fixed or {})
     for axis, index in fixed.items():
         if not 0 <= axis < sub.domain.ndim:
@@ -109,13 +111,10 @@ def write_heatmap(sub: Subdivision, path: str, palette: str = "gray",
         payload = _diverging_bytes(grid, max(abs(vmin), abs(vmax)))
     else:
         raise ValueError(f"unknown palette {palette!r} (gray or diverging)")
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
     info = HeatmapInfo(path, width, height, vmin, vmax, palette)
     sidecar = dict(info.to_dict(), fixed_axes={str(a): i for a, i in (fixed or {}).items()})
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    write_files([(path, header + payload), (path + ".json", sidecar_text.encode("utf-8"))])
     return info
 
 
@@ -139,5 +138,24 @@ def leaf_csv(sub: Subdivision) -> str:
 
 
 def write_leaf_csv(sub: Subdivision, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(leaf_csv(sub))
+    write_files([(path, leaf_csv(sub).encode("utf-8"))])
+
+
+def write_files(files: list[tuple[str, bytes]]) -> None:
+    """Write each ``(path, data)`` to a temporary file beside it, then move all into place.
+
+    If any write fails, every temporary file is removed and no path changes.
+    """
+    temps = []
+    try:
+        for path, data in files:
+            temps.append(f"{path}.tmp.{os.getpid()}")
+            with open(temps[-1], "wb") as fh:
+                fh.write(data)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise

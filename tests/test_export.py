@@ -1,10 +1,13 @@
 """Heatmap images, JSON sidecars, and the per-leaf CSV table."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
+from meshprof import export
 from meshprof.analysis import combine
 from meshprof.builder import BuildConfig, FixedSampling, ProfileFunction, build
 from meshprof.domain import GridDomain
@@ -151,3 +154,54 @@ class TestLeafCsv:
         path = tmp_path / "leaves.csv"
         write_leaf_csv(constant(GridDomain((2, 2)), (1.0,)), str(path))
         assert path.read_text() == leaf_csv(constant(GridDomain((2, 2)), (1.0,)))
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves the old files and no temporary file."""
+
+    @staticmethod
+    def fail_on_write(monkeypatch, target: str):
+        """Make any write to ``target``, or to a temporary file for it, stop halfway."""
+        real_open = open
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fake_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            name, base = os.path.basename(path), os.path.basename(target)
+            if name == base or name.startswith(base + ".tmp."):
+                return HalfWriter(fh)
+            return fh
+
+        monkeypatch.setattr(export, "open", fake_open, raising=False)
+
+    @pytest.mark.parametrize("failing", ["map.pgm", "map.pgm.json"])
+    def test_heatmap(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "map.pgm"
+        sub = exact_tree(GridDomain((8, 4)), lambda i, j: i + j)
+        write_heatmap(constant(GridDomain((2, 2)), (1.0,)), str(path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        self.fail_on_write(monkeypatch, str(tmp_path / failing))
+        with pytest.raises(OSError):
+            write_heatmap(sub, str(path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_leaf_csv(self, tmp_path, monkeypatch):
+        path = tmp_path / "leaves.csv"
+        self.fail_on_write(monkeypatch, str(path))
+        with pytest.raises(OSError):
+            write_leaf_csv(random_subdivision(np.random.default_rng(2), GridDomain((8, 8))),
+                           str(path))
+        assert list(tmp_path.iterdir()) == []
