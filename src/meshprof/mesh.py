@@ -169,8 +169,6 @@ def _number(v) -> str:
         return "false"
     if isinstance(v, int):
         return int.__repr__(v)
-    if v is None or isinstance(v, str):
-        return json.dumps(v)
     raise TypeError(f"cannot write a {type(v).__name__} as a mesh number")
 
 
@@ -203,7 +201,7 @@ def _write_node(node: Node, level: int, layouts: list[_Layout], out: list[str]) 
         layouts.append(_Layout(len(layouts)))
     f = layouts[level]
     box = node.box
-    parts = [f.open, _box_array(box.lo, *f.box), f.hi, _box_array(box.hi, *f.box)]
+    parts = [f.open, _array(box.lo, *f.box), f.hi, _array(box.hi, *f.box)]
     if isinstance(node, Branch):
         if not node.children:
             parts.append(f.no_children)
@@ -217,10 +215,10 @@ def _write_node(node: Node, level: int, layouts: list[_Layout], out: list[str]) 
             _write_node(child, level + 2, layouts, out)
         out.append(f.children_end + f.close)
         return
-    parts += (f.value, _float_array(node.value, *f.field),
+    parts += (f.value, _array(node.value, *f.field),
               f.samples, _number(node.samples),
-              f.lo_seen, _float_array(node.lo_seen, *f.field),
-              f.hi_seen, _float_array(node.hi_seen, *f.field))
+              f.lo_seen, _array(node.lo_seen, *f.field),
+              f.hi_seen, _array(node.hi_seen, *f.field))
     if node.saturated:
         parts.append(f.saturated)
     if node.degenerate:
@@ -233,30 +231,6 @@ def _array(values, start: str, sep: str, end: str) -> str:
     if not values:
         return "[]"
     return start + sep.join(map(_number, values)) + end
-
-
-def _box_array(values, start: str, sep: str, end: str) -> str:
-    """``_array`` for box bounds, with a fast path for plain ints."""
-    if values and bool not in map(type, values):
-        try:
-            return start + sep.join(map(int.__repr__, values)) + end
-        except TypeError:
-            pass
-    return _array(values, start, sep, end)
-
-
-def _float_array(values, start: str, sep: str, end: str) -> str:
-    """``_array`` for leaf fields, with a fast path for finite floats."""
-    if values:
-        try:
-            text = sep.join(map(float.__repr__, values))
-        except TypeError:
-            pass
-        else:
-            # repr spells only nan and inf with an "n"; json spells them otherwise.
-            if "n" not in text:
-                return start + text + end
-    return _array(values, start, sep, end)
 
 
 def serialize(sub: Subdivision) -> str:
@@ -290,7 +264,7 @@ def _expect(doc, key: str, types, path: str):
 
 # json.loads makes exact int, float and bool objects, so the checks below
 # test exact types: JSON true and false are not integers here.
-_INT_ONLY, _FLOAT_ONLY = {int}, {float}
+_INT_ONLY = {int}
 
 
 def _count(doc, key: str, minimum: int, path: str) -> int:
@@ -300,27 +274,21 @@ def _count(doc, key: str, minimum: int, path: str) -> int:
     return value
 
 
-def _finite(v, path: str) -> float:
-    if type(v) is float:
-        if math.isfinite(v):
-            return v
-    elif type(v) is int:
-        try:
-            return float(v)
-        except OverflowError:
-            pass
-    raise MeshFormatError(path, "not a finite number")
-
-
 def _floats(doc, key: str, arity: int | None, path: str) -> tuple[float, ...]:
     raw = _expect(doc, key, list, path)
     if arity is not None and len(raw) != arity:
         raise MeshFormatError(f"{path}.{key}", f"expected {arity} components, got {len(raw)}")
-    values = tuple(raw)
-    # Fast path: all floats, and a finite sum means none is NaN or infinite.
-    if _FLOAT_ONLY == set(map(type, values)) and math.isfinite(sum(values)):
-        return values
-    return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(values))
+    out = []
+    for i, v in enumerate(raw):
+        if type(v) is int:
+            try:
+                v = float(v)
+            except OverflowError:
+                v = math.inf
+        if type(v) is not float or not math.isfinite(v):
+            raise MeshFormatError(f"{path}.{key}[{i}]", "not a finite number")
+        out.append(v)
+    return tuple(out)
 
 
 def _flag(doc, key: str, path: str) -> bool:

@@ -119,7 +119,7 @@ def test_corpus_covers_its_cases():
 
 
 @pytest.mark.parametrize("value", [(math.nan,), (math.inf, -math.inf), (np.float64("-inf"),),
-                                   (), (None, "x", 2**70), (np.float64(1e-310), -0.0)])
+                                   (), (2**70, False), (np.float64(1e-310), -0.0)])
 def test_serialize_spells_every_number_as_json_does(value):
     dom = GridDomain((4,))
     for root in (Leaf(dom.root_cuboid(), value, 0, value, value),
@@ -130,7 +130,7 @@ def test_serialize_spells_every_number_as_json_does(value):
         assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
 
 
-@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), [1.0]])
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), None, "1.0", [1.0]])
 def test_serialize_refuses_what_is_not_a_json_number(value):
     dom = GridDomain((4,))
     sub = Subdivision(dom, 1, Leaf(dom.root_cuboid(), (value,), 0, (0.0,), (0.0,)))
