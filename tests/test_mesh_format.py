@@ -151,12 +151,6 @@ def rejected(doc) -> MeshFormatError:
     return err.value
 
 
-def first_leaf(node: dict) -> dict:
-    while "children" in node:
-        node = node["children"][0]
-    return node
-
-
 def leaf_docs(node: dict):
     if "children" in node:
         for child in node["children"]:
@@ -195,7 +189,7 @@ def test_bad_domain_is_named(key, value, path):
 ])
 def test_bad_leaf_field_is_named(key, value):
     doc = document("line_ramp_1d.json")
-    first_leaf(doc["root"])[key] = value
+    next(leaf_docs(doc["root"]))[key] = value
     assert rejected(doc).path.startswith("$.root.children[0]")
 
 
@@ -217,7 +211,7 @@ def test_children_of_a_single_cell_box_are_refused():
 def test_leaves_an_ulp_or_two_outside_their_samples_still_load():
     # Meshes written before leaf means were clamped into their sample range.
     doc = document("line_ramp_1d.json")
-    leaf = first_leaf(doc["root"])
+    leaf = next(leaf_docs(doc["root"]))
     outside = math.nextafter(math.nextafter(leaf["hi_seen"][0], math.inf), math.inf)
     leaf["value"] = [outside]
     loaded = deserialize(json.dumps(doc)).root
