@@ -35,12 +35,8 @@ from .builder import (
     RmsSampling,
     SupNormSampling,
     build,
-    estimate_lipschitz,
-    mean_deviation_test,
     median_of_repeats,
-    profile_from_world,
     sample_size,
-    spread_test,
 )
 from .domain import GridCuboid, GridDomain, GridPoint
 from .errors import (

@@ -84,11 +84,11 @@ def _center_count(lo: int, hi: int, origin: float, cell: float,
     return max(0, min(hi, math.ceil(b)) - max(lo, math.ceil(a)))
 
 
-def _leaf_mass(box, dist: Distribution, domain: GridDomain) -> float:
+def _leaf_mass(box, dist: Distribution, domain: GridDomain, w: np.ndarray | None) -> float:
+    """Weight of ``box``'s cells; ``w`` is ``dist.array()`` for a table."""
     if isinstance(dist, Uniform):
         return float(box.cell_count)
     table = dist.domain
-    w = dist.array()
     ranges = []
     counts = []
     for a in range(domain.ndim):
@@ -116,14 +116,16 @@ def weighted_average(sub: Subdivision, dist: Distribution = Uniform()) -> tuple[
     cells; a ``WeightTable`` reweights cells by the table cell containing
     them.  Raises on a distribution with zero total mass over the domain.
     """
+    w = None
     if isinstance(dist, WeightTable):
         _check_table_covers(dist, sub.domain)
-    total = _leaf_mass(sub.domain.root_cuboid(), dist, sub.domain)
+        w = dist.array()
+    total = _leaf_mass(sub.domain.root_cuboid(), dist, sub.domain, w)
     if total <= 0.0:
         raise ValueError("distribution has zero total mass over the domain")
     acc = np.zeros(sub.value_arity, dtype=np.float64)
     for box, value, _depth in leaves(sub):
-        mass = _leaf_mass(box, dist, sub.domain)
+        mass = _leaf_mass(box, dist, sub.domain, w)
         if mass:
             acc += np.asarray(value) * mass
     return tuple(float(v) for v in acc / total)

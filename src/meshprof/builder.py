@@ -4,9 +4,10 @@ The builder samples a cuboid, checks the spread of the observed values against
 the splitting threshold, and either emits a constant leaf (the sample mean) or
 cuts the cuboid in half along every splittable axis.  It works one depth
 level at a time: the samples of every box of a level go to the profile as one
-batch.  Sample counts come from a pluggable policy; every queried point goes
-through a memoizing cache so refinement never pays twice for the same grid
-cell.
+batch, and one set of per-box reductions over that batch (min, max, mean)
+decides every box of the level and fills its leaves.  Sample counts come
+from a pluggable policy; every queried point goes through a memoizing cache
+so refinement never pays twice for the same grid cell.
 
 Each cuboid draws from its own random stream derived from (seed, box), so a
 subtree's construction is reproducible in isolation and independent of build
@@ -20,8 +21,8 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,11 +49,6 @@ class ProfileFunction:
     pure: bool = True
     name: str = ""
     batch: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def profile_from_world(fn: Callable[..., float], name: str = "") -> ProfileFunction:
-    """Wrap a scalar function of world coordinates, e.g. ``lambda x, y: x + y``."""
-    return ProfileFunction(1, lambda p: (float(fn(*p.world)),), name=name)
 
 
 def median_of_repeats(f: ProfileFunction, repeats: int = 5) -> ProfileFunction:
@@ -202,35 +198,6 @@ def sample_size(policy: SamplePolicy, cuboid: GridCuboid, config: BuildConfig,
     return min(max(raw, config.min_samples), n)
 
 
-# -- Leaf tests -----------------------------------------------------------
-
-
-def spread_test(values: Sequence[Sequence[float]], threshold: Sequence[float]) -> bool:
-    """True iff every component's range (max - min) stays within the threshold."""
-    arr = _value_matrix(values, threshold)
-    spread = arr.max(axis=0) - arr.min(axis=0)
-    return bool(np.all(spread <= np.asarray(threshold, dtype=np.float64)))
-
-
-def mean_deviation_test(values: Sequence[Sequence[float]], threshold: Sequence[float]) -> bool:
-    """True iff no sample deviates from the componentwise mean by more than the threshold."""
-    arr = _value_matrix(values, threshold)
-    dev = np.abs(arr - arr.mean(axis=0)).max(axis=0)
-    return bool(np.all(dev <= np.asarray(threshold, dtype=np.float64)))
-
-
-def _value_matrix(values, threshold) -> np.ndarray:
-    if len(values) < 1:
-        raise ValueError("need at least one value")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != len(threshold):
-        raise ValueError(
-            f"value arity {arr.shape[1] if arr.ndim == 2 else '?'} does not match "
-            f"threshold arity {len(threshold)}"
-        )
-    return arr
-
-
 # -- Query cache ----------------------------------------------------------
 
 
@@ -358,14 +325,7 @@ class BuildReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "distinct_queries": self.distinct_queries,
-            "total_requests": self.total_requests,
-            "leaf_count": self.leaf_count,
-            "depth": self.depth,
-            "saturated_leaves": self.saturated_leaves,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 def _strides(extents: tuple[int, ...]) -> np.ndarray:
@@ -508,12 +468,14 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
     """Build the tree one depth level at a time.
 
     Boxes of one level are disjoint, so their samples go to the cache as one
-    batch of distinct cells, and the spread test runs once over the whole
-    batch, segment by segment.  A passing box becomes a Leaf holding its
-    sample mean, clamped into the samples' range; a failing one hands its
-    ``split()`` children to the next level.  The tree is then assembled
-    bottom-up.  Returns the root plus the
-    leaf count, depth and saturated-leaf count.
+    batch of distinct cells.  Per box, one min, max and mean over its segment
+    of that batch decide the level: ``range`` passes a box when max - min
+    stays within the threshold, ``mean_dev`` when max(max - mean, mean - min)
+    does, which is the largest |sample - mean| since float subtraction is
+    monotone.  A passing box becomes a Leaf holding those three, its mean
+    clamped into [min, max]; a failing one hands its ``split()`` children to
+    the next level.  The tree is then assembled bottom-up.  Returns the root
+    plus the leaf count, depth and saturated-leaf count.
     """
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
     strides = _strides(domain.extents)
@@ -529,29 +491,28 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
         offsets = _level_offsets(level, shapes, config, domain, seed, sizes, rng)
         values = cache.query_many(_linear_indices(level, shapes, offsets, strides))
         counts = [len(o) for o in offsets]
-        starts = (np.cumsum(counts) - counts).tolist()
-        if config.spread_mode == "range":
-            spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
-            passed = np.all(spread <= threshold, axis=1).tolist()
-        else:
-            passed = [mean_deviation_test(values[s:s + k], threshold)
-                      for s, k in zip(starts, counts)]
+        starts = np.cumsum(counts) - counts
+        lo = np.minimum.reduceat(values, starts)
+        hi = np.maximum.reduceat(values, starts)
+        # One add.reduce per box, as sample.mean(axis=0) sums: add.reduceat
+        # adds in another order and would move the means' last bits.
+        mean = np.array([np.add.reduce(values[s:s + k], axis=0)
+                         for s, k in zip(starts.tolist(), counts)]) / np.array(counts)[:, None]
+        spread = hi - lo if config.spread_mode == "range" else np.maximum(hi - mean, mean - lo)
+        passed = np.all(spread <= threshold, axis=1).tolist()
+        # sum / k can land an ulp outside the samples' range, e.g. when they
+        # are all equal; clamp it back.
+        mean = np.minimum(np.maximum(mean, lo), hi)
         outcome, below = [], []
-        for box, shape, s, k, ok in zip(level, shapes, starts, counts, passed):
-            sample = values[s:s + k]
+        for box, shape, k, ok, value, lo_seen, hi_seen in zip(
+                level, shapes, counts, passed, mean.tolist(), lo.tolist(), hi.tolist()):
             if max(shape) == 1:
                 # Reached the grid floor: the value is exact, but when a parent
                 # split forced us here the spread above was still over threshold.
-                value = tuple(sample[0].tolist())
+                value = tuple(lo_seen)
                 leaf = Leaf(box, value, 1, value, value, saturated=depth > 0)
             elif ok:
-                # The same reductions as sample.mean/min/max(axis=0), minus
-                # their Python wrappers.  sum / k can land an ulp outside the
-                # samples' range, e.g. when they are all equal; clamp it back.
-                lo = np.minimum.reduce(sample, axis=0)
-                hi = np.maximum.reduce(sample, axis=0)
-                mean = np.minimum(np.maximum(np.add.reduce(sample, axis=0) / k, lo), hi)
-                leaf = Leaf(box, tuple(mean.tolist()), k, tuple(lo.tolist()), tuple(hi.tolist()))
+                leaf = Leaf(box, tuple(value), k, tuple(lo_seen), tuple(hi_seen))
             else:
                 children = box.split()
                 outcome.append(len(children))
@@ -598,46 +559,12 @@ def build(f: ProfileFunction, domain: GridDomain, config: BuildConfig, *,
 
     report = BuildReport(cache.distinct_queries, cache.total_requests,
                          n_leaves, max_depth, saturated, wall)
-    metadata = {
-        "profile": f.name,
-        "config": config.echo(),
-        "stats": {
-            "distinct_queries": report.distinct_queries,
-            "total_requests": report.total_requests,
-            "leaf_count": report.leaf_count,
-            "depth": report.depth,
-            "saturated_leaves": report.saturated_leaves,
-        },
-    }
+    stats = report.to_dict()
+    del stats["wall_time_s"]  # varies run to run; meshes and manifests must not
+    metadata = {"profile": f.name, "config": config.echo(), "stats": stats}
     sub = Subdivision(domain, f.arity, root, metadata)
     if sample_log is not None:
         for index, value in cache.sorted_rows():
             row = list(map(str, index)) + [repr(v) for v in value]
             sample_log.write(",".join(row) + "\n")
     return sub, report
-
-
-def estimate_lipschitz(f: ProfileFunction, domain: GridDomain, pilot: int = 256,
-                       seed: int = 0) -> float:
-    """Estimate a Lipschitz constant from finite differences of adjacent cells.
-
-    Draws ``pilot`` random adjacent grid-point pairs and returns the largest
-    observed |df| / |dx|.  A convenience for the sup-norm/RMS policies when no
-    constant is known; treat the result as a hint, not a bound.
-    """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(pilot):
-        index = tuple(int(rng.integers(0, e)) for e in domain.extents)
-        axis = int(rng.integers(0, domain.ndim))
-        step = 1 if index[axis] + 1 < domain.extents[axis] else -1
-        if domain.extents[axis] == 1:
-            continue
-        other = list(index)
-        other[axis] += step
-        a = f.query(domain.point(index))
-        b = f.query(domain.point(tuple(other)))
-        dist = domain.cell_size[axis]
-        diff = max(abs(x - y) for x, y in zip(a, b))
-        best = max(best, diff / dist)
-    return best

@@ -210,11 +210,6 @@ def _write_manifest(primary_out: str, argv, config: dict, inputs,
     _write_atomic(_manifest_path(primary_out), text.encode("utf-8"))
 
 
-def _deterministic_report(report) -> dict:
-    # Wall time varies run to run; manifests must not.
-    return {k: v for k, v in report.to_dict().items() if k != "wall_time_s"}
-
-
 def _write_mesh(sub, path: str) -> None:
     _write_atomic(path, (serialize(sub) + "\n").encode("utf-8"))
 
@@ -354,8 +349,7 @@ def _cmd_build(args) -> int:
     echo = dict(config.echo())
     echo.update(source)
     echo["domain"] = list(domain.extents)
-    _write_manifest(args.out, args.argv, echo, inputs, outputs,
-                    _deterministic_report(report))
+    _write_manifest(args.out, args.argv, echo, inputs, outputs, sub.metadata["stats"])
     print(f"wrote {args.out}: {report.leaf_count} leaves, depth {report.depth}, "
           f"{report.distinct_queries} distinct queries", file=sys.stderr)
     return _EXIT_OK

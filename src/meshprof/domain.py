@@ -9,7 +9,6 @@ explicitly.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -78,13 +77,6 @@ class GridDomain:
             raise OutOfDomainError(f"cell index {index} outside extents {self.extents}")
         return GridPoint(index, self.world(index))
 
-    def linear_index(self, index: tuple[int, ...]) -> int:
-        """Row-major (C-order) linear index of a cell."""
-        lin = 0
-        for i, e in zip(index, self.extents):
-            lin = lin * e + i
-        return lin
-
     def point_from_linear(self, lin: int) -> GridPoint:
         """The cell of row-major linear index ``lin``, which lies in ``[0, cell_count)``."""
         if not 0 <= lin < self.cell_count:
@@ -125,36 +117,6 @@ class GridDomain:
         index = np.unravel_index(np.asarray(lins, dtype=np.int64), self.extents)
         return index, [o + (i + 0.5) * c for i, o, c in zip(index, self.origin, self.cell_size)]
 
-    def sample_points(self, cuboid: GridCuboid, k: int, rng: np.random.Generator) -> list[GridPoint]:
-        """Draw ``min(k, cell_count)`` distinct grid points uniformly from ``cuboid``.
-
-        Sampling is without replacement; asking for at least ``cell_count``
-        points returns every cell exactly once (in row-major order, since the
-        draw is then exhaustive and order carries no information).  The same
-        seed yields the same points on every run.
-        """
-        lin = sample_cell_indices(cuboid, k, rng)
-        sizes = cuboid.extents()
-        local = np.unravel_index(lin, sizes)
-        return [
-            self.point(tuple(int(lo + x[j]) for lo, x in zip(cuboid.lo, local)))
-            for j in range(len(lin))
-        ]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "extents": list(self.extents),
-                "origin": list(self.origin),
-                "cell_size": list(self.cell_size),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> GridDomain:
-        doc = json.loads(text)
-        return cls(tuple(doc["extents"]), tuple(doc["origin"]), tuple(doc["cell_size"]))
-
 
 @dataclass(frozen=True)
 class GridCuboid:
@@ -187,21 +149,6 @@ class GridCuboid:
         """Euclidean length of the extent vector, in grid cells."""
         return math.sqrt(sum((h - l) ** 2 for l, h in zip(self.lo, self.hi)))
 
-    def contains_index(self, index: tuple[int, ...]) -> bool:
-        return all(l <= i < h for i, l, h in zip(index, self.lo, self.hi))
-
-    def iter_cells(self):
-        """Yield every cell index in the box, row-major."""
-        return itertools.product(*(range(l, h) for l, h in zip(self.lo, self.hi)))
-
-    def split_axes(self) -> tuple[int, ...]:
-        """Axes that take part in a split (extent >= 2), in axis order."""
-        return tuple(a for a, (l, h) in enumerate(zip(self.lo, self.hi)) if h - l >= 2)
-
-    def split_points(self) -> dict[int, int]:
-        """Cut position per splittable axis: ``lo + extent // 2``."""
-        return {a: self.lo[a] + (self.hi[a] - self.lo[a]) // 2 for a in self.split_axes()}
-
     def split(self) -> list[GridCuboid]:
         """Cut the box in half along every axis of extent >= 2.
 
@@ -225,10 +172,10 @@ class GridCuboid:
 
     def child_index(self, index: tuple[int, ...]) -> int:
         """Position within ``split()`` of the child holding cell ``index``."""
-        cuts = self.split_points()
         pos = 0
-        for a in self.split_axes():
-            pos = pos * 2 + (1 if index[a] >= cuts[a] else 0)
+        for i, l, h in zip(index, self.lo, self.hi):
+            if h - l >= 2:
+                pos = pos * 2 + (1 if i >= l + (h - l) // 2 else 0)
         return pos
 
 
@@ -255,8 +202,9 @@ class GridPoint:
 def sample_cell_indices(cuboid: GridCuboid, k: int, rng: np.random.Generator) -> np.ndarray:
     """Row-major cell offsets (within the cuboid) of a without-replacement draw.
 
-    Low-level counterpart of :meth:`GridDomain.sample_points`; the builder uses
-    it to avoid materializing points for cached queries.
+    Draws ``min(k, cell_count)`` distinct cells uniformly; asking for at least
+    ``cell_count`` returns every offset once, in order, without touching
+    ``rng``.  The same stream yields the same offsets on every run.
     """
     if k < 1:
         raise ValueError(f"sample size must be >= 1, got {k}")

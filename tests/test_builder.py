@@ -15,12 +15,8 @@ from meshprof.builder import (
     RmsSampling,
     SupNormSampling,
     build,
-    estimate_lipschitz,
-    mean_deviation_test,
     median_of_repeats,
-    profile_from_world,
     sample_size,
-    spread_test,
     _box_states,
 )
 from meshprof.domain import GridCuboid, GridDomain
@@ -28,7 +24,13 @@ from meshprof.errors import NonDeterministicProfileError, OutOfDomainError, Prof
 from meshprof.fixtures.lipschitz import ramp
 from meshprof.mesh import depth, iter_leaf_nodes, leaf_count, leaves, serialize, to_dense
 
-RAMP = profile_from_world(lambda x, y: x + y)
+
+def world_profile(fn):
+    """A scalar profile of world coordinates, e.g. ``lambda x, y: x + y``."""
+    return ProfileFunction(1, lambda p: (float(fn(*p.world)),))
+
+
+RAMP = world_profile(lambda x, y: x + y)
 
 
 def config(threshold, policy, **kw):
@@ -91,30 +93,43 @@ class TestSampleSize:
 
 
 class TestSpreadTest:
+    """The leaf test as a build decides it, on 1-D domains sampled exhaustively."""
+
+    @staticmethod
+    def leaves_of(rows, threshold, spread_mode="range"):
+        """(lo, hi, value, lo_seen, hi_seen) per leaf; cell i holds ``rows[i]``."""
+        pf = ProfileFunction(len(rows[0]), lambda p: rows[p.index[0]])
+        sub, _ = build(pf, GridDomain((len(rows),)),
+                       BuildConfig(threshold=threshold, policy=FixedSampling(len(rows)),
+                                   spread_mode=spread_mode))
+        return [(leaf.box.lo[0], leaf.box.hi[0], leaf.value, leaf.lo_seen, leaf.hi_seen)
+                for leaf, _ in iter_leaf_nodes(sub)]
+
     def test_spread_exactly_at_threshold_passes(self):
-        assert spread_test([[1.0], [1.5], [2.0]], [1.0])
+        assert self.leaves_of([(1.0,), (1.5,), (2.0,)], (1.0,)) == [
+            (0, 3, (1.5,), (1.0,), (2.0,))]
 
     def test_spread_over_threshold_fails(self):
-        assert not spread_test([[1.0], [2.01]], [1.0])
+        assert self.leaves_of([(1.0,), (2.01,)], (1.0,)) == [
+            (0, 1, (1.0,), (1.0,), (1.0,)), (1, 2, (2.01,), (2.01,), (2.01,))]
 
     def test_per_component_rule(self):
-        assert not spread_test([[0.0, 5.0], [0.0, 7.0]], [10.0, 1.0])
-        assert spread_test([[0.0, 5.0], [0.0, 7.0]], [10.0, 2.0])
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            spread_test([[1.0, 2.0]], [1.0])
+        rows = [(0.0, 5.0), (0.0, 7.0)]
+        assert len(self.leaves_of(rows, (10.0, 1.0))) == 2
+        assert self.leaves_of(rows, (10.0, 2.0)) == [(0, 2, (0.0, 6.0), (0.0, 5.0), (0.0, 7.0))]
 
     def test_mean_deviation_variant(self):
-        # max |v - mean| = 1 for {0, 2} with mean 1
-        assert mean_deviation_test([[0.0], [2.0]], [1.0])
-        assert not mean_deviation_test([[0.0], [2.0]], [0.99])
+        # max |v - mean| = 1 for {0, 2} with mean 1, while max - min = 2
+        rows = [(0.0,), (2.0,)]
+        assert self.leaves_of(rows, (1.0,), "mean_dev") == [(0, 2, (1.0,), (0.0,), (2.0,))]
+        assert len(self.leaves_of(rows, (0.99,), "mean_dev")) == 2
+        assert len(self.leaves_of(rows, (1.0,), "range")) == 2
 
 
 class TestBuild:
     def test_constant_profile_single_leaf(self):
         dom = GridDomain((64, 64))
-        sub, report = build(profile_from_world(lambda x, y: 5.0), dom,
+        sub, report = build(world_profile(lambda x, y: 5.0), dom,
                             config(1.0, FixedSampling(8), seed=1))
         assert leaf_count(sub) == 1
         assert report.distinct_queries == 8
@@ -122,7 +137,7 @@ class TestBuild:
 
     def test_step_profile_leaves_respect_threshold(self):
         dom = GridDomain((64, 64))
-        f = profile_from_world(lambda x, y: 0.0 if x < 32 else 100.0)
+        f = world_profile(lambda x, y: 0.0 if x < 32 else 100.0)
         for seed in range(8):
             sub, _ = build(f, dom, config(10.0, FixedSampling(16), seed=seed))
             for box, value, _ in leaves(sub):
@@ -137,7 +152,7 @@ class TestBuild:
 
     def test_leaf_mean_between_observed_extremes(self):
         dom = GridDomain((32, 32))
-        noisy = profile_from_world(lambda x, y: math.sin(x * 0.7) * 10 + y)
+        noisy = world_profile(lambda x, y: math.sin(x * 0.7) * 10 + y)
         sub, _ = build(noisy, dom, config(3.0, DiameterSampling(), seed=4))
         for leaf, _ in iter_leaf_nodes(sub):
             for v, lo, hi in zip(leaf.value, leaf.lo_seen, leaf.hi_seen):
@@ -145,7 +160,7 @@ class TestBuild:
 
     def test_single_cell_leaves_are_exact_and_saturated(self):
         dom = GridDomain((8, 8))
-        f = profile_from_world(lambda x, y: 100.0 * ((int(x) + int(y)) % 2))
+        f = world_profile(lambda x, y: 100.0 * ((int(x) + int(y)) % 2))
         sub, _ = build(f, dom, config(1.0, FixedSampling(64), seed=0))
         saturated = 0
         for leaf, d in iter_leaf_nodes(sub):
@@ -162,7 +177,7 @@ class TestBuild:
     def test_termination_depth_bound(self):
         dom = GridDomain((48, 64))
         bound = max(math.ceil(math.log2(e)) for e in dom.extents)
-        f = profile_from_world(lambda x, y: x * y)
+        f = world_profile(lambda x, y: x * y)
         sub, report = build(f, dom, config(1.0, FixedSampling(6), seed=2))
         assert report.depth <= bound
 
@@ -193,14 +208,14 @@ class TestBuild:
 class TestDeterminismAndCache:
     def test_same_seed_same_tree(self):
         dom = GridDomain((32, 32))
-        f = profile_from_world(lambda x, y: math.hypot(x - 16, y - 16))
+        f = world_profile(lambda x, y: math.hypot(x - 16, y - 16))
         a, _ = build(f, dom, config(2.0, DiameterSampling(), seed=12))
         b, _ = build(f, dom, config(2.0, DiameterSampling(), seed=12))
         assert serialize(a) == serialize(b)
 
     def test_different_seed_may_differ_but_stays_valid(self):
         dom = GridDomain((32, 32))
-        f = profile_from_world(lambda x, y: math.hypot(x - 16, y - 16))
+        f = world_profile(lambda x, y: math.hypot(x - 16, y - 16))
         trees = {serialize(build(f, dom, config(2.0, DiameterSampling(), seed=s))[0])
                  for s in range(4)}
         assert len(trees) >= 1  # structure may coincide; all must deserialize
@@ -216,7 +231,8 @@ class TestDeterminismAndCache:
         pf = ProfileFunction(1, f)
         cfg = config(0.5, FixedSampling(10), seed=1, purity_check_rate=0.0)
         _, report = build(pf, dom, cfg)
-        full = {dom.linear_index(i): (dom.world(i)[0],) for i in np.ndindex(16, 16)}
+        full = {int(np.ravel_multi_index(i, dom.extents)): (dom.world(i)[0],)
+                for i in np.ndindex(16, 16)}
         calls.clear()
         again, _ = build(pf, dom, cfg, preload=full)
         assert calls == []
@@ -421,8 +437,3 @@ def test_median_of_repeats_repeats_the_batch():
     assert wrapped.batch(np.zeros((2, 1))).tolist() == [[3.0], [4.0]]
     assert median_of_repeats(ProfileFunction(1, lambda p: (0.0,)), 3).batch is None
 
-
-def test_lipschitz_estimator_on_linear_profile():
-    dom = GridDomain((64, 64))
-    c = estimate_lipschitz(RAMP, dom, seed=3)
-    assert 0.9 <= c <= 1.000001

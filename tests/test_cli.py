@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from meshprof import cli
@@ -424,7 +425,7 @@ class TestExec:
                    "--policy", "fixed:16", "--out", str(tmp_path / "m.json")) == 130
         cache, = (tmp_path / "cache").glob("exec-*.json")
         saved = json.loads(cache.read_text())["entries"]
-        answered = {str(GridDomain((4, 4)).linear_index((int(float(x)), int(float(y))))):
+        answered = {str(np.ravel_multi_index((int(float(x)), int(float(y))), (4, 4))):
                     [float(x) + float(y)] for _, x, y in calls[:k - 1]}
         assert saved == answered and len(saved) == k - 1
         assert not (tmp_path / "m.json").exists()

@@ -3,8 +3,9 @@
 Each case builds one mesh from a fixture token, a small grid, a sampling
 policy, a seed, a spread mode and a threshold, then checks that the leaves
 tile the domain, that every leaf value lies within the range of its own
-samples, and that serialization round-trips bit for bit and writes the
-same text as the v1 oracle encoder.  The runs are
+samples, that every leaf the builder chose to stop at passes its spread
+mode's test on its stored fields, and that serialization round-trips bit for
+bit and writes the same text as the v1 oracle encoder.  The runs are
 derandomized so that the suite is repeatable; the explicit examples are the
 cases where a leaf mean used to land an ulp outside its samples' range.
 """
@@ -95,6 +96,20 @@ def test_leaf_values_lie_within_their_samples(case):
     for leaf, _ in iter_leaf_nodes(sub):
         for value, lo, hi in zip(leaf.value, leaf.lo_seen, leaf.hi_seen):
             assert lo <= value <= hi, (leaf.box, value, lo, hi)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+@example(UNEVEN)
+def test_unsaturated_leaves_pass_their_spread_test(case):
+    *_, spread_mode, threshold = case
+    sub = build_case(case)
+    for leaf, _ in iter_leaf_nodes(sub):
+        if leaf.saturated:
+            continue
+        for value, lo, hi in zip(leaf.value, leaf.lo_seen, leaf.hi_seen):
+            spread = hi - lo if spread_mode == "range" else max(hi - value, value - lo)
+            assert spread <= threshold, (leaf.box, value, lo, hi)
 
 
 def bits(sub):
