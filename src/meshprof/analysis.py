@@ -13,7 +13,6 @@ All operations are pure; inputs are never mutated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -41,8 +40,9 @@ class WeightTable:
     """Piecewise-constant cell weights given on a (usually coarser) grid.
 
     A cell of the target domain gets the weight of the table cell its center
-    falls into.  Weights must be nonnegative with at least one positive
-    entry; normalization happens at use time.
+    falls into; a center on a table-cell boundary falls into the upper cell.
+    Weights must be nonnegative with at least one positive entry;
+    normalization happens at use time.
     """
 
     domain: GridDomain
@@ -63,50 +63,24 @@ class WeightTable:
 Distribution = Uniform | WeightTable
 
 
-def _check_table_covers(table: WeightTable, domain: GridDomain) -> None:
-    if table.domain.ndim != domain.ndim:
+def _cell_maps(table: WeightTable, domain: GridDomain) -> list[np.ndarray]:
+    """Per axis, the table cell holding each mesh cell's center.
+
+    Cell ``i`` of axis ``a`` belongs to table cell
+    ``floor((center - t_origin) / t_cell)``, so a center on a boundary
+    belongs to the upper cell.  Raises unless every center has a table cell.
+    """
+    t = table.domain
+    if t.ndim != domain.ndim:
         raise ValueError("weight table dimensionality differs from the domain")
+    maps = []
     for a in range(domain.ndim):
-        first = domain.origin[a] + 0.5 * domain.cell_size[a]
-        last = domain.origin[a] + (domain.extents[a] - 0.5) * domain.cell_size[a]
-        t_lo = table.domain.origin[a]
-        t_hi = t_lo + table.domain.extents[a] * table.domain.cell_size[a]
-        if first < t_lo or last >= t_hi:
-            raise ValueError(
-                f"weight table does not cover the domain along axis {a}")
-
-
-def _center_count(lo: int, hi: int, origin: float, cell: float,
-                  t_lo: float, t_hi: float) -> int:
-    """How many cell centers with index in [lo, hi) fall into world [t_lo, t_hi)."""
-    a = (t_lo - origin) / cell - 0.5
-    b = (t_hi - origin) / cell - 0.5
-    return max(0, min(hi, math.ceil(b)) - max(lo, math.ceil(a)))
-
-
-def _leaf_mass(box, dist: Distribution, domain: GridDomain, w: np.ndarray | None) -> float:
-    """Weight of ``box``'s cells; ``w`` is ``dist.array()`` for a table."""
-    if isinstance(dist, Uniform):
-        return float(box.cell_count)
-    table = dist.domain
-    ranges = []
-    counts = []
-    for a in range(domain.ndim):
-        lo_w = domain.origin[a] + (box.lo[a] + 0.5) * domain.cell_size[a]
-        hi_w = domain.origin[a] + (box.hi[a] - 0.5) * domain.cell_size[a]
-        j_lo = max(0, int((lo_w - table.origin[a]) // table.cell_size[a]))
-        j_hi = min(table.extents[a] - 1, int((hi_w - table.origin[a]) // table.cell_size[a]))
-        if j_hi < j_lo:
-            return 0.0
-        ranges.append((j_lo, j_hi))
-        counts.append(np.array([
-            _center_count(box.lo[a], box.hi[a], domain.origin[a], domain.cell_size[a],
-                          table.origin[a] + j * table.cell_size[a],
-                          table.origin[a] + (j + 1) * table.cell_size[a])
-            for j in range(j_lo, j_hi + 1)
-        ], dtype=np.float64))
-    block = w[tuple(slice(j_lo, j_hi + 1) for j_lo, j_hi in ranges)]
-    return float((block * reduce(np.multiply.outer, counts)).sum())
+        centers = domain.origin[a] + (np.arange(domain.extents[a]) + 0.5) * domain.cell_size[a]
+        cells = np.floor((centers - t.origin[a]) / t.cell_size[a]).astype(np.int64)
+        if cells[0] < 0 or cells[-1] >= t.extents[a]:
+            raise ValueError(f"weight table does not cover the domain along axis {a}")
+        maps.append(cells)
+    return maps
 
 
 def weighted_average(sub: Subdivision, dist: Distribution = Uniform()) -> tuple[float, ...]:
@@ -114,20 +88,30 @@ def weighted_average(sub: Subdivision, dist: Distribution = Uniform()) -> tuple[
 
     Under ``Uniform`` this is exactly the mean of ``evaluate`` over all grid
     cells; a ``WeightTable`` reweights cells by the table cell containing
-    them.  Raises on a distribution with zero total mass over the domain.
+    their centers.  Raises on a distribution with zero total mass over the
+    domain.
     """
-    w = None
     if isinstance(dist, WeightTable):
-        _check_table_covers(dist, sub.domain)
+        maps = _cell_maps(dist, sub.domain)
         w = dist.array()
-    total = _leaf_mass(sub.domain.root_cuboid(), dist, sub.domain, w)
+
+        def mass(box) -> float:
+            cells = [m[lo:hi] for m, lo, hi in zip(maps, box.lo, box.hi)]
+            block = w[tuple(slice(c[0], c[-1] + 1) for c in cells)]
+            counts = [np.bincount(c - c[0]) for c in cells]
+            return float((block * reduce(np.multiply.outer, counts)).sum())
+    else:
+        def mass(box) -> float:
+            return float(box.cell_count)
+
+    total = mass(sub.domain.root_cuboid())
     if total <= 0.0:
         raise ValueError("distribution has zero total mass over the domain")
     acc = np.zeros(sub.value_arity, dtype=np.float64)
     for box, value, _depth in leaves(sub):
-        mass = _leaf_mass(box, dist, sub.domain, w)
-        if mass:
-            acc += np.asarray(value) * mass
+        m = mass(box)
+        if m:
+            acc += np.asarray(value) * m
     return tuple(float(v) for v in acc / total)
 
 

@@ -226,6 +226,8 @@ class QueryCache:
             if len(value) != f.arity:
                 raise ValueError(f"preloaded cell {lin} has {len(value)} components, "
                                  f"profile arity is {f.arity}")
+            if not all(map(math.isfinite, value)):
+                raise ValueError(f"preloaded cell {lin} has non-finite value {value}")
 
     @property
     def distinct_queries(self) -> int:

@@ -57,13 +57,7 @@ from .builder import (
     median_of_repeats,
 )
 from .domain import GridDomain
-from .errors import (
-    MeshFormatError,
-    MeshprofError,
-    NonDeterministicProfileError,
-    OutOfDomainError,
-    ProfileQueryError,
-)
+from .errors import MeshprofError, NonDeterministicProfileError, ProfileQueryError
 from .export import write_files, write_heatmap, write_leaf_csv
 from .fixtures import FIXTURE_HELP, resolve_fixture
 from .fixtures.scene import DEFAULT_POLY_COST_MS, DEFAULT_TEST_COST_MS
@@ -695,10 +689,7 @@ def main(argv=None) -> int:
     except (ProfileQueryError, NonDeterministicProfileError) as e:
         print(f"meshprof: profile failure: {e}", file=sys.stderr)
         return _EXIT_PROFILE
-    except (MeshFormatError, OutOfDomainError, MeshprofError) as e:
-        print(f"meshprof: {e}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (MeshprofError, ValueError, OSError) as e:
         print(f"meshprof: {e}", file=sys.stderr)
         return _EXIT_VALIDATION
     except KeyboardInterrupt:

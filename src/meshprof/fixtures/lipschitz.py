@@ -28,51 +28,39 @@ from ..builder import ProfileFunction
 class LipschitzFixture:
     """A named closed-form profile with declared smoothness and moments.
 
-    ``fn`` evaluates one world point (extra coordinates from degenerate grid
-    axes are accepted and ignored).  ``batch1d`` is a vectorized evaluator
-    for one-dimensional fixtures, used by the quadrature helpers; it is None
-    for fixtures of two or more arguments, which may carry ``batch``, ``fn``
-    vectorized over a ``(k, ndim)`` array of world points.  Both agree with
-    ``fn`` bit for bit.  The declared integrals are the continuous values over
-    the fixture's natural support, where known.
+    ``fn`` takes one world coordinate per axis (extra coordinates from
+    degenerate grid axes are accepted and ignored).  Each coordinate may be a
+    float or an array, and ``fn`` uses only operations that give the same
+    result either way, so one expression serves point queries, batch queries
+    and the quadrature helpers alike.  The declared integrals are the
+    continuous values over the fixture's natural support, where known.
     """
 
     name: str
-    fn: Callable[..., float]
+    fn: Callable[..., float | np.ndarray]
     lipschitz: float
-    batch1d: Callable[[np.ndarray], np.ndarray] | None = None
     abs_integral: float | None = None
     square_integral: float | None = None
     mean: float | None = None
     std: float | None = None
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def values(self, *coords: np.ndarray) -> np.ndarray:
+        """``fn`` over arrays of coordinates, broadcast to their shape."""
+        return np.broadcast_to(self.fn(*coords), np.shape(coords[0]))
 
     def profile(self) -> ProfileFunction:
-        batch = self.batch
-        if batch is None and self.batch1d is not None:
-            batch = lambda world: self.batch1d(world[:, 0])
         return ProfileFunction(1, lambda p: (float(self.fn(*p.world)),), name=self.name,
-                               batch=batch)
+                               batch=lambda world: self.values(*world.T))
 
 
 def constant(value: float) -> LipschitzFixture:
     v = float(value)
-    return LipschitzFixture(f"const:{value:g}", lambda *w: v, 0.0,
-                            batch1d=lambda xs: np.full_like(xs, v, dtype=np.float64),
-                            mean=v, std=0.0)
+    return LipschitzFixture(f"const:{value:g}", lambda *w: v, 0.0, mean=v, std=0.0)
 
 
 def ramp() -> LipschitzFixture:
     """f = sum of coordinates; changes by exactly one cell size per axis step."""
-    return LipschitzFixture("ramp", lambda *w: float(sum(w)), 1.0, batch=_sum_columns)
-
-
-def _sum_columns(world: np.ndarray) -> np.ndarray:
-    # Left to right from 0.0, the same additions as the builtin sum().
-    total = np.zeros(len(world))
-    for column in world.T:
-        total = total + column
-    return total
+    return LipschitzFixture("ramp", lambda *w: sum(w, 0.0), 1.0)
 
 
 def step(height: float = 100.0, at: float = 32.0) -> LipschitzFixture:
@@ -80,9 +68,8 @@ def step(height: float = 100.0, at: float = 32.0) -> LipschitzFixture:
     h, a = float(height), float(at)
     return LipschitzFixture(
         f"step:{height:g}@{at:g}",
-        lambda x, *_: h if x >= a else 0.0,
+        lambda x, *_: np.where(x >= a, h, 0.0),
         abs(h),
-        batch1d=lambda xs: np.where(xs >= a, h, 0.0),
     )
 
 
@@ -90,8 +77,7 @@ def square_gap(n: int) -> LipschitzFixture:
     """f(x, p) = (p - x)^2 on an n-by-n world; minimal in p exactly at p = x."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return LipschitzFixture(f"sqdiff:{n}", lambda x, p, *_: float((p - x) ** 2), 2.0 * n,
-                            batch=lambda world: (world[:, 1] - world[:, 0]) ** 2)
+    return LipschitzFixture(f"sqdiff:{n}", lambda x, p, *_: (p - x) ** 2, 2.0 * n)
 
 
 def hidden_spike(n: int, width: int = 24) -> LipschitzFixture:
@@ -105,13 +91,8 @@ def hidden_spike(n: int, width: int = 24) -> LipschitzFixture:
         raise ValueError(f"width must be >= 1, got {width}")
     center = 3.0 * n / 8.0
     height = width / 2.0
-
-    def batch(xs: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, height - np.abs(xs - center))
-
     return LipschitzFixture(
-        f"spike:{width}", lambda x, *_: float(max(0.0, height - abs(x - center))),
-        1.0, batch1d=batch,
+        f"spike:{width}", lambda x, *_: np.maximum(0.0, height - np.abs(x - center)), 1.0,
         abs_integral=height * height, square_integral=2.0 * height ** 3 / 3.0,
     )
 
@@ -126,13 +107,8 @@ def sqrt_tent(n: int) -> LipschitzFixture:
     _check_n(n)
     h = math.sqrt(n)
     center = n / 2.0
-
-    def batch(xs: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, h - np.abs(xs - center))
-
     return LipschitzFixture(
-        f"tent:{n}", lambda x, *_: float(max(0.0, h - abs(x - center))),
-        1.0, batch1d=batch,
+        f"tent:{n}", lambda x, *_: np.maximum(0.0, h - np.abs(x - center)), 1.0,
         abs_integral=float(n), square_integral=2.0 * h ** 3 / 3.0,
     )
 
@@ -155,13 +131,8 @@ def zero_mean_ramp(n: int, eps: float = 0.1) -> LipschitzFixture:
     delta = d - math.sqrt(d * d - b * b)
     m = b + delta
     var = (b ** 3 + delta ** 3) / (3.0 * n) + delta * delta * (n - m) / n
-
-    def batch(xs: np.ndarray) -> np.ndarray:
-        return np.where(xs <= m, b - xs, -delta)
-
     return LipschitzFixture(
-        f"zramp:{eps:g}", lambda x, *_: float(b - x) if x <= m else -delta,
-        1.0, batch1d=batch,
+        f"zramp:{eps:g}", lambda x, *_: np.where(x <= m, b - x, -delta), 1.0,
         abs_integral=(b * b + delta * delta) / 2.0 + delta * (n - m),
         square_integral=var * n, mean=0.0, std=math.sqrt(var),
     )
@@ -177,9 +148,10 @@ def _check_n(n: int) -> None:
 
 def grid_moments(fix: LipschitzFixture, n: int) -> dict[str, float]:
     """Riemann sums of |f|, f^2, f and the std over n unit cells at centers."""
-    if fix.batch1d is None:
-        raise ValueError(f"fixture {fix.name} has no 1-d batch evaluator")
-    values = fix.batch1d(np.arange(n, dtype=np.float64) + 0.5)
+    try:
+        values = fix.values(np.arange(n, dtype=np.float64) + 0.5)
+    except TypeError:
+        raise ValueError(f"fixture {fix.name} is not a function of one coordinate") from None
     return {
         "abs_integral": float(np.sum(np.abs(values))),
         "square_integral": float(np.sum(values * values)),
@@ -200,7 +172,7 @@ def max_adjacent_slope(fix: LipschitzFixture, extents: tuple[int, ...],
         raise ValueError(f"grid of {cells} cells exceeds the exhaustive-check guard")
     centers = [cell_size * (np.arange(e) + 0.5) for e in extents]
     grids = np.meshgrid(*centers, indexing="ij")
-    values = np.vectorize(fix.fn)(*grids).astype(np.float64)
+    values = fix.values(*grids)
     worst = 0.0
     for axis in range(len(extents)):
         if extents[axis] < 2:

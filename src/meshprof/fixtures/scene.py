@@ -367,7 +367,6 @@ def brute_force_cost(scene: Scene2D, poly_cost: float = DEFAULT_POLY_COST_MS) ->
 # -- Directional profiles and profile functions ----------------------------
 
 
-_SCALAR_QUANTITIES = ("numvisible", "polygons", "occltests", "cullcost", "brutecost")
 _VECTOR_QUANTITIES = ("sides", "cullcost_sides")
 _NEEDS_CONFIG = ("polygons", "occltests", "cullcost", "cullcost_sides")
 

@@ -1,5 +1,8 @@
 """Averaging, combination, cost models, selection, and view blending."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,29 @@ class TestWeightedAverage:
         table = WeightTable(GridDomain((4,), cell_size=(8.0,)), (1.0, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="dimensionality"):
             weighted_average(sub, table)
+
+    def test_center_on_a_table_boundary_counts_once(self):
+        # the center of cell 1, 0.05 + 1.5/3 = 0.55, lies on a table-cell boundary
+        dom = GridDomain((5,), (0.05,), (1 / 3,))
+        root = dom.root_cuboid()
+        children = tuple(Leaf(b, (v,), 1, (v,), (v,)) for b, v in zip(root.split(), (1.0, 5.0)))
+        sub = Subdivision(dom, 1, Branch(root, children))
+        table = WeightTable(GridDomain((20,), (0.05,), (0.1,)), (1.0,) * 20)
+        assert weighted_average(sub, table) == weighted_average(sub) == (3.4,)
+
+    def test_all_ones_table_equals_uniform_on_non_dyadic_grids(self):
+        rng = np.random.default_rng(5)
+        sizes = (0.1, 0.3, 1 / 3, 0.7, 1.0)
+        shifts = (0.0, 0.05, 1 / 3)
+        for extents in ((7,), (16,), (5, 9)):
+            for cell, origin, t_cell, t_shift in itertools.product(sizes, shifts, sizes, shifts):
+                dom = GridDomain(extents, (origin,) * len(extents), (cell,) * len(extents))
+                sub = random_subdivision(rng, dom)
+                t_extents = tuple(math.ceil((e * cell + t_shift) / t_cell) + 1 for e in extents)
+                table = WeightTable(GridDomain(t_extents, (origin - t_shift,) * len(extents),
+                                               (t_cell,) * len(extents)),
+                                    (1.0,) * math.prod(t_extents))
+                assert weighted_average(sub, table) == weighted_average(sub), (dom, table.domain)
 
     def test_table_validation(self):
         dom = GridDomain((2, 2))

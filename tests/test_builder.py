@@ -258,6 +258,12 @@ class TestDeterminismAndCache:
             build(RAMP, GridDomain((4, 4)), config(1.0, FixedSampling(4)),
                   preload={3: (1.0, 2.0)})
 
+    def test_preload_of_non_finite_value_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                build(RAMP, GridDomain((4, 4)), config(1.0, FixedSampling(4)),
+                      preload={3: (bad,)})
+
     def test_box_stream_is_seed_sequence_of_seed_and_box(self):
         rng = np.random.default_rng(2)
         boxes = [GridCuboid((0, 3), (70000, 9)), GridCuboid((2**32, 1), (2**33 + 5, 2)),

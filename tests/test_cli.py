@@ -409,6 +409,22 @@ class TestExec:
         assert "outside" in capsys.readouterr().err
         assert len(log.read_text().splitlines()) == calls
 
+    def test_non_finite_cache_entry_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        command, log = self.ok_script(tmp_path)
+        out = tmp_path / "m.json"
+        args = ["build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
+                "--policy", "fixed:16", "--force", "--out", str(out)]
+        assert run(*args) == 0
+        out.unlink()
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        doc = json.loads(cache.read_text())
+        doc["entries"]["5"] = [float("nan")]
+        cache.write_text(json.dumps(doc))
+        assert run(*args) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_interrupt_keeps_every_answer_so_far(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
         k, calls = 6, []
