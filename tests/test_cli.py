@@ -411,7 +411,7 @@ class TestExec:
 
     def test_non_finite_cache_entry_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
-        command, log = self.ok_script(tmp_path)
+        command, _ = self.ok_script(tmp_path)
         out = tmp_path / "m.json"
         args = ["build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
                 "--policy", "fixed:16", "--force", "--out", str(out)]
