@@ -53,11 +53,9 @@ from .mesh import (
     Leaf,
     Subdivision,
     constant,
-    depth,
     deserialize,
     evaluate,
-    leaf_count,
-    leaves,
+    leaf_arrays,
     serialize,
     to_dense,
 )

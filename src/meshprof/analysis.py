@@ -13,15 +13,16 @@ All operations are pure; inputs are never mutated.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .builder import ProfileFunction
 from .domain import GridDomain, GridPoint
-from .mesh import Branch, Leaf, Node, Subdivision, evaluate, leaves, to_dense
+from .mesh import Branch, Leaf, Node, Subdivision, evaluate, leaf_arrays, to_dense
 
 _SIDE_COUNT = 4           # value components of a directional subdivision
 _SECTOR_DEG = 90.0        # angular width of one side's sector
@@ -41,7 +42,7 @@ class WeightTable:
 
     A cell of the target domain gets the weight of the table cell its center
     falls into; a center on a table-cell boundary falls into the upper cell.
-    Weights must be nonnegative with at least one positive entry;
+    Weights must be finite and nonnegative with at least one positive entry;
     normalization happens at use time.
     """
 
@@ -53,6 +54,8 @@ class WeightTable:
         if len(self.weights) != self.domain.cell_count:
             raise ValueError(
                 f"{len(self.weights)} weights for {self.domain.cell_count} table cells")
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError("weights must be finite")
         if any(w < 0 for w in self.weights) or not any(w > 0 for w in self.weights):
             raise ValueError("weights must be nonnegative and not all zero")
 
@@ -83,42 +86,55 @@ def _cell_maps(table: WeightTable, domain: GridDomain) -> list[np.ndarray]:
     return maps
 
 
+def _masses(lo: np.ndarray, hi: np.ndarray, maps: list[np.ndarray],
+            w: np.ndarray) -> np.ndarray:
+    """Summed weight ``w[maps[0][i], maps[1][j], ...]`` over each box ``[lo, hi)``.
+
+    A map is nondecreasing, so per axis a box's cell count in each table cell
+    is a difference of cumulative counts; axes are contracted one at a time.
+    """
+    mass = w
+    for a, cells in enumerate(maps):
+        bounds = np.searchsorted(cells, np.arange(w.shape[a] + 1))
+        counts = np.diff(np.minimum(hi[:, a, None], bounds) - np.minimum(lo[:, a, None], bounds))
+        mass = np.einsum("it,it...->i..." if a else "it,t...->i...", counts, mass)
+    return mass
+
+
 def weighted_average(sub: Subdivision, dist: Distribution = Uniform()) -> tuple[float, ...]:
     """Average of the subdivision under a cell-weight distribution.
 
     Under ``Uniform`` this is exactly the mean of ``evaluate`` over all grid
     cells; a ``WeightTable`` reweights cells by the table cell containing
-    their centers.  Raises on a distribution with zero total mass over the
-    domain.
+    their centers.  Leaves are summed in split order.  Raises on a
+    distribution with zero total mass over the domain.
     """
+    domain = sub.domain
     if isinstance(dist, WeightTable):
-        maps = _cell_maps(dist, sub.domain)
-        w = dist.array()
-
-        def mass(box) -> float:
-            cells = [m[lo:hi] for m, lo, hi in zip(maps, box.lo, box.hi)]
-            block = w[tuple(slice(c[0], c[-1] + 1) for c in cells)]
-            counts = [np.bincount(c - c[0]) for c in cells]
-            return float((block * reduce(np.multiply.outer, counts)).sum())
+        maps, w = _cell_maps(dist, domain), dist.array()
     else:
-        def mass(box) -> float:
-            return float(box.cell_count)
-
-    total = mass(sub.domain.root_cuboid())
+        # One table cell of weight 1 holding every cell.
+        maps = [np.zeros(e, dtype=np.int64) for e in domain.extents]
+        w = np.ones((1,) * domain.ndim)
+    total = _masses(np.zeros((1, domain.ndim), np.int64), np.array([domain.extents]), maps, w)[0]
     if total <= 0.0:
         raise ValueError("distribution has zero total mass over the domain")
-    acc = np.zeros(sub.value_arity, dtype=np.float64)
-    for box, value, _depth in leaves(sub):
-        m = mass(box)
-        if m:
-            acc += np.asarray(value) * m
+    leaves = leaf_arrays(sub)
+    rows = leaves.value * _masses(leaves.lo, leaves.hi, maps, w)[:, None]
+    # Summed left to right from +0.0, as a running total would: a leaf of
+    # zero mass adds nothing and an all -0.0 mesh averages to +0.0.
+    acc = np.add.accumulate(np.vstack([np.zeros((1, sub.value_arity)), rows]))[-1]
     return tuple(float(v) for v in acc / total)
 
 
 # -- Pointwise combination on the common refinement ------------------------
 
 
-_BINARY_OPS = ("subtract", "add", "min", "max", "ratio")
+_BINARY_OPS = {
+    "subtract": operator.sub, "add": operator.add, "min": min, "max": max,
+    # A zero denominator gives 0, and combine flags the leaf degenerate.
+    "ratio": lambda x, y: x / y if y else 0.0,
+}
 
 
 def _derived_leaf(box, value: tuple[float, ...], degenerate: bool = False) -> Leaf:
@@ -160,26 +176,12 @@ def combine(a: Subdivision, b: Subdivision, op: str) -> Subdivision:
     if a.value_arity != b.value_arity:
         raise ValueError(f"value arity mismatch: {a.value_arity} vs {b.value_arity}")
     if op not in _BINARY_OPS:
-        raise ValueError(f"unknown op {op!r}; expected one of {_BINARY_OPS}")
+        raise ValueError(f"unknown op {op!r}; expected one of {tuple(_BINARY_OPS)}")
+    fn = _BINARY_OPS[op]
 
     def make_leaf(box, values):
         va, vb = values
-        if op == "ratio":
-            out, bad = [], False
-            for x, y in zip(va, vb):
-                if y == 0.0:
-                    out.append(0.0)
-                    bad = True
-                else:
-                    out.append(x / y)
-            return _derived_leaf(box, tuple(out), degenerate=bad)
-        fn = {
-            "subtract": lambda x, y: x - y,
-            "add": lambda x, y: x + y,
-            "min": min,
-            "max": max,
-        }[op]
-        return _derived_leaf(box, tuple(fn(x, y) for x, y in zip(va, vb)))
+        return _derived_leaf(box, tuple(map(fn, va, vb)), degenerate=op == "ratio" and 0.0 in vb)
 
     root = _merge([a.root, b.root], make_leaf)
     return Subdivision(domain, a.value_arity, root, {"derived": f"combine:{op}"})
@@ -270,14 +272,6 @@ def _selection_key(value: tuple[float, ...], view) -> float:
     return sum(wi * vi for wi, vi in zip(w, value))
 
 
-def _argmin(keys: Sequence[float]) -> int:
-    best = 0
-    for i in range(1, len(keys)):
-        if keys[i] < keys[best]:
-            best = i
-    return best
-
-
 def select(candidates: Sequence[Subdivision], p: GridPoint,
            view: tuple[float, float] | None = None) -> tuple[int, tuple[float, ...]]:
     """Pick the candidate predicting the smallest value at ``p``.
@@ -290,7 +284,8 @@ def select(candidates: Sequence[Subdivision], p: GridPoint,
         raise ValueError("need at least one candidate")
     _require_same_domain(candidates)
     values = [evaluate(c, p) for c in candidates]
-    best = _argmin([_selection_key(v, view) for v in values])
+    keys = [_selection_key(v, view) for v in values]
+    best = min(range(len(keys)), key=keys.__getitem__)
     return best, values[best]
 
 
@@ -310,8 +305,8 @@ def selection_map(candidates: Sequence[Subdivision],
             raise ValueError("candidates must share one value arity")
 
     def make_leaf(box, values):
-        best = _argmin([_selection_key(v, view) for v in values])
-        return _derived_leaf(box, (float(best),))
+        keys = [_selection_key(v, view) for v in values]
+        return _derived_leaf(box, (float(min(range(len(keys)), key=keys.__getitem__)),))
 
     root = _merge([c.root for c in candidates], make_leaf)
     return Subdivision(domain, 1, root,

@@ -164,11 +164,7 @@ def _sha256(path: str) -> str:
 
 
 def _input_hashes(paths) -> dict[str, str]:
-    hashes = {}
-    for path in paths:
-        if os.path.isfile(path):
-            hashes[path] = _sha256(path)
-    return hashes
+    return {path: _sha256(path) for path in paths if os.path.isfile(path)}
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -204,8 +200,16 @@ def _write_manifest(primary_out: str, argv, config: dict, inputs,
     _write_atomic(_manifest_path(primary_out), text.encode("utf-8"))
 
 
-def _write_mesh(sub, path: str) -> None:
-    _write_atomic(path, (serialize(sub) + "\n").encode("utf-8"))
+def _write_output(args, data: bytes, config: dict, inputs, report: dict | None = None) -> None:
+    """Write ``data`` to ``--out`` and its manifest; refuses to overwrite without --force."""
+    outputs = [args.out, _manifest_path(args.out)]
+    _ensure_writable(outputs, args.force)
+    _write_atomic(args.out, data)
+    _write_manifest(args.out, args.argv, config, inputs, outputs, report)
+
+
+def _mesh_bytes(sub) -> bytes:
+    return (serialize(sub) + "\n").encode("utf-8")
 
 
 # -- External-command profiles ---------------------------------------------
@@ -230,11 +234,10 @@ def _load_exec_cache(path: str | None) -> dict[int, tuple[float, ...]]:
     if path is None or not os.path.isfile(path):
         return {}
     try:
-        doc = json.loads(_read_text(path))
-        return {
-            int(lin): tuple(float(v) for v in vals)
-            for lin, vals in doc["entries"].items()
-        }
+        entries = json.loads(_read_text(path))["entries"]
+        if not isinstance(entries, dict):
+            raise TypeError(f"entries is a {type(entries).__name__}, not an object")
+        return {int(lin): tuple(float(v) for v in vals) for lin, vals in entries.items()}
     except (KeyError, TypeError, ValueError) as e:
         raise _CliError(f"corrupt exec cache {path}: {e}") from e
 
@@ -311,8 +314,7 @@ def _cmd_build(args) -> int:
         raise _CliError(f"--jobs must be >= 1, got {args.jobs}")
     if args.repeat < 1:
         raise _CliError(f"--repeat must be >= 1, got {args.repeat}")
-    outputs = [args.out, _manifest_path(args.out)]
-    _ensure_writable(outputs, args.force)
+    _ensure_writable([args.out, _manifest_path(args.out)], args.force)
 
     inputs: list[str] = []
     cache_file = None
@@ -339,11 +341,10 @@ def _cmd_build(args) -> int:
         # Keep what was answered, however the build ends, so a rerun resumes from it.
         _flush_exec_cache(cache_file, answered)
 
-    _write_mesh(sub, args.out)
     echo = dict(config.echo())
     echo.update(source)
     echo["domain"] = list(domain.extents)
-    _write_manifest(args.out, args.argv, echo, inputs, outputs, sub.metadata["stats"])
+    _write_output(args, _mesh_bytes(sub), echo, inputs, sub.metadata["stats"])
     print(f"wrote {args.out}: {report.leaf_count} leaves, depth {report.depth}, "
           f"{report.distinct_queries} distinct queries", file=sys.stderr)
     return _EXIT_OK
@@ -360,11 +361,9 @@ def _cmd_eval(args) -> int:
 def _cmd_diff(args) -> int:
     a = _load_mesh(args.a)
     b = _load_mesh(args.b)
-    outputs = [args.out, _manifest_path(args.out)]
-    _ensure_writable(outputs, args.force)
+    _ensure_writable([args.out, _manifest_path(args.out)], args.force)
     diff = combine(a, b, "subtract")
-    _write_mesh(diff, args.out)
-    _write_manifest(args.out, args.argv, {"op": "subtract"}, [args.a, args.b], outputs)
+    _write_output(args, _mesh_bytes(diff), {"op": "subtract"}, [args.a, args.b])
     return _EXIT_OK
 
 
@@ -418,12 +417,8 @@ def _cmd_cost(args) -> int:
     result = cost_estimate(counts, model)
     print(_format_value(weighted_average(result, Uniform())))
     if args.out:
-        outputs = [args.out, _manifest_path(args.out)]
-        _ensure_writable(outputs, args.force)
-        _write_mesh(result, args.out)
-        _write_manifest(args.out, args.argv,
-                        {"model": args.model, "unit_costs": list(units)},
-                        paths, outputs)
+        _write_output(args, _mesh_bytes(result),
+                      {"model": args.model, "unit_costs": list(units)}, paths)
     return _EXIT_OK
 
 
@@ -449,14 +444,12 @@ def _cmd_select(args) -> int:
 
     if args.out is None:
         raise _CliError("either --cell or --out is required")
-    outputs = [args.out, _manifest_path(args.out)]
-    _ensure_writable(outputs, args.force)
+    _ensure_writable([args.out, _manifest_path(args.out)], args.force)
     labels = selection_map(candidates, view=view)
-    _write_mesh(labels, args.out)
     config = {"candidates": list(args.candidates)}
     if view is not None:
         config["view"] = list(view)
-    _write_manifest(args.out, args.argv, config, args.candidates, outputs)
+    _write_output(args, _mesh_bytes(labels), config, args.candidates)
     return _EXIT_OK
 
 
@@ -481,15 +474,12 @@ def _cmd_optimize(args) -> int:
         best, table = parameter_sweep(builds, dist)
         print(repr(best))
         if args.out:
-            outputs = [args.out, _manifest_path(args.out)]
-            _ensure_writable(outputs, args.force)
             lines = ["param," + ",".join(
                 f"avg_{i}" for i in range(len(table[0][1])))]
             for param, avg in sorted(table, key=lambda row: row[0]):
                 lines.append(",".join([repr(param)] + [repr(v) for v in avg]))
-            _write_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
-            _write_manifest(args.out, args.argv, {"sweep": list(args.sweep)},
-                            paths + dist_inputs, outputs)
+            _write_output(args, ("\n".join(lines) + "\n").encode("utf-8"),
+                          {"sweep": list(args.sweep)}, paths + dist_inputs)
         return _EXIT_OK
 
     sub = _load_mesh(args.mesh)
@@ -501,11 +491,7 @@ def _cmd_optimize(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        outputs = [args.out, _manifest_path(args.out)]
-        _ensure_writable(outputs, args.force)
-        _write_atomic(args.out, text.encode("utf-8"))
-        _write_manifest(args.out, args.argv, {"param_axis": args.param_axis},
-                        [args.mesh], outputs)
+        _write_output(args, text.encode("utf-8"), {"param_axis": args.param_axis}, [args.mesh])
     return _EXIT_OK
 
 
@@ -533,14 +519,10 @@ def _cmd_quality(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        outputs = [args.out, _manifest_path(args.out)]
-        _ensure_writable(outputs, args.force)
-        _write_atomic(args.out, text.encode("utf-8"))
-        _write_manifest(args.out, args.argv,
-                        {"fixture": args.fixture, "thresholds": list(thresholds),
-                         "policy": policy.token(), "seed": args.seed,
-                         "domain": list(domain.extents)},
-                        [], outputs)
+        _write_output(args, text.encode("utf-8"),
+                      {"fixture": args.fixture, "thresholds": list(thresholds),
+                       "policy": policy.token(), "seed": args.seed,
+                       "domain": list(domain.extents)}, [])
     return _EXIT_OK
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Subdivision, iter_leaf_nodes, to_dense
+from .mesh import Subdivision, leaf_arrays, to_dense
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,13 @@ def leaf_csv(sub: Subdivision) -> str:
         [f"lo_{a}" for a in range(nd)] + [f"hi_{a}" for a in range(nd)]
         + [f"value_{j}" for j in range(m)] + ["samples", "saturated", "degenerate"]
     )
+    table = leaf_arrays(sub)
+    columns = (table.lo.T.tolist() + table.hi.T.tolist() + table.value.T.tolist()
+               + [table.samples.tolist(), table.saturated.astype(int).tolist(),
+                  table.degenerate.astype(int).tolist()])
+    # str of a Python float is its repr, so values keep every bit.
     lines = [",".join(header)]
-    for leaf, _ in iter_leaf_nodes(sub):
-        row = (
-            [str(v) for v in leaf.box.lo] + [str(v) for v in leaf.box.hi]
-            + [repr(v) for v in leaf.value]
-            + [str(leaf.samples), str(int(leaf.saturated)), str(int(leaf.degenerate))]
-        )
-        lines.append(",".join(row))
+    lines += map(",".join, zip(*(list(map(str, c)) for c in columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,9 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from itertools import chain
+from operator import attrgetter
+from typing import Union
 
 import numpy as np
 
@@ -96,28 +98,49 @@ def evaluate(sub: Subdivision, p: GridPoint) -> tuple[float, ...]:
     return leaf.value
 
 
-def leaves(sub: Subdivision) -> Iterator[tuple[GridCuboid, tuple[float, ...], int]]:
-    """Yield (box, value, depth) for each leaf, depth-first in split order."""
-    for leaf, depth in iter_leaf_nodes(sub):
-        yield leaf.box, leaf.value, depth
+@dataclass(frozen=True)
+class LeafArrays:
+    """Every leaf of a subdivision as one row, depth-first in split order."""
+
+    lo: np.ndarray          # (leaves, ndim) int64
+    hi: np.ndarray          # (leaves, ndim) int64
+    value: np.ndarray       # (leaves, arity) float64
+    lo_seen: np.ndarray     # (leaves, arity) float64
+    hi_seen: np.ndarray     # (leaves, arity) float64
+    samples: np.ndarray     # (leaves,) int64
+    saturated: np.ndarray   # (leaves,) bool
+    degenerate: np.ndarray  # (leaves,) bool
+    depth: np.ndarray       # (leaves,) int64, the root at 0
 
 
-def iter_leaf_nodes(sub: Subdivision) -> Iterator[tuple[Leaf, int]]:
-    stack: list[tuple[Node, int]] = [(sub.root, 0)]
-    while stack:
-        node, depth = stack.pop()
+def leaf_arrays(sub: Subdivision) -> LeafArrays:
+    """The leaves of ``sub`` as columns, from one walk of the tree."""
+    found: list[Leaf] = []
+    depths: list[int] = []
+
+    def walk(node: Node, depth: int) -> None:
         if isinstance(node, Leaf):
-            yield node, depth
+            found.append(node)
+            depths.append(depth)
         else:
-            stack.extend((c, depth + 1) for c in reversed(node.children))
+            for child in node.children:
+                walk(child, depth + 1)
 
+    walk(sub.root, 0)
+    n, boxes = len(found), [leaf.box for leaf in found]
 
-def leaf_count(sub: Subdivision) -> int:
-    return sum(1 for _ in iter_leaf_nodes(sub))
+    def column(items, name, dtype, width=None):
+        values = map(attrgetter(name), items)
+        if width is None:
+            return np.fromiter(values, dtype, n)
+        return np.fromiter(chain.from_iterable(values), dtype, n * width).reshape(n, width)
 
-
-def depth(sub: Subdivision) -> int:
-    return max(d for _, d in iter_leaf_nodes(sub))
+    nd, m = sub.domain.ndim, sub.value_arity
+    return LeafArrays(
+        *(column(boxes, name, np.int64, nd) for name in ("lo", "hi")),
+        *(column(found, name, np.float64, m) for name in ("value", "lo_seen", "hi_seen")),
+        column(found, "samples", np.int64), column(found, "saturated", bool),
+        column(found, "degenerate", bool), np.array(depths, dtype=np.int64))
 
 
 def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
@@ -130,11 +153,10 @@ def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
     n = sub.domain.cell_count
     if n > max_cells:
         raise ValueError(f"domain has {n} cells, dense guard is {max_cells}")
-    shape = sub.domain.extents + (sub.value_arity,)
-    out = np.empty(shape, dtype=np.float64)
-    for box, value, _ in leaves(sub):
-        sl = tuple(slice(l, h) for l, h in zip(box.lo, box.hi))
-        out[sl] = value
+    out = np.empty(sub.domain.extents + (sub.value_arity,), dtype=np.float64)
+    table = leaf_arrays(sub)
+    for lo, hi, value in zip(table.lo.tolist(), table.hi.tolist(), table.value.tolist()):
+        out[tuple(map(slice, lo, hi))] = value
     if sub.value_arity == 1:
         return out[..., 0]
     return out

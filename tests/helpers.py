@@ -23,15 +23,26 @@ def random_subdivision(rng: np.random.Generator, domain: GridDomain,
     return Subdivision(domain, arity, make(domain.root_cuboid(), 0))
 
 
-def dense_eval(sub: Subdivision) -> np.ndarray:
-    """Evaluate every grid cell by leaf iteration, independent of to_dense."""
-    from meshprof.mesh import leaves
+def walk_leaves(sub: Subdivision):
+    """Yield (leaf, depth) depth-first in split order, by recursion over ``sub.root``."""
 
+    def walk(node, depth):
+        if isinstance(node, Leaf):
+            yield node, depth
+        else:
+            for child in node.children:
+                yield from walk(child, depth + 1)
+
+    yield from walk(sub.root, 0)
+
+
+def dense_eval(sub: Subdivision) -> np.ndarray:
+    """Evaluate every grid cell from a walk of the tree, independent of to_dense."""
     shape = sub.domain.extents + ((sub.value_arity,) if sub.value_arity > 1 else ())
     out = np.full(shape, np.nan)
-    for box, value, _ in leaves(sub):
-        block = tuple(slice(l, h) for l, h in zip(box.lo, box.hi))
-        out[block] = value if sub.value_arity > 1 else value[0]
+    for leaf, _ in walk_leaves(sub):
+        block = tuple(slice(l, h) for l, h in zip(leaf.box.lo, leaf.box.hi))
+        out[block] = leaf.value if sub.value_arity > 1 else leaf.value[0]
     return out
 
 

@@ -56,7 +56,7 @@ from meshprof.fixtures.scene import (
     directional_profile,
     symmetric_scene,
 )
-from meshprof.mesh import constant, descend, evaluate, leaf_count, to_dense
+from meshprof.mesh import constant, descend, evaluate, to_dense
 
 from helpers import random_subdivision
 
@@ -115,12 +115,12 @@ def test_03_spike_detection(criterion):
     pf = hidden_spike(1024).profile()
     dom = GridDomain((1024,))
     missed = sum(
-        leaf_count(build(pf, dom, BuildConfig(
-            threshold=(4.0,), policy=FixedSampling(4), seed=seed))[0]) == 1
+        build(pf, dom, BuildConfig(
+            threshold=(4.0,), policy=FixedSampling(4), seed=seed))[1].leaf_count == 1
         for seed in range(100))
     found = sum(
-        leaf_count(build(pf, dom, BuildConfig(
-            threshold=(4.0,), policy=SupNormSampling(1.0), seed=seed))[0]) >= 2
+        build(pf, dom, BuildConfig(
+            threshold=(4.0,), policy=SupNormSampling(1.0), seed=seed))[1].leaf_count >= 2
         for seed in range(100))
     elapsed = time.perf_counter() - start
     ok = missed >= 80 and found >= 95 and elapsed < 10.0

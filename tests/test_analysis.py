@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from meshprof.analysis import (
 )
 from meshprof.builder import BuildConfig, FixedSampling, ProfileFunction, build
 from meshprof.domain import GridDomain
-from meshprof.mesh import Branch, Leaf, Subdivision, constant, evaluate, iter_leaf_nodes
+from meshprof.fixtures import resolve_fixture
+from meshprof.mesh import Branch, Leaf, Subdivision, constant, evaluate, leaf_arrays
 
 from helpers import dense_eval, random_subdivision
 
@@ -129,6 +131,38 @@ class TestWeightedAverage:
             WeightTable(dom, (1.0, -0.5, 1.0, 1.0))
         with pytest.raises(ValueError):
             WeightTable(dom, (0.0, 0.0, 0.0, 0.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                WeightTable(dom, (1.0, bad, 1.0, 1.0))
+
+    def test_table_average_matches_exact_rational_reference(self):
+        # Non-dyadic cell sizes, origins and weights, so every product rounds.
+        rng = np.random.default_rng(19)
+        dom = GridDomain((23, 17), (0.1, -0.3), (0.3, 1 / 3))
+        sub = random_subdivision(rng, dom, max_depth=5)
+        table = WeightTable(GridDomain((5, 4), (0.0, -0.5), (1.7, 1.6)),
+                            tuple(rng.uniform(0.1, 1.0, size=20).round(3)))
+        cells = [np.floor((o + (np.arange(e) + 0.5) * c - to) / tc).astype(int)
+                 for e, o, c, to, tc in zip(dom.extents, dom.origin, dom.cell_size,
+                                            table.domain.origin, table.domain.cell_size)]
+        w = table.array()
+        dense = dense_eval(sub)
+        num = den = Fraction(0)
+        for i, j in itertools.product(range(dom.extents[0]), range(dom.extents[1])):
+            weight = Fraction(w[cells[0][i], cells[1][j]])
+            num += weight * Fraction(dense[i, j])
+            den += weight
+        exact = num / den
+        got, = weighted_average(sub, table)
+        assert abs(Fraction(got) - exact) <= abs(exact) * Fraction(1, 10**12)
+
+    def test_uniform_average_of_negative_zero_is_positive_zero(self):
+        dom = GridDomain((8, 8))
+        sub, _ = build(resolve_fixture("const:-0", dom), dom,
+                       BuildConfig(threshold=(1.0,), policy=FixedSampling(4)))
+        assert leaf_arrays(sub).value.tolist() == [[-0.0]]
+        avg = weighted_average(sub)
+        assert avg == (0.0,) and math.copysign(1.0, avg[0]) == 1.0
 
 
 class TestCombine:
@@ -153,15 +187,13 @@ class TestCombine:
 
     def test_ratio_zero_denominator_flags_degenerate(self):
         dom = GridDomain((4, 4))
-        out = combine(constant(dom, (6.0,)), constant(dom, (0.0,)), "ratio")
-        (leaf, _), = iter_leaf_nodes(out)
-        assert leaf.value == (0.0,) and leaf.degenerate
+        out = leaf_arrays(combine(constant(dom, (6.0,)), constant(dom, (0.0,)), "ratio"))
+        assert out.value.tolist() == [[0.0]] and out.degenerate.tolist() == [True]
 
     def test_healthy_ratio_not_degenerate(self):
         dom = GridDomain((4, 4))
-        out = combine(constant(dom, (6.0,)), constant(dom, (2.0,)), "ratio")
-        (leaf, _), = iter_leaf_nodes(out)
-        assert leaf.value == (3.0,) and not leaf.degenerate
+        out = leaf_arrays(combine(constant(dom, (6.0,)), constant(dom, (2.0,)), "ratio"))
+        assert out.value.tolist() == [[3.0]] and out.degenerate.tolist() == [False]
 
     def test_rejects_mismatched_domains(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from meshprof.builder import (
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import NonDeterministicProfileError, OutOfDomainError, ProfileQueryError
 from meshprof.fixtures.lipschitz import ramp
-from meshprof.mesh import depth, iter_leaf_nodes, leaf_count, leaves, serialize, to_dense
+from meshprof.mesh import leaf_arrays, serialize, to_dense
 
 
 def world_profile(fn):
@@ -102,8 +102,10 @@ class TestSpreadTest:
         sub, _ = build(pf, GridDomain((len(rows),)),
                        BuildConfig(threshold=threshold, policy=FixedSampling(len(rows)),
                                    spread_mode=spread_mode))
-        return [(leaf.box.lo[0], leaf.box.hi[0], leaf.value, leaf.lo_seen, leaf.hi_seen)
-                for leaf, _ in iter_leaf_nodes(sub)]
+        t = leaf_arrays(sub)
+        return [(lo, hi, tuple(v), tuple(ls), tuple(hs)) for lo, hi, v, ls, hs in zip(
+            t.lo[:, 0].tolist(), t.hi[:, 0].tolist(), t.value.tolist(), t.lo_seen.tolist(),
+            t.hi_seen.tolist())]
 
     def test_spread_exactly_at_threshold_passes(self):
         assert self.leaves_of([(1.0,), (1.5,), (2.0,)], (1.0,)) == [
@@ -131,7 +133,7 @@ class TestBuild:
         dom = GridDomain((64, 64))
         sub, report = build(world_profile(lambda x, y: 5.0), dom,
                             config(1.0, FixedSampling(8), seed=1))
-        assert leaf_count(sub) == 1
+        assert len(leaf_arrays(sub).depth) == 1
         assert report.distinct_queries == 8
         assert report.leaf_count == 1 and report.depth == 0
 
@@ -140,9 +142,9 @@ class TestBuild:
         f = world_profile(lambda x, y: 0.0 if x < 32 else 100.0)
         for seed in range(8):
             sub, _ = build(f, dom, config(10.0, FixedSampling(16), seed=seed))
-            for box, value, _ in leaves(sub):
-                cell_vals = {0.0 if (x + 0.5) < 32 else 100.0
-                             for x in range(box.lo[0], box.hi[0])}
+            t = leaf_arrays(sub)
+            for lo, hi, value in zip(t.lo[:, 0].tolist(), t.hi[:, 0].tolist(), t.value):
+                cell_vals = {0.0 if (x + 0.5) < 32 else 100.0 for x in range(lo, hi)}
                 if max(cell_vals) - min(cell_vals) > 10.0:
                     # a straddling leaf may only survive if its samples missed
                     # one side entirely; its value must still be one plateau
@@ -154,21 +156,17 @@ class TestBuild:
         dom = GridDomain((32, 32))
         noisy = world_profile(lambda x, y: math.sin(x * 0.7) * 10 + y)
         sub, _ = build(noisy, dom, config(3.0, DiameterSampling(), seed=4))
-        for leaf, _ in iter_leaf_nodes(sub):
-            for v, lo, hi in zip(leaf.value, leaf.lo_seen, leaf.hi_seen):
-                assert lo <= v <= hi
+        t = leaf_arrays(sub)
+        assert (t.lo_seen <= t.value).all() and (t.value <= t.hi_seen).all()
 
     def test_single_cell_leaves_are_exact_and_saturated(self):
         dom = GridDomain((8, 8))
         f = world_profile(lambda x, y: 100.0 * ((int(x) + int(y)) % 2))
         sub, _ = build(f, dom, config(1.0, FixedSampling(64), seed=0))
-        saturated = 0
-        for leaf, d in iter_leaf_nodes(sub):
-            assert leaf.box.cell_count == 1
-            x, y = leaf.box.lo
-            assert leaf.value == (100.0 * ((x + y) % 2),)
-            saturated += leaf.saturated
-        assert saturated == 64
+        t = leaf_arrays(sub)
+        assert ((t.hi - t.lo) == 1).all()
+        assert t.value[:, 0].tolist() == [100.0 * ((x + y) % 2) for x, y in t.lo.tolist()]
+        assert t.saturated.sum() == 64
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -184,14 +182,16 @@ class TestBuild:
     def test_smooth_profile_stops_early(self):
         # spread over the whole root is far below the threshold
         sub, report = build(RAMP, GridDomain((64, 64)), config(200.0, DiameterSampling(), seed=0))
-        assert report.depth == 0 and leaf_count(sub) == 1
+        assert report.depth == 0 and len(leaf_arrays(sub).depth) == 1
 
     def test_report_counters(self):
         sub, report = build(RAMP, GridDomain((16, 16)), config(4.0, FixedSampling(12), seed=3))
         assert report.distinct_queries <= report.total_requests
         assert report.distinct_queries <= 256
-        assert report.leaf_count == leaf_count(sub)
-        assert report.depth == depth(sub)
+        t = leaf_arrays(sub)
+        assert report.leaf_count == len(t.depth)
+        assert report.depth == t.depth.max()
+        assert report.saturated_leaves == t.saturated.sum()
         assert report.wall_time_s >= 0.0
         doc = report.to_dict()
         assert doc["leaf_count"] == report.leaf_count
@@ -380,9 +380,9 @@ class TestDeterminismAndCache:
             calls[p.index] = calls.get(p.index, 0) + 1
             return (p.world[0] + 100.0 * (calls[p.index] - 1),)
         pf = ProfileFunction(1, drifting, pure=False)
-        sub, _ = build(pf, GridDomain((16, 16)),
-                       config(0.5, FixedSampling(256), seed=0, purity_check_rate=1.0))
-        assert leaf_count(sub) >= 1
+        _, report = build(pf, GridDomain((16, 16)),
+                          config(0.5, FixedSampling(256), seed=0, purity_check_rate=1.0))
+        assert report.leaf_count >= 1
 
 
 class TestThresholdMonotonicity:

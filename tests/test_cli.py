@@ -144,6 +144,18 @@ class TestEvalDiffAvg:
         bad.write_text(json.dumps({"extents": [2, 2], "weights": [1, 2, 3]}))
         assert run("avg", str(out), "--dist", str(bad)) == 2
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_avg_and_optimize_reject_non_finite_weights(self, tmp_path, capsys, weight):
+        out = build_fixture(tmp_path, "c.json", "const:5")
+        bad = tmp_path / "t.json"
+        bad.write_text('{"extents": [2, 2], "cell_size": [4.0, 4.0], '
+                       f'"weights": [1.0, {weight}, 1.0, 1.0]}}')
+        assert run("avg", str(out), "--dist", str(bad)) == 2
+        assert run("optimize", "--sweep", f"1={out}", "--dist", str(bad)) == 2
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err.count(f"bad weight table {bad}") == 2
+
 
 class TestCost:
     def test_literal_counts_reproduce_reference_costs(self, tmp_path, capsys):
@@ -423,6 +435,22 @@ class TestExec:
         cache.write_text(json.dumps(doc))
         assert run(*args) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries", [[], [["5", [1.0]]], "5", 3, None])
+    def test_cache_whose_entries_is_not_an_object_exits_2(self, tmp_path, monkeypatch,
+                                                         capsys, entries):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        command, _ = self.ok_script(tmp_path)
+        out = tmp_path / "m.json"
+        args = ["build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
+                "--policy", "fixed:16", "--force", "--out", str(out)]
+        assert run(*args) == 0
+        out.unlink()
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        cache.write_text(json.dumps({"entries": entries}))
+        assert run(*args) == 2
+        assert f"corrupt exec cache {cache}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_interrupt_keeps_every_answer_so_far(self, tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from meshprof.analysis import combine
 from meshprof.builder import BuildConfig, FixedSampling, ProfileFunction, build
 from meshprof.domain import GridDomain
 from meshprof.export import leaf_csv, slice_grid, write_heatmap, write_leaf_csv
-from meshprof.mesh import constant, leaf_count
+from meshprof.mesh import constant, leaf_arrays
 
 from helpers import dense_eval, random_subdivision
 
@@ -127,7 +127,7 @@ class TestLeafCsv:
         sub = random_subdivision(rng, GridDomain((8, 8)))
         lines = leaf_csv(sub).splitlines()
         assert lines[0] == "lo_0,lo_1,hi_0,hi_1,value_0,samples,saturated,degenerate"
-        assert len(lines) == 1 + leaf_count(sub)
+        assert len(lines) == 1 + len(leaf_arrays(sub).depth)
 
     def test_single_leaf_row(self):
         text = leaf_csv(constant(GridDomain((4, 4)), (1.5,)))

@@ -13,12 +13,10 @@ from meshprof.mesh import (
     Leaf,
     Subdivision,
     constant,
-    depth,
     descend,
     deserialize,
     evaluate,
-    leaf_count,
-    leaves,
+    leaf_arrays,
     serialize,
     to_dense,
 )
@@ -59,10 +57,11 @@ def test_evaluate_matches_leaf_scan():
 
 def test_leaves_partition_and_order():
     sub = one_split_tree()
-    got = list(leaves(sub))
-    assert [box.lo for box, _, _ in got] == [(0, 0), (0, 2), (2, 0), (2, 2)]
-    assert all(d == 1 for _, _, d in got)
-    assert sum(box.cell_count for box, _, _ in got) == sub.domain.cell_count
+    got = leaf_arrays(sub)
+    assert got.lo.tolist() == [[0, 0], [0, 2], [2, 0], [2, 2]]
+    assert got.depth.tolist() == [1, 1, 1, 1]
+    assert got.value.tolist() == [[1.0], [5.0], [2.0], [4.0]]
+    assert (got.hi - got.lo).prod(axis=1).sum() == sub.domain.cell_count
 
 
 def test_leaf_tiling_is_exact_on_random_trees():
@@ -71,8 +70,9 @@ def test_leaf_tiling_is_exact_on_random_trees():
         dom = GridDomain(tuple(int(e) for e in rng.integers(2, 33, size=2)))
         sub = random_subdivision(rng, dom)
         covered = np.zeros(dom.extents, dtype=int)
-        for box, _, _ in leaves(sub):
-            covered[tuple(slice(l, h) for l, h in zip(box.lo, box.hi))] += 1
+        got = leaf_arrays(sub)
+        for lo, hi in zip(got.lo, got.hi):
+            covered[tuple(map(slice, lo, hi))] += 1
         assert np.all(covered == 1)
 
 
@@ -80,7 +80,7 @@ def test_descend_step_count_bounded_by_depth():
     rng = np.random.default_rng(9)
     dom = GridDomain((256, 256))
     sub = random_subdivision(rng, dom, split_prob=0.7, max_depth=8)
-    d = depth(sub)
+    d = leaf_arrays(sub).depth.max()
     assert d <= 8
     for _ in range(50):
         index = tuple(int(i) for i in rng.integers(0, 256, size=2))
@@ -94,7 +94,7 @@ def test_depth_bound_halving_all_axes_together():
     rng = np.random.default_rng(17)
     for extents in ((64, 4), (33, 33), (128, 2, 2)):
         sub = random_subdivision(rng, GridDomain(extents), split_prob=1.0, max_depth=99)
-        assert depth(sub) == max(int(np.ceil(np.log2(e))) for e in extents)
+        assert leaf_arrays(sub).depth.max() == max(int(np.ceil(np.log2(e))) for e in extents)
 
 
 def test_to_dense_matches_evaluate():
@@ -117,7 +117,7 @@ class TestSerialization:
                                  value_scale=1e-3)
         again = deserialize(serialize(sub))
         assert again == sub
-        assert leaf_count(again) == leaf_count(sub)
+        assert len(leaf_arrays(again).depth) == len(leaf_arrays(sub).depth)
 
     def test_awkward_floats_roundtrip(self):
         dom = GridDomain((2,))
