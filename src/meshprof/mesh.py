@@ -155,7 +155,7 @@ def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
         raise ValueError(f"domain has {n} cells, dense guard is {max_cells}")
     out = np.empty(sub.domain.extents + (sub.value_arity,), dtype=np.float64)
     table = leaf_arrays(sub)
-    for lo, hi, value in zip(table.lo.tolist(), table.hi.tolist(), table.value.tolist()):
+    for lo, hi, value in zip(table.lo.tolist(), table.hi.tolist(), table.value):
         out[tuple(map(slice, lo, hi))] = value
     if sub.value_arity == 1:
         return out[..., 0]
