@@ -86,8 +86,7 @@ def _cell_maps(table: WeightTable, domain: GridDomain) -> list[np.ndarray]:
     return maps
 
 
-def _masses(lo: np.ndarray, hi: np.ndarray, maps: list[np.ndarray],
-            w: np.ndarray) -> np.ndarray:
+def _masses(lo: np.ndarray, hi: np.ndarray, maps: list[np.ndarray], w: np.ndarray) -> np.ndarray:
     """Summed weight ``w[maps[0][i], maps[1][j], ...]`` over each box ``[lo, hi)``.
 
     A map is nondecreasing, so per axis a box's cell count in each table cell

@@ -234,11 +234,9 @@ def _load_exec_cache(path: str | None) -> dict[int, tuple[float, ...]]:
     if path is None or not os.path.isfile(path):
         return {}
     try:
-        entries = json.loads(_read_text(path))["entries"]
-        if not isinstance(entries, dict):
-            raise TypeError(f"entries is a {type(entries).__name__}, not an object")
-        return {int(lin): tuple(float(v) for v in vals) for lin, vals in entries.items()}
-    except (KeyError, TypeError, ValueError) as e:
+        entries = json.loads(_read_text(path))["entries"].items()
+        return {int(lin): tuple(float(v) for v in vals) for lin, vals in entries}
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise _CliError(f"corrupt exec cache {path}: {e}") from e
 
 

@@ -63,9 +63,7 @@ def slice_grid(sub: Subdivision, fixed: dict[int, int] | None = None) -> np.ndar
     indexer = tuple(
         fixed[a] if a in fixed else slice(None) for a in range(sub.domain.ndim))
     grid = dense[indexer]
-    if grid.ndim == 0:
-        grid = grid.reshape(1, 1)
-    elif grid.ndim == 1:
+    if grid.ndim < 2:
         grid = grid.reshape(-1, 1)
     return grid
 

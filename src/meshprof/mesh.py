@@ -153,13 +153,20 @@ def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
     n = sub.domain.cell_count
     if n > max_cells:
         raise ValueError(f"domain has {n} cells, dense guard is {max_cells}")
-    out = np.empty(sub.domain.extents + (sub.value_arity,), dtype=np.float64)
     table = leaf_arrays(sub)
-    for lo, hi, value in zip(table.lo.tolist(), table.hi.tolist(), table.value):
-        out[tuple(map(slice, lo, hi))] = value
-    if sub.value_arity == 1:
-        return out[..., 0]
-    return out
+    widths = table.hi - table.lo
+    sizes = widths.prod(axis=1)
+    # Every cell once: the leaf that holds it, and its rank in that leaf's box
+    # unravelled into an offset from the box's low corner, last axis fastest.
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    rank = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    index = []
+    for a in reversed(range(sub.domain.ndim)):
+        rank, offset = np.divmod(rank, widths[owner, a])
+        index.insert(0, table.lo[owner, a] + offset)
+    out = np.empty(sub.domain.extents + (sub.value_arity,), dtype=np.float64)
+    out[tuple(index)] = table.value[owner]
+    return out[..., 0] if sub.value_arity == 1 else out
 
 
 # -- JSON serialization ---------------------------------------------------
