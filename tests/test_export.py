@@ -43,6 +43,10 @@ class TestSliceGrid:
         assert grid.shape == (4, 1)
         np.testing.assert_array_equal(grid[:, 0], [0.0, 1.0, 2.0, 3.0])
 
+    def test_no_free_axis_renders_one_pixel(self):
+        sub = exact_tree(GridDomain((4, 3)), lambda i, j: 10 * i + j)
+        assert slice_grid(sub, {0: 2, 1: 1}).tolist() == [[21.0]]
+
     def test_errors(self):
         sub = constant(GridDomain((4, 4, 4)), (1.0,))
         with pytest.raises(ValueError, match="free"):
