@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .builder import ProfileFunction
+from .builder import ProfileFunction, _batch_rows
 from .domain import GridDomain, GridPoint
 from .mesh import Branch, Leaf, Node, Subdivision, evaluate, leaf_arrays, to_dense
 
@@ -258,17 +258,24 @@ def cost_estimate(counts: Sequence[Subdivision], model: CostModel) -> Subdivisio
 # -- Selection ------------------------------------------------------------
 
 
-def _selection_key(value: tuple[float, ...], view) -> float:
+def _selection_key(view) -> Callable[[tuple[float, ...]], float]:
+    """What candidates' values are compared by: the value itself, or its
+    view-weighted sum, with the view's weights computed once."""
     if view is None:
-        if len(value) != 1:
-            raise ValueError(
-                "selection over vector subdivisions needs a view (direction, fov)")
-        return value[0]
+        def key(value: tuple[float, ...]) -> float:
+            if len(value) != 1:
+                raise ValueError(
+                    "selection over vector subdivisions needs a view (direction, fov)")
+            return value[0]
+        return key
     direction, fov = view
     w = view_weights(direction, fov)
-    if len(value) != len(w):
-        raise ValueError(f"view selection needs {len(w)} components, got {len(value)}")
-    return sum(wi * vi for wi, vi in zip(w, value))
+
+    def key(value: tuple[float, ...]) -> float:
+        if len(value) != len(w):
+            raise ValueError(f"view selection needs {len(w)} components, got {len(value)}")
+        return sum(wi * vi for wi, vi in zip(w, value))
+    return key
 
 
 def select(candidates: Sequence[Subdivision], p: GridPoint,
@@ -283,7 +290,7 @@ def select(candidates: Sequence[Subdivision], p: GridPoint,
         raise ValueError("need at least one candidate")
     _require_same_domain(candidates)
     values = [evaluate(c, p) for c in candidates]
-    keys = [_selection_key(v, view) for v in values]
+    keys = list(map(_selection_key(view), values))
     best = min(range(len(keys)), key=keys.__getitem__)
     return best, values[best]
 
@@ -303,8 +310,10 @@ def selection_map(candidates: Sequence[Subdivision],
         if c.value_arity != arity:
             raise ValueError("candidates must share one value arity")
 
+    key = _selection_key(view)
+
     def make_leaf(box, values):
-        keys = [_selection_key(v, view) for v in values]
+        keys = list(map(key, values))
         return _derived_leaf(box, (float(min(range(len(keys)), key=keys.__getitem__)),))
 
     root = _merge([c.root for c in candidates], make_leaf)
@@ -415,8 +424,11 @@ def error_vs_oracle(sub: Subdivision, f: ProfileFunction,
                     max_cells: int = 10 ** 6) -> ErrorStats:
     """Exhaustive |subdivision - f| statistics over every grid cell.
 
-    Queries ``f`` once per cell, so the domain is guarded to ``max_cells``.
-    For vector values the absolute error is taken per component and pooled.
+    Asks ``f`` for every cell, so the domain is guarded to ``max_cells``: in
+    one ``batch`` call where ``f`` has one, and by ``query`` for each cell
+    that the batch leaves non-finite, or for every cell if it raises.  For
+    vector values the absolute error is taken per component and pooled; the
+    cells' errors are added in row-major order, from +0.0.
     """
     domain = sub.domain
     if domain.cell_count > max_cells:
@@ -424,15 +436,14 @@ def error_vs_oracle(sub: Subdivision, f: ProfileFunction,
             f"domain has {domain.cell_count} cells, over the exhaustive guard {max_cells}")
     if f.arity != sub.value_arity:
         raise ValueError(f"oracle arity {f.arity} != subdivision arity {sub.value_arity}")
-    dense = to_dense(sub, max_cells)
-    if sub.value_arity == 1:
-        dense = dense[..., np.newaxis]
-    total = 0.0
-    worst = 0.0
-    for index in np.ndindex(*domain.extents):
-        truth = f.query(domain.point(index))
-        err = np.abs(dense[index] - np.asarray(truth, dtype=np.float64))
-        total += float(err.sum())
-        worst = max(worst, float(err.max()))
-    n = domain.cell_count * sub.value_arity
-    return ErrorStats(domain.cell_count, total / n, worst)
+    n, arity = domain.cell_count, sub.value_arity
+    lins = np.arange(n)
+    truth = None if f.batch is None else _batch_rows(f, domain.world_from_linear(lins))
+    if truth is None:
+        truth = np.full((n, arity), np.nan)
+    unanswered = np.flatnonzero(~np.isfinite(truth).all(axis=1))
+    for i, point in zip(unanswered.tolist(), domain.points_from_linear(unanswered)):
+        truth[i] = f.query(point)
+    err = np.abs(to_dense(sub, max_cells).reshape(n, arity) - truth)
+    total = np.add.accumulate(np.concatenate([[0.0], err.sum(axis=1)]))[-1]
+    return ErrorStats(n, float(total) / (n * arity), max(0.0, float(err.max())))

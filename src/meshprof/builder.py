@@ -3,11 +3,14 @@
 The builder samples a cuboid, checks the spread of the observed values against
 the splitting threshold, and either emits a constant leaf (the sample mean) or
 cuts the cuboid in half along every splittable axis.  It works one depth
-level at a time: the samples of every box of a level go to the profile as one
-batch, and one set of per-box reductions over that batch (min, max, mean)
-decides every box of the level and fills its leaves.  Sample counts come
-from a pluggable policy; every queried point goes through a memoizing cache
-so refinement never pays twice for the same grid cell.
+level at a time, and a level is two integer arrays of box bounds: sample
+counts, sample cells, the per-box reductions (min, max, mean) that decide
+the boxes and the split of the failing ones are array operations over the
+whole level, and the samples of every box go to the profile as one batch.
+Box, leaf and branch objects are made once, when the finished levels are
+assembled into the tree.  Sample counts come from a pluggable policy; every
+queried point goes through a memoizing cache so refinement never pays twice
+for the same grid cell.
 
 Each cuboid draws from its own random stream derived from (seed, box), so a
 subtree's construction is reproducible in isolation and independent of build
@@ -17,16 +20,16 @@ points at once, such as an external command, does so inside its ``batch``.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
-import random
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .domain import GridCuboid, GridDomain, GridPoint, sample_cell_indices
+from .domain import GridCuboid, GridDomain, GridPoint, _trusted_cuboid, sample_cell_indices
 from .errors import NonDeterministicProfileError, OutOfDomainError, ProfileQueryError
 from .mesh import Branch, Leaf, Node, Subdivision
 
@@ -74,6 +77,21 @@ def median_of_repeats(f: ProfileFunction, repeats: int = 5) -> ProfileFunction:
     return ProfileFunction(f.arity, query, pure=False,
                            name=f"median{repeats}({f.name})" if f.name else "",
                            batch=batch if f.batch is not None else None)
+
+
+def _batch_rows(f: ProfileFunction, world: np.ndarray) -> np.ndarray | None:
+    """``f.batch(world)`` as a ``(len(world), arity)`` float array.
+
+    None if the call raises or returns an array of another shape.
+    """
+    k = len(world)
+    try:
+        values = np.asarray(f.batch(world), dtype=np.float64)
+    except Exception:
+        return None
+    if not (values.shape == (k, f.arity) or (f.arity == 1 and values.shape == (k,))):
+        return None
+    return values.reshape(k, f.arity)
 
 
 # -- Sample-size policies -------------------------------------------------
@@ -201,13 +219,22 @@ def sample_size(policy: SamplePolicy, cuboid: GridCuboid, config: BuildConfig,
 # -- Query cache ----------------------------------------------------------
 
 
+_MASK_64 = (1 << 64) - 1
+
+
 class QueryCache:
     """Memoizes profile queries by grid cell and counts traffic.
 
+    The store is one sorted array of linear cell indices with one row of
+    values per index.  Each call looks its cells up with ``searchsorted`` and
+    merges its new answers in once, so memory grows with the distinct cells
+    queried, never with the domain.
+
     A small fraction of cache hits re-queries the profile and compares, to
-    catch quantities that were declared pure but are not.  ``preload``, keyed
-    by linear cell index, becomes the store itself: it starts with its values
-    and receives every new answer as soon as it arrives.
+    catch quantities that were declared pure but are not; each call draws
+    those checks as one array over its hits, in order.  ``preload``, keyed by
+    linear cell index, seeds the store and receives every new answer as soon
+    as it arrives, so it keeps each answer also when the build fails.
     """
 
     def __init__(self, f: ProfileFunction, domain: GridDomain, config: BuildConfig,
@@ -215,11 +242,12 @@ class QueryCache:
         self._f = f
         self._domain = domain
         self._check_rate = config.purity_check_rate if f.pure else 0.0
-        self._check_rng = random.Random(config.seed ^ 0x5EEDCAFE)
-        self.store: dict[int, tuple[float, ...]] = {} if preload is None else preload
+        self._check_rng = np.random.default_rng((config.seed ^ 0x5EEDCAFE) & _MASK_64)
+        self._preload = preload
         self.total_requests = 0
         n = domain.cell_count
-        for lin, value in self.store.items():
+        entries = sorted((preload or {}).items())
+        for lin, value in entries:
             if not 0 <= lin < n:
                 raise OutOfDomainError(f"preloaded cell {lin} lies outside the domain's "
                                        f"{n} cells")
@@ -228,10 +256,13 @@ class QueryCache:
                                  f"profile arity is {f.arity}")
             if not all(map(math.isfinite, value)):
                 raise ValueError(f"preloaded cell {lin} has non-finite value {value}")
+        self._keys = np.array([lin for lin, _ in entries], dtype=np.int64)
+        self._values = np.array([value for _, value in entries],
+                                dtype=np.float64).reshape(len(entries), f.arity)
 
     @property
     def distinct_queries(self) -> int:
-        return len(self.store)
+        return len(self._keys)
 
     def _run_query(self, point: GridPoint) -> tuple[float, ...]:
         try:
@@ -251,67 +282,88 @@ class QueryCache:
     def query_many(self, lins: np.ndarray) -> np.ndarray:
         """Values at distinct cells, in order, as a ``(len(lins), arity)`` array.
 
-        Each cell counts one request.  One pass looks up every cell and draws
-        a purity spot-check for each hit, in order; only misses and checked
-        hits then reach the profile.  Misses go to the profile's ``batch`` in
-        one call where it has one.  The misses it leaves unanswered and the
-        checked hits are then queried one by one, in order.
+        Each cell counts one request.  Hits are read from the store, and a
+        purity spot-check is drawn for each hit, in order; only misses and
+        checked hits then reach the profile.  Misses go to the profile's
+        ``batch`` in one call where it has one.  The misses it leaves
+        unanswered and the checked hits are then queried one by one, in order.
+        New answers join the store when the call ends, also when it fails.
         """
-        keys = lins.tolist()
-        self.total_requests += len(keys)
-        rows = list(map(self.store.get, keys))
-        rate, draw = self._check_rate, self._check_rng.random
-        checked = [i for i, row in enumerate(rows)
-                   if row is not None and draw() < rate] if rate > 0 else []
-        if checked or None in rows:
-            misses = [i for i, row in enumerate(rows) if row is None]
-            if misses and self._f.batch is not None:
-                misses = self._answer_batch(keys, rows, misses)
-            todo = sorted(misses + checked)
-            for i, point in zip(todo, self._domain.points_from_linear([keys[i] for i in todo])):
-                value = self._run_query(point)
-                if rows[i] is None:
-                    rows[i] = self.store[keys[i]] = value
-                elif value != rows[i]:
-                    raise NonDeterministicProfileError(
-                        f"profile declared pure but point {point.index} "
-                        f"returned {value} after {rows[i]}")
-        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.float64,
-                           count=len(rows) * self._f.arity)
-        return flat.reshape(len(rows), self._f.arity)
+        lins = np.asarray(lins, dtype=np.int64)
+        self.total_requests += len(lins)
+        at = np.searchsorted(self._keys, lins)
+        hit = at < len(self._keys)
+        hit[hit] = self._keys[at[hit]] == lins[hit]
+        rows = np.empty((len(lins), self._f.arity))
+        rows[hit] = self._values[at[hit]]
+        answered = np.zeros(len(lins), dtype=bool)
+        try:
+            self._answer(lins, rows, hit, answered)
+        finally:
+            self._merge(lins[answered], rows[answered])
+        return rows
 
-    def _answer_batch(self, keys: list[int], rows: list, misses: list[int]) -> list[int]:
+    def _answer(self, lins: np.ndarray, rows: np.ndarray, hit: np.ndarray,
+                answered: np.ndarray) -> None:
+        """Fill the missing ``rows`` and re-query the checked hits, marking new answers."""
+        checked = np.flatnonzero(hit)
+        if self._check_rate > 0:
+            checked = checked[self._check_rng.random(len(checked)) < self._check_rate]
+        else:
+            checked = checked[:0]
+        misses = np.flatnonzero(~hit)
+        if len(misses) and self._f.batch is not None:
+            misses = self._answer_batch(lins, rows, misses, answered)
+        todo = np.sort(np.concatenate([misses, checked])).tolist()
+        if not todo:
+            return
+        for i, point in zip(todo, self._domain.points_from_linear(lins[todo])):
+            value = self._run_query(point)
+            if not hit[i]:
+                rows[i] = value
+                answered[i] = True
+                self._mirror(lins[i:i + 1], rows[i:i + 1])
+            elif value != tuple(rows[i].tolist()):
+                raise NonDeterministicProfileError(
+                    f"profile declared pure but point {point.index} "
+                    f"returned {value} after {tuple(rows[i].tolist())}")
+
+    def _answer_batch(self, lins: np.ndarray, rows: np.ndarray, misses: np.ndarray,
+                      answered: np.ndarray) -> np.ndarray:
         """Answer ``misses`` in one batch call; return the ones left unanswered.
 
         Every finite row answers its cell.  A row with a non-finite value is
         left to a point query, so that an error names its point.  If the call
         raises, or returns an array of the wrong shape, nothing is answered.
         """
-        k, arity = len(misses), self._f.arity
-        try:
-            values = np.asarray(
-                self._f.batch(self._domain.world_from_linear([keys[i] for i in misses])),
-                dtype=np.float64)
-        except Exception:
+        values = _batch_rows(self._f, self._domain.world_from_linear(lins[misses]))
+        if values is None:
             return misses
-        if not (values.shape == (k, arity) or (arity == 1 and values.shape == (k,))):
-            return misses
-        values = values.reshape(k, arity)
-        finite = np.isfinite(values).all(axis=1).tolist()
-        left = []
-        for i, value, ok in zip(misses, values.tolist(), finite):
-            if ok:
-                rows[i] = self.store[keys[i]] = tuple(value)
-            else:
-                left.append(i)
-        return left
+        finite = np.isfinite(values).all(axis=1)
+        done = misses[finite]
+        rows[done] = values[finite]
+        answered[done] = True
+        self._mirror(lins[done], values[finite])
+        return misses[~finite]
+
+    def _mirror(self, keys: np.ndarray, values: np.ndarray) -> None:
+        if self._preload is not None:
+            self._preload.update(zip(keys.tolist(), map(tuple, values.tolist())))
+
+    def _merge(self, keys: np.ndarray, values: np.ndarray) -> None:
+        if not len(keys):
+            return
+        order = np.argsort(keys)
+        keys = keys[order]
+        at = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, at, keys)
+        self._values = np.insert(self._values, at, values[order], axis=0)
 
     def sorted_rows(self) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
         """Distinct queries as (index, value), ordered by linear index."""
-        return [
-            (self._domain.point_from_linear(lin).index, value)
-            for lin, value in sorted(self.store.items())
-        ]
+        index = np.unravel_index(self._keys, self._domain.extents)
+        return list(zip(zip(*(axis.tolist() for axis in index)),
+                        map(tuple, self._values.tolist())))
 
 
 # -- Build ----------------------------------------------------------------
@@ -353,18 +405,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = (1 << 128) - 1
 
 
-def _entropy_words(seed: int, box: GridCuboid) -> list[int]:
-    """``(seed, *lo, *hi)`` as the little-endian uint32 words SeedSequence reads."""
-    words = []
-    for n in (seed, *box.lo, *box.hi):
-        words.append(n & 0xFFFFFFFF)
-        n >>= 32
-        while n:
-            words.append(n & 0xFFFFFFFF)
-            n >>= 32
-    return words
-
-
 def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of ``entropy``.
 
@@ -404,16 +444,35 @@ def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _box_states(seed: int, boxes: list[GridCuboid]) -> list[dict]:
-    """Per box, the PCG64 state of ``default_rng(SeedSequence((seed, *lo, *hi)))``."""
-    entropy = [_entropy_words(seed, box) for box in boxes]
-    by_length: dict[int, list[int]] = {}
-    for i, words in enumerate(entropy):
-        by_length.setdefault(len(words), []).append(i)
-    states: list[dict] = [{}] * len(boxes)
-    for rows in by_length.values():
-        seeded = _seed_sequence_states(np.array([entropy[i] for i in rows], dtype=np.uint32))
-        for i, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(rows, seeded.tolist()):
+def _box_states(seed: int, lo: np.ndarray, hi: np.ndarray) -> list[dict]:
+    """Per box, the PCG64 state of ``default_rng(SeedSequence((seed, *lo, *hi)))``.
+
+    ``lo`` and ``hi`` are ``(boxes, ndim)`` arrays of non-negative integers.
+    SeedSequence reads each number as its little-endian uint32 words, one
+    word below 2**32 and two above, so boxes are hashed in groups that share
+    one layout of words.
+    """
+    seed_words = []
+    while True:
+        seed_words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+        if not seed:
+            break
+    numbers = np.concatenate([lo, hi], axis=1).astype(np.uint64)
+    wide = numbers >> np.uint64(32) != 0
+    layouts, which = np.unique(wide, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    states: list[dict] = [{}] * len(numbers)
+    for layout, pattern in enumerate(layouts.tolist()):
+        rows = np.flatnonzero(which == layout)
+        words = [np.full(len(rows), w, dtype=np.uint64) for w in seed_words]
+        for column, two_words in enumerate(pattern):
+            number = numbers[rows, column]
+            words.append(number & np.uint64(0xFFFFFFFF))
+            if two_words:
+                words.append(number >> np.uint64(32))
+        seeded = _seed_sequence_states(np.stack(words, axis=1).astype(np.uint32))
+        for i, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(rows.tolist(), seeded.tolist()):
             # PCG64's seeding: odd increment from the second pair, then a step
             # from zero, the first pair added, and one more step.
             inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK_128
@@ -423,121 +482,193 @@ def _box_states(seed: int, boxes: list[GridCuboid]) -> list[dict]:
     return states
 
 
-def _level_offsets(level: list[GridCuboid], shapes: list[tuple[int, ...]],
-                   config: BuildConfig, domain: GridDomain, seed: int,
-                   sizes: dict[tuple[int, ...], int],
-                   rng: np.random.Generator) -> list[np.ndarray]:
-    """Row-major cell offsets of each box's sample, in draw order.
+# -- Levels as arrays -------------------------------------------------------
 
-    ``sizes`` memoizes the sample size per box shape, the only thing it
-    depends on.  ``rng`` is set to each drawing box's own stream in turn.
+
+def _split_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``GridCuboid.split`` of every box at once.
+
+    Returns the children's bounds, concatenated box by box in split order,
+    and each box's number of children.  Every axis of extent >= 2 is cut at
+    ``lo + extent // 2``; the children of one box count in binary over its
+    cut axes, the first axis most significant.
     """
-    offsets: list = []
-    drawn = []
-    for box, shape in zip(level, shapes):
-        n = math.prod(shape)
-        k = 1 if n == 1 else sizes.get(shape)
-        if k is None:
-            k = sizes[shape] = sample_size(config.policy, box, config, domain)
-        if k >= n:
-            # An exhaustive draw takes every cell and never touches the stream.
-            offsets.append(np.arange(n, dtype=np.int64))
-        else:
-            drawn.append((len(offsets), box, k))
-            offsets.append(None)
-    for (at, box, k), state in zip(drawn, _box_states(seed, [box for _, box, _ in drawn])):
-        rng.bit_generator.state = state
-        offsets[at] = sample_cell_indices(box, k, rng)
-    return offsets
+    cut = lo + (hi - lo) // 2
+    can = hi - lo >= 2
+    children = np.left_shift(1, can.sum(axis=1))
+    owner = np.repeat(np.arange(len(lo)), children)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(children) - children, children)
+    lo, hi, cut, can = lo[owner], hi[owner], cut[owner], can[owner]
+    for a in range(lo.shape[1] - 1, -1, -1):
+        upper = rank & 1 == 1
+        lo[:, a] = np.where(can[:, a] & upper, cut[:, a], lo[:, a])
+        hi[:, a] = np.where(can[:, a] & ~upper, cut[:, a], hi[:, a])
+        rank = np.where(can[:, a], rank >> 1, rank)
+    return lo, hi, children
 
 
-def _linear_indices(level: list[GridCuboid], shapes: list[tuple[int, ...]],
-                    offsets: list[np.ndarray], strides: np.ndarray) -> np.ndarray:
-    """Domain linear indices of every box's offsets, concatenated in level order."""
-    owner = np.repeat(np.arange(len(level)), [len(o) for o in offsets])
-    lo = np.array([box.lo for box in level], dtype=np.int64)[owner]
-    shape = np.array(shapes, dtype=np.int64)[owner]
-    rest = np.concatenate(offsets)
-    lin = np.zeros(len(rest), dtype=np.int64)
+def _sample_counts(shape: np.ndarray, config: BuildConfig,
+                   domain: GridDomain, sizes: dict) -> tuple[np.ndarray, np.ndarray, list]:
+    """Each box's sample count, from one ``sample_size`` per distinct shape.
+
+    ``sizes`` memoizes, per shape, its count and a cuboid of that shape,
+    across the levels of a build.  Returns the counts, each box's row in the
+    level's distinct shapes, and those shapes' cuboids.
+    """
+    shapes, which = np.unique(shape, axis=0, return_inverse=True)
+    picked = []
+    for row in map(tuple, shapes.tolist()):
+        if row not in sizes:
+            box = GridCuboid((0,) * len(row), row)
+            sizes[row] = (1 if box.cell_count == 1
+                          else sample_size(config.policy, box, config, domain), box)
+        picked.append(sizes[row])
+    which = which.reshape(-1)
+    counts = np.array([k for k, _ in picked], dtype=np.int64)[which]
+    return counts, which, [box for _, box in picked]
+
+
+def _sample_cells(lo: np.ndarray, hi: np.ndarray, config: BuildConfig, domain: GridDomain,
+                  strides: np.ndarray, sizes: dict,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Each box's sample count, and the linear indices of all samples in level order.
+
+    A box that asks for all its cells takes them in row-major order.  Any
+    other box draws its cells from its own stream: ``rng`` is set to each
+    drawing box's state in turn.
+    """
+    shape = hi - lo
+    cells = shape.prod(axis=1)
+    counts, which, shape_boxes = _sample_counts(shape, config, domain, sizes)
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(lo)), counts)
+    offset = np.arange(len(owner)) - starts[owner]
+    draws = counts < cells
+    if draws.any():
+        drawing = np.flatnonzero(draws)
+        drawn = []
+        for state, k, u in zip(_box_states(config.seed & _MASK_64, lo[drawing], hi[drawing]),
+                               counts[drawing].tolist(), which[drawing].tolist()):
+            rng.bit_generator.state = state
+            drawn.append(sample_cell_indices(shape_boxes[u], k, rng))
+        offset[draws[owner]] = np.concatenate(drawn)
+    lin = np.zeros(len(owner), dtype=np.int64)
+    shape, lo = shape[owner], lo[owner]
     for a in range(len(strides) - 1, -1, -1):
-        rest, coord = np.divmod(rest, shape[:, a])
+        offset, coord = np.divmod(offset, shape[:, a])
         lin += (coord + lo[:, a]) * strides[a]
-    return lin
+    return counts, lin
+
+
+def _segment_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each box's ``counts`` consecutive rows of ``values`` from ``starts``.
+
+    Boxes with equal counts are summed together, as one ``(boxes, k, arity)``
+    array reduced along its middle axis; that adds each box's rows in the
+    order ``values[s:s + k].sum(axis=0)`` does, which ``add.reduceat`` would
+    not.
+    """
+    sums = np.empty((len(counts), values.shape[1]))
+    for k in np.unique(counts).tolist():
+        boxes = np.flatnonzero(counts == k)
+        sums[boxes] = np.add.reduce(values[starts[boxes, None] + np.arange(k)], axis=1)
+    return sums / counts[:, None]
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One depth of a build: its boxes and how each ended."""
+
+    lo: np.ndarray         # (boxes, ndim)
+    hi: np.ndarray
+    leaf: np.ndarray       # (boxes,) bool
+    value: np.ndarray      # (leaves, arity), then the leaves' fields
+    lo_seen: np.ndarray
+    hi_seen: np.ndarray
+    samples: np.ndarray
+    saturated: np.ndarray
+    children: np.ndarray   # (branches,) number of children of each branch
 
 
 def _build_levels(domain: GridDomain, config: BuildConfig,
                   cache: QueryCache) -> tuple[Node, int, int, int]:
     """Build the tree one depth level at a time.
 
-    Boxes of one level are disjoint, so their samples go to the cache as one
-    batch of distinct cells.  Per box, one min, max and mean over its segment
-    of that batch decide the level: ``range`` passes a box when max - min
-    stays within the threshold, ``mean_dev`` when max(max - mean, mean - min)
-    does, which is the largest |sample - mean| since float subtraction is
-    monotone.  A passing box becomes a Leaf holding those three, its mean
-    clamped into [min, max]; a failing one hands its ``split()`` children to
-    the next level.  The tree is then assembled bottom-up.  Returns the root
-    plus the leaf count, depth and saturated-leaf count.
+    A level is a pair of ``(boxes, ndim)`` bound arrays.  Its boxes are
+    disjoint, so their samples go to the cache as one batch of distinct
+    cells.  Per box, one min, max and mean over its rows of that batch decide
+    the level: ``range`` passes a box when max - min stays within the
+    threshold, ``mean_dev`` when max(max - mean, mean - min) does, which is
+    the largest |sample - mean| since float subtraction is monotone.  A
+    passing box, or a single-cell one, becomes a leaf holding those three,
+    its mean clamped into [min, max]; the failing boxes' split children form
+    the next level.  Boxes, leaves and branches become objects only when the
+    tree is assembled, bottom-up, at the end.  Returns the root plus the leaf
+    count, depth and saturated-leaf count.
     """
-    seed = config.seed & 0xFFFFFFFFFFFFFFFF
     strides = _strides(domain.extents)
     threshold = np.asarray(config.threshold, dtype=np.float64)
-    sizes: dict[tuple[int, ...], int] = {}
+    sizes: dict = {}
     rng = np.random.Generator(np.random.PCG64(0))  # reseeded per box before use
-    levels = []  # per depth: (boxes, each box's Leaf or its number of children)
-    n_leaves = max_depth = saturated = 0
-    level = [domain.root_cuboid()]
-    while level:
-        depth = len(levels)
-        shapes = [box.extents() for box in level]
-        offsets = _level_offsets(level, shapes, config, domain, seed, sizes, rng)
-        values = cache.query_many(_linear_indices(level, shapes, offsets, strides))
-        counts = [len(o) for o in offsets]
+    levels: list[_Level] = []
+    lo = np.zeros((1, domain.ndim), dtype=np.int64)
+    hi = np.array([domain.extents], dtype=np.int64)
+    while len(lo):
+        counts, lins = _sample_cells(lo, hi, config, domain, strides, sizes, rng)
+        values = cache.query_many(lins)
         starts = np.cumsum(counts) - counts
-        lo = np.minimum.reduceat(values, starts)
-        hi = np.maximum.reduceat(values, starts)
-        # One add.reduce per box, as sample.mean(axis=0) sums: add.reduceat
-        # adds in another order and would move the means' last bits.
-        mean = np.array([np.add.reduce(values[s:s + k], axis=0)
-                         for s, k in zip(starts.tolist(), counts)]) / np.array(counts)[:, None]
-        spread = hi - lo if config.spread_mode == "range" else np.maximum(hi - mean, mean - lo)
-        passed = np.all(spread <= threshold, axis=1).tolist()
+        lo_seen = np.minimum.reduceat(values, starts)
+        hi_seen = np.maximum.reduceat(values, starts)
+        mean = _segment_means(values, starts, counts)
+        spread = (hi_seen - lo_seen if config.spread_mode == "range"
+                  else np.maximum(hi_seen - mean, mean - lo_seen))
+        # A single-cell box reached the grid floor: its one sample is exact,
+        # but below the root a parent's split forced it, so it is saturated.
+        floor = (hi - lo).prod(axis=1) == 1
+        leaf = np.all(spread <= threshold, axis=1) | floor
         # sum / k can land an ulp outside the samples' range, e.g. when they
         # are all equal; clamp it back.
-        mean = np.minimum(np.maximum(mean, lo), hi)
-        outcome, below = [], []
-        for box, shape, k, ok, value, lo_seen, hi_seen in zip(
-                level, shapes, counts, passed, mean.tolist(), lo.tolist(), hi.tolist()):
-            if max(shape) == 1:
-                # Reached the grid floor: the value is exact, but when a parent
-                # split forced us here the spread above was still over threshold.
-                value = tuple(lo_seen)
-                leaf = Leaf(box, value, 1, value, value, saturated=depth > 0)
-            elif ok:
-                leaf = Leaf(box, tuple(value), k, tuple(lo_seen), tuple(hi_seen))
-            else:
-                children = box.split()
-                outcome.append(len(children))
-                below.extend(children)
-                continue
-            outcome.append(leaf)
-            n_leaves += 1
-            max_depth = depth
-            saturated += leaf.saturated
-        levels.append((level, outcome))
-        level = below
+        mean = np.minimum(np.maximum(mean, lo_seen), hi_seen)
+        below_lo, below_hi, children = _split_bounds(lo[~leaf], hi[~leaf])
+        levels.append(_Level(lo, hi, leaf, mean[leaf], lo_seen[leaf], hi_seen[leaf],
+                             counts[leaf], floor[leaf] & (len(levels) > 0), children))
+        lo, hi = below_lo, below_hi
+    n_leaves = sum(int(level.leaf.sum()) for level in levels)
+    saturated = sum(int(level.saturated.sum()) for level in levels)
+    return _assemble(levels), n_leaves, len(levels) - 1, saturated
 
-    nodes: list[Node] = []
-    for level, outcome in reversed(levels):
-        above, pos = [], 0
-        for box, out in zip(level, outcome):
-            if isinstance(out, Leaf):
-                above.append(out)
-            else:
-                above.append(Branch(box, tuple(nodes[pos:pos + out])))
-                pos += out
-        nodes = above
-    return nodes[0], n_leaves, max_depth, saturated
+
+def _assemble(levels: list[_Level]) -> Node:
+    """The tree of ``levels``, built bottom-up; returns its root.
+
+    The tree holds no reference cycles, so the cyclic collector, which would
+    only rescan the growing heap while it is built, is paused meanwhile.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        nodes: list[Node] = []
+        for level in reversed(levels):
+            boxes = list(map(_trusted_cuboid, map(tuple, level.lo.tolist()),
+                             map(tuple, level.hi.tolist())))
+            leaves = map(Leaf, itertools.compress(boxes, level.leaf.tolist()),
+                         map(tuple, level.value.tolist()), level.samples.tolist(),
+                         map(tuple, level.lo_seen.tolist()), map(tuple, level.hi_seen.tolist()),
+                         level.saturated.tolist())
+            children = iter(level.children.tolist())
+            above, pos = [], 0
+            for box, is_leaf in zip(boxes, level.leaf.tolist()):
+                if is_leaf:
+                    above.append(next(leaves))
+                else:
+                    n = next(children)
+                    above.append(Branch(box, tuple(nodes[pos:pos + n])))
+                    pos += n
+            nodes = above
+        return nodes[0]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def build(f: ProfileFunction, domain: GridDomain, config: BuildConfig, *,

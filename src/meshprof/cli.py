@@ -235,8 +235,14 @@ def _load_exec_cache(path: str | None) -> dict[int, tuple[float, ...]]:
         return {}
     try:
         entries = json.loads(_read_text(path))["entries"].items()
-        return {int(lin): tuple(float(v) for v in vals) for lin, vals in entries}
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        answered = {}
+        for lin, vals in entries:
+            # Exact types: a string would load character by character.
+            if type(vals) is not list or not all(type(v) in (int, float) for v in vals):
+                raise ValueError(f"entry {lin} is not an array of numbers: {vals!r}")
+            answered[int(lin)] = tuple(map(float, vals))
+        return answered
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise _CliError(f"corrupt exec cache {path}: {e}") from e
 
 
@@ -368,8 +374,9 @@ def _cmd_diff(args) -> int:
 def _load_distribution(source: str | None):
     if source is None or source == "uniform":
         return Uniform(), []
-    doc = json.loads(_read_text(source))
+    text = _read_text(source)
     try:
+        doc = json.loads(text)
         domain = GridDomain(
             tuple(doc["extents"]),
             tuple(doc["origin"]) if "origin" in doc else None,

@@ -290,6 +290,16 @@ class TestSelection:
         assert select([east_heavy, west_heavy], p, view=(0.0, 90.0))[0] == 1
         assert select([east_heavy, west_heavy], p, view=(180.0, 90.0))[0] == 0
 
+    def test_view_selection_map_equals_per_cell_select(self):
+        rng = np.random.default_rng(23)
+        dom = GridDomain((8, 8))
+        cands = [random_subdivision(rng, dom, arity=4) for _ in range(2)]
+        for view in ((30.0, 90.0), (200.0, 120.0), (0.0, 360.0)):
+            label = selection_map(cands, view)
+            for index in np.ndindex(*dom.extents):
+                p = dom.point(index)
+                assert evaluate(label, p) == (float(select(cands, p, view)[0]),)
+
     def test_view_argument_validation(self):
         dom = GridDomain((4, 4))
         scalar = constant(dom, (1.0,))
@@ -412,6 +422,33 @@ class TestErrorVsOracle:
         stats = error_vs_oracle(constant(dom, (5.0,)), zero)
         assert stats.mean_abs == 5.0 and stats.max_abs == 5.0 and stats.cells == 16
         assert stats.row() == {"cells": 16, "mean_abs_error": 5.0, "max_abs_error": 5.0}
+
+    def test_batch_and_pointwise_oracles_give_identical_stats(self):
+        def query(p):
+            x, y = p.world
+            return (x, y * y, x - y, 0.1 * x * y)
+
+        def batch(world):
+            x, y = world[:, 0], world[:, 1]
+            return np.stack([x, y * y, x - y, 0.1 * x * y], axis=1)
+
+        def holes(world):  # leaves some rows to point queries
+            out = batch(world)
+            out[::3, 1] = np.nan
+            return out
+
+        rng = np.random.default_rng(29)
+        dom = GridDomain((12, 10), (-1.0, 0.5), (0.3, 0.7))
+        sub = random_subdivision(rng, dom, arity=4)
+        pointwise = error_vs_oracle(sub, ProfileFunction(4, query))
+        assert pointwise.mean_abs > 0
+        for b in (batch, holes, lambda world: 1 / 0, lambda world: batch(world)[:-1]):
+            assert error_vs_oracle(sub, ProfileFunction(4, query, batch=b)) == pointwise
+        scalar = random_subdivision(rng, dom)
+        ramp = resolve_fixture("ramp", dom)
+        assert ramp.batch is not None
+        assert error_vs_oracle(scalar, ramp) == error_vs_oracle(
+            scalar, ProfileFunction(1, ramp.query))
 
     def test_cell_guard(self):
         dom = GridDomain((64, 64))

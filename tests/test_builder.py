@@ -1,10 +1,13 @@
 """Adaptive build loop: sampling policies, spread tests, cache, batches."""
 
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshprof.builder import (
     BuildConfig,
@@ -18,9 +21,11 @@ from meshprof.builder import (
     median_of_repeats,
     sample_size,
     _box_states,
+    _split_bounds,
 )
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import NonDeterministicProfileError, OutOfDomainError, ProfileQueryError
+from meshprof.fixtures import resolve_fixture
 from meshprof.fixtures.lipschitz import ramp
 from meshprof.mesh import leaf_arrays, serialize, to_dense
 
@@ -272,9 +277,13 @@ class TestDeterminismAndCache:
             lo = rng.integers(0, 1000, size=2)
             boxes.append(GridCuboid(tuple(lo), tuple(lo + rng.integers(1, 50, size=2))))
         for seed in (0, 5, 2**32 - 1, 2**32, 2**64 - 1):
-            for box, state in zip(boxes, _box_states(seed, boxes), strict=True):
-                ref = np.random.PCG64(np.random.SeedSequence((seed, *box.lo, *box.hi)))
-                assert state == ref.state
+            for ndim in (1, 2, 3):
+                group = [box for box in boxes if box.ndim == ndim]
+                states = _box_states(seed, np.array([box.lo for box in group]),
+                                     np.array([box.hi for box in group]))
+                for box, state in zip(group, states, strict=True):
+                    ref = np.random.PCG64(np.random.SeedSequence((seed, *box.lo, *box.hi)))
+                    assert state == ref.state
 
     def test_batched_queries_match_per_cell_queries(self):
         dom = GridDomain((8, 8), (1.0, -2.0), (0.5, 3.0))
@@ -292,7 +301,7 @@ class TestDeterminismAndCache:
             assert np.array_equal(batched, single)
         assert [(p.index, p.world) for p in logs[0]] == [(p.index, p.world) for p in logs[1]]
         assert len(logs[0]) > 64  # purity spot-checks re-queried some hits
-        assert caches[0].store == caches[1].store
+        assert caches[0].sorted_rows() == caches[1].sorted_rows()
         assert caches[0].total_requests == caches[1].total_requests
 
     def test_failed_batch_falls_back_to_point_queries(self):
@@ -443,3 +452,58 @@ def test_median_of_repeats_repeats_the_batch():
     assert wrapped.batch(np.zeros((2, 1))).tolist() == [[3.0], [4.0]]
     assert median_of_repeats(ProfileFunction(1, lambda p: (0.0,)), 3).batch is None
 
+
+
+# Digest of the build matrix below, recorded on the per-box builder that the
+# array-level builder replaced.  A change to it means some mesh, report or
+# sample log changed.
+MATRIX_DIGEST = "5f059eac0723a74fa8351ee028d843c6a2d20ddc3597f133a95b5fd73dd24921"
+
+
+def test_build_matrix_digest():
+    """Meshes, report counts and sample logs over fixtures x policies x seeds x modes."""
+    plane = dict(origin=(0.1, -0.2), cell_size=(0.3, 0.7))
+    cases = [("const:2.5", GridDomain((12, 10), **plane)), ("ramp", GridDomain((16, 12), **plane)),
+             ("ramp", GridDomain((5, 6, 7), (0.1,) * 3, (0.3,) * 3)),
+             ("step:40:1.3", GridDomain((16, 16), **plane)), ("spike:6", GridDomain((64,))),
+             ("tent", GridDomain((64,))), ("zramp", GridDomain((64,))),
+             ("sqdiff", GridDomain((12, 12)))]
+    policies = (SupNormSampling(1.0), RmsSampling(1.0), DiameterSampling(0.5), FixedSampling(6))
+    digest = hashlib.sha256()
+    for token, dom in cases:
+        pf = resolve_fixture(token, dom)
+        for policy in policies:
+            for seed in (3, 2**64 - 1):
+                for mode in ("range", "mean_dev"):
+                    log = io.StringIO()
+                    sub, report = build(pf, dom, config(1.0, policy, seed=seed,
+                                                        spread_mode=mode), sample_log=log)
+                    counts = report.to_dict()
+                    del counts["wall_time_s"]
+                    for part in (serialize(sub), repr(sorted(counts.items())), log.getvalue()):
+                        digest.update(part.encode())
+    assert digest.hexdigest() == MATRIX_DIGEST
+
+
+@st.composite
+def levels(draw):
+    """Boxes of one dimensionality, each axis as (lo, extent)."""
+    ndim = draw(st.integers(1, 3))
+    axis = st.tuples(st.integers(0, 40), st.integers(1, 9))
+    return draw(st.lists(st.lists(axis, min_size=ndim, max_size=ndim), min_size=1, max_size=8))
+
+
+@given(levels())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_array_split_is_the_cuboid_split(boxes):
+    """``_split_bounds`` of a level of boxes equals ``GridCuboid.split`` of each box."""
+    cuboids = [GridCuboid(tuple(lo for lo, _ in axes), tuple(lo + e for lo, e in axes))
+               for axes in boxes]
+    cuboids = [box for box in cuboids if box.cell_count > 1]
+    if not cuboids:
+        return
+    lo, hi, children = _split_bounds(np.array([box.lo for box in cuboids]),
+                                     np.array([box.hi for box in cuboids]))
+    assert children.tolist() == [len(box.split()) for box in cuboids]
+    assert [GridCuboid(tuple(l), tuple(h)) for l, h in zip(lo.tolist(), hi.tolist())] == [
+        child for box in cuboids for child in box.split()]

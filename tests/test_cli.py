@@ -156,6 +156,15 @@ class TestEvalDiffAvg:
         assert err.out == ""
         assert err.err.count(f"bad weight table {bad}") == 2
 
+    def test_avg_names_a_truncated_table(self, tmp_path, capsys):
+        out = build_fixture(tmp_path, "c.json", "const:5")
+        bad = tmp_path / "t.json"
+        bad.write_text('{"extents": [2, 2],\n')
+        assert run("avg", str(out), "--dist", str(bad)) == 2
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert f"bad weight table {bad}" in err.err
+
 
 class TestCost:
     def test_literal_counts_reproduce_reference_costs(self, tmp_path, capsys):
@@ -452,6 +461,26 @@ class TestExec:
         assert run(*args) == 2
         assert f"corrupt exec cache {cache}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["7", "12"])
+    def test_cache_entry_that_is_a_string_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                 value):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        command, log = self.ok_script(tmp_path)
+        out = tmp_path / "m.json"
+        args = ["build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
+                "--policy", "fixed:16", "--force", "--out", str(out)]
+        assert run(*args) == 0
+        out.unlink()
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        doc = json.loads(cache.read_text())
+        doc["entries"]["5"] = value
+        cache.write_text(json.dumps(doc))
+        calls = len(log.read_text().splitlines())
+        assert run(*args) == 2
+        assert f"corrupt exec cache {cache}" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(log.read_text().splitlines()) == calls
 
     def test_interrupt_keeps_every_answer_so_far(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
