@@ -259,8 +259,8 @@ def cost_estimate(counts: Sequence[Subdivision], model: CostModel) -> Subdivisio
 
 
 def _selection_key(view) -> Callable[[tuple[float, ...]], float]:
-    """What candidates' values are compared by: the value itself, or its
-    view-weighted sum, with the view's weights computed once."""
+    """The key candidates' values compete by: a scalar value itself, or a
+    4-component value weighted by the view, whose weights are computed once."""
     if view is None:
         def key(value: tuple[float, ...]) -> float:
             if len(value) != 1:

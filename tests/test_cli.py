@@ -462,9 +462,9 @@ class TestExec:
         assert f"corrupt exec cache {cache}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["7", "12"])
-    def test_cache_entry_that_is_a_string_exits_2(self, tmp_path, monkeypatch, capsys,
-                                                 value):
+    @pytest.mark.parametrize("value", ["7", "12", [True], [10 ** 400]])
+    def test_cache_entry_that_is_not_an_array_of_numbers_exits_2(self, tmp_path, monkeypatch,
+                                                                capsys, value):
         monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
         command, log = self.ok_script(tmp_path)
         out = tmp_path / "m.json"
