@@ -296,37 +296,30 @@ class QueryCache:
         hit[hit] = self._keys[at[hit]] == lins[hit]
         rows = np.empty((len(lins), self._f.arity))
         rows[hit] = self._values[at[hit]]
-        answered = np.zeros(len(lins), dtype=bool)
-        try:
-            self._answer(lins, rows, hit, answered)
-        finally:
-            self._merge(lins[answered], rows[answered])
-        return rows
-
-    def _answer(self, lins: np.ndarray, rows: np.ndarray, hit: np.ndarray,
-                answered: np.ndarray) -> None:
-        """Fill the missing ``rows`` and re-query the checked hits, marking new answers."""
         checked = np.flatnonzero(hit)
         if self._check_rate > 0:
             checked = checked[self._check_rng.random(len(checked)) < self._check_rate]
         else:
             checked = checked[:0]
-        misses = np.flatnonzero(~hit)
-        if len(misses) and self._f.batch is not None:
-            misses = self._answer_batch(lins, rows, misses, answered)
-        todo = np.sort(np.concatenate([misses, checked])).tolist()
-        if not todo:
-            return
-        for i, point in zip(todo, self._domain.points_from_linear(lins[todo])):
-            value = self._run_query(point)
-            if not hit[i]:
-                rows[i] = value
-                answered[i] = True
-                self._mirror(lins[i:i + 1], rows[i:i + 1])
-            elif value != tuple(rows[i].tolist()):
-                raise NonDeterministicProfileError(
-                    f"profile declared pure but point {point.index} "
-                    f"returned {value} after {tuple(rows[i].tolist())}")
+        answered = np.zeros(len(lins), dtype=bool)
+        try:
+            misses = np.flatnonzero(~hit)
+            if len(misses) and self._f.batch is not None:
+                misses = self._answer_batch(lins, rows, misses, answered)
+            todo = np.sort(np.concatenate([misses, checked])).tolist()
+            for i, point in zip(todo, self._domain.points_from_linear(lins[todo])):
+                value = self._run_query(point)
+                if not hit[i]:
+                    rows[i] = value
+                    answered[i] = True
+                    self._mirror(lins[i:i + 1], rows[i:i + 1])
+                elif value != tuple(rows[i].tolist()):
+                    raise NonDeterministicProfileError(
+                        f"profile declared pure but point {point.index} "
+                        f"returned {value} after {tuple(rows[i].tolist())}")
+        finally:
+            self._merge(lins[answered], rows[answered])
+        return rows
 
     def _answer_batch(self, lins: np.ndarray, rows: np.ndarray, misses: np.ndarray,
                       answered: np.ndarray) -> np.ndarray:
@@ -351,13 +344,11 @@ class QueryCache:
             self._preload.update(zip(keys.tolist(), map(tuple, values.tolist())))
 
     def _merge(self, keys: np.ndarray, values: np.ndarray) -> None:
-        if not len(keys):
-            return
-        order = np.argsort(keys)
-        keys = keys[order]
-        at = np.searchsorted(self._keys, keys)
-        self._keys = np.insert(self._keys, at, keys)
-        self._values = np.insert(self._values, at, values[order], axis=0)
+        if len(keys):
+            keys, first = np.unique(keys, return_index=True)
+            at = np.searchsorted(self._keys, keys)
+            self._keys = np.insert(self._keys, at, keys)
+            self._values = np.insert(self._values, at, values[first], axis=0)
 
     def sorted_rows(self) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
         """Distinct queries as (index, value), ordered by linear index."""
@@ -380,13 +371,6 @@ class BuildReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _strides(extents: tuple[int, ...]) -> np.ndarray:
-    strides = [1] * len(extents)
-    for a in range(len(extents) - 2, -1, -1):
-        strides[a] = strides[a + 1] * extents[a + 1]
-    return np.asarray(strides, dtype=np.int64)
 
 
 # -- Per-box random streams -------------------------------------------------
@@ -507,14 +491,17 @@ def _split_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lo, hi, children
 
 
-def _sample_counts(shape: np.ndarray, config: BuildConfig,
-                   domain: GridDomain, sizes: dict) -> tuple[np.ndarray, np.ndarray, list]:
-    """Each box's sample count, from one ``sample_size`` per distinct shape.
+def _sample_cells(lo: np.ndarray, hi: np.ndarray, config: BuildConfig, domain: GridDomain,
+                  sizes: dict, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Each box's sample count, and the linear indices of all samples in level order.
 
-    ``sizes`` memoizes, per shape, its count and a cuboid of that shape,
-    across the levels of a build.  Returns the counts, each box's row in the
-    level's distinct shapes, and those shapes' cuboids.
+    Counts come from one ``sample_size`` per distinct box shape: ``sizes``
+    keeps each shape's count and a cuboid of that shape for the whole build.
+    A box that asks for all its cells takes them in row-major order.  Any
+    other box draws its cells from its own stream: ``rng`` is set to each
+    drawing box's state in turn.
     """
+    shape = hi - lo
     shapes, which = np.unique(shape, axis=0, return_inverse=True)
     picked = []
     for row in map(tuple, shapes.tolist()):
@@ -525,39 +512,24 @@ def _sample_counts(shape: np.ndarray, config: BuildConfig,
         picked.append(sizes[row])
     which = which.reshape(-1)
     counts = np.array([k for k, _ in picked], dtype=np.int64)[which]
-    return counts, which, [box for _, box in picked]
-
-
-def _sample_cells(lo: np.ndarray, hi: np.ndarray, config: BuildConfig, domain: GridDomain,
-                  strides: np.ndarray, sizes: dict,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Each box's sample count, and the linear indices of all samples in level order.
-
-    A box that asks for all its cells takes them in row-major order.  Any
-    other box draws its cells from its own stream: ``rng`` is set to each
-    drawing box's state in turn.
-    """
-    shape = hi - lo
-    cells = shape.prod(axis=1)
-    counts, which, shape_boxes = _sample_counts(shape, config, domain, sizes)
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(len(lo)), counts)
     offset = np.arange(len(owner)) - starts[owner]
-    draws = counts < cells
+    draws = counts < shape.prod(axis=1)
     if draws.any():
         drawing = np.flatnonzero(draws)
         drawn = []
         for state, k, u in zip(_box_states(config.seed & _MASK_64, lo[drawing], hi[drawing]),
                                counts[drawing].tolist(), which[drawing].tolist()):
             rng.bit_generator.state = state
-            drawn.append(sample_cell_indices(shape_boxes[u], k, rng))
+            drawn.append(sample_cell_indices(picked[u][1], k, rng))
         offset[draws[owner]] = np.concatenate(drawn)
-    lin = np.zeros(len(owner), dtype=np.int64)
-    shape, lo = shape[owner], lo[owner]
-    for a in range(len(strides) - 1, -1, -1):
+    cell = lo[owner]
+    shape = shape[owner]
+    for a in range(domain.ndim - 1, -1, -1):
         offset, coord = np.divmod(offset, shape[:, a])
-        lin += (coord + lo[:, a]) * strides[a]
-    return counts, lin
+        cell[:, a] += coord
+    return counts, np.ravel_multi_index(tuple(cell.T), domain.extents)
 
 
 def _segment_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -573,21 +545,6 @@ def _segment_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -
         boxes = np.flatnonzero(counts == k)
         sums[boxes] = np.add.reduce(values[starts[boxes, None] + np.arange(k)], axis=1)
     return sums / counts[:, None]
-
-
-@dataclass(frozen=True)
-class _Level:
-    """One depth of a build: its boxes and how each ended."""
-
-    lo: np.ndarray         # (boxes, ndim)
-    hi: np.ndarray
-    leaf: np.ndarray       # (boxes,) bool
-    value: np.ndarray      # (leaves, arity), then the leaves' fields
-    lo_seen: np.ndarray
-    hi_seen: np.ndarray
-    samples: np.ndarray
-    saturated: np.ndarray
-    children: np.ndarray   # (branches,) number of children of each branch
 
 
 def _build_levels(domain: GridDomain, config: BuildConfig,
@@ -606,15 +563,14 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
     tree is assembled, bottom-up, at the end.  Returns the root plus the leaf
     count, depth and saturated-leaf count.
     """
-    strides = _strides(domain.extents)
     threshold = np.asarray(config.threshold, dtype=np.float64)
     sizes: dict = {}
     rng = np.random.Generator(np.random.PCG64(0))  # reseeded per box before use
-    levels: list[_Level] = []
+    levels: list[tuple] = []
     lo = np.zeros((1, domain.ndim), dtype=np.int64)
     hi = np.array([domain.extents], dtype=np.int64)
     while len(lo):
-        counts, lins = _sample_cells(lo, hi, config, domain, strides, sizes, rng)
+        counts, lins = _sample_cells(lo, hi, config, domain, sizes, rng)
         values = cache.query_many(lins)
         starts = np.cumsum(counts) - counts
         lo_seen = np.minimum.reduceat(values, starts)
@@ -630,34 +586,35 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
         # are all equal; clamp it back.
         mean = np.minimum(np.maximum(mean, lo_seen), hi_seen)
         below_lo, below_hi, children = _split_bounds(lo[~leaf], hi[~leaf])
-        levels.append(_Level(lo, hi, leaf, mean[leaf], lo_seen[leaf], hi_seen[leaf],
-                             counts[leaf], floor[leaf] & (len(levels) > 0), children))
+        levels.append((lo, hi, leaf, mean[leaf], lo_seen[leaf], hi_seen[leaf], counts[leaf],
+                       floor[leaf] & (len(levels) > 0), children))
         lo, hi = below_lo, below_hi
-    n_leaves = sum(int(level.leaf.sum()) for level in levels)
-    saturated = sum(int(level.saturated.sum()) for level in levels)
+    n_leaves = sum(int(level[2].sum()) for level in levels)
+    saturated = sum(int(level[7].sum()) for level in levels)
     return _assemble(levels), n_leaves, len(levels) - 1, saturated
 
 
-def _assemble(levels: list[_Level]) -> Node:
+def _assemble(levels: list[tuple]) -> Node:
     """The tree of ``levels``, built bottom-up; returns its root.
 
-    The tree holds no reference cycles, so the cyclic collector, which would
-    only rescan the growing heap while it is built, is paused meanwhile.
+    Each level holds its boxes' bounds and leaf mask, its leaves' fields and
+    its branches' child counts.  The tree holds no reference cycles, so the
+    cyclic collector, which would only rescan the growing heap while it is
+    built, is paused meanwhile.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         nodes: list[Node] = []
-        for level in reversed(levels):
-            boxes = list(map(_trusted_cuboid, map(tuple, level.lo.tolist()),
-                             map(tuple, level.hi.tolist())))
-            leaves = map(Leaf, itertools.compress(boxes, level.leaf.tolist()),
-                         map(tuple, level.value.tolist()), level.samples.tolist(),
-                         map(tuple, level.lo_seen.tolist()), map(tuple, level.hi_seen.tolist()),
-                         level.saturated.tolist())
-            children = iter(level.children.tolist())
+        for lo, hi, leaf, value, lo_seen, hi_seen, samples, saturated, children in reversed(levels):
+            boxes = list(map(_trusted_cuboid, map(tuple, lo.tolist()), map(tuple, hi.tolist())))
+            leaves = map(Leaf, itertools.compress(boxes, leaf.tolist()),
+                         map(tuple, value.tolist()), samples.tolist(),
+                         map(tuple, lo_seen.tolist()), map(tuple, hi_seen.tolist()),
+                         saturated.tolist())
+            children = iter(children.tolist())
             above, pos = [], 0
-            for box, is_leaf in zip(boxes, level.leaf.tolist()):
+            for box, is_leaf in zip(boxes, leaf.tolist()):
                 if is_leaf:
                     above.append(next(leaves))
                 else:
