@@ -541,8 +541,9 @@ def _segment_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -
     not.
     """
     sums = np.empty((len(counts), values.shape[1]))
-    for k in np.unique(counts).tolist():
-        boxes = np.flatnonzero(counts == k)
+    ks, group = np.unique(counts, return_inverse=True)
+    for g, k in enumerate(ks.tolist()):
+        boxes = np.flatnonzero(group == g)
         sums[boxes] = np.add.reduce(values[starts[boxes, None] + np.arange(k)], axis=1)
     return sums / counts[:, None]
 
@@ -608,10 +609,14 @@ def _assemble(levels: list[tuple]) -> Node:
         nodes: list[Node] = []
         for lo, hi, leaf, value, lo_seen, hi_seen, samples, saturated, children in reversed(levels):
             boxes = list(map(_trusted_cuboid, map(tuple, lo.tolist()), map(tuple, hi.tolist())))
-            leaves = map(Leaf, itertools.compress(boxes, leaf.tolist()),
-                         map(tuple, value.tolist()), samples.tolist(),
-                         map(tuple, lo_seen.tolist()), map(tuple, hi_seen.tolist()),
-                         saturated.tolist())
+            value = list(map(tuple, value.tolist()))
+            # A one-sample leaf's extremes are its value: share that tuple.
+            one = (samples == 1).tolist()
+            lo_seen, hi_seen = (
+                [v if o else tuple(row) for v, o, row in zip(value, one, seen.tolist())]
+                for seen in (lo_seen, hi_seen))
+            leaves = map(Leaf, itertools.compress(boxes, leaf.tolist()), value, samples.tolist(),
+                         lo_seen, hi_seen, saturated.tolist())
             children = iter(children.tolist())
             above, pos = [], 0
             for box, is_leaf in zip(boxes, leaf.tolist()):
