@@ -296,11 +296,9 @@ class QueryCache:
         hit[hit] = self._keys[at[hit]] == lins[hit]
         rows = np.empty((len(lins), self._f.arity))
         rows[hit] = self._values[at[hit]]
-        checked = np.flatnonzero(hit)
-        if self._check_rate > 0:
-            checked = checked[self._check_rng.random(len(checked)) < self._check_rate]
-        else:
-            checked = checked[:0]
+        hits = np.flatnonzero(hit)
+        checked = (hits[self._check_rng.random(len(hits)) < self._check_rate]
+                   if self._check_rate > 0 else hits[:0])
         answered = np.zeros(len(lins), dtype=bool)
         try:
             misses = np.flatnonzero(~hit)
@@ -568,6 +566,7 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
     sizes: dict = {}
     rng = np.random.Generator(np.random.PCG64(0))  # reseeded per box before use
     levels: list[tuple] = []
+    n_leaves = saturated = 0
     lo = np.zeros((1, domain.ndim), dtype=np.int64)
     hi = np.array([domain.extents], dtype=np.int64)
     while len(lo):
@@ -586,12 +585,13 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
         # sum / k can land an ulp outside the samples' range, e.g. when they
         # are all equal; clamp it back.
         mean = np.minimum(np.maximum(mean, lo_seen), hi_seen)
+        forced = floor[leaf] & (len(levels) > 0)
+        n_leaves += len(forced)
+        saturated += int(forced.sum())
         below_lo, below_hi, children = _split_bounds(lo[~leaf], hi[~leaf])
         levels.append((lo, hi, leaf, mean[leaf], lo_seen[leaf], hi_seen[leaf], counts[leaf],
-                       floor[leaf] & (len(levels) > 0), children))
+                       forced, children))
         lo, hi = below_lo, below_hi
-    n_leaves = sum(int(level[2].sum()) for level in levels)
-    saturated = sum(int(level[7].sum()) for level in levels)
     return _assemble(levels), n_leaves, len(levels) - 1, saturated
 
 
