@@ -453,7 +453,6 @@ def test_median_of_repeats_repeats_the_batch():
     assert median_of_repeats(ProfileFunction(1, lambda p: (0.0,)), 3).batch is None
 
 
-
 # Digest of the build matrix below, recorded on the per-box builder that the
 # array-level builder replaced.  A change to it means some mesh, report or
 # sample log changed.
