@@ -27,6 +27,7 @@ import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from .errors import MeshprofError, NonDeterministicProfileError, ProfileQueryErr
 from .export import write_files, write_heatmap, write_leaf_csv
 from .fixtures import FIXTURE_HELP, resolve_fixture
 from .fixtures.scene import DEFAULT_POLY_COST_MS, DEFAULT_TEST_COST_MS
-from .mesh import constant, deserialize, evaluate, serialize
+from .mesh import constant, deserialize, evaluate, serialize_pieces
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -147,7 +148,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _CliError(f"cannot read {path}: {e}") from e
 
 
@@ -167,9 +168,10 @@ def _input_hashes(paths) -> dict[str, str]:
     return {path: _sha256(path) for path in paths if os.path.isfile(path)}
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def _write_atomic(path: str, pieces) -> None:
+    """Write the text ``pieces`` to ``path``, encoding each as it comes; all or nothing."""
     try:
-        write_files([(path, data)])
+        write_files([(path, map(str.encode, pieces))])
     except OSError as e:
         raise _CliError(f"cannot write {path}: {e}") from e
 
@@ -197,19 +199,15 @@ def _write_manifest(primary_out: str, argv, config: dict, inputs,
     if report is not None:
         doc["report"] = report
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_atomic(_manifest_path(primary_out), text.encode("utf-8"))
+    _write_atomic(_manifest_path(primary_out), [text])
 
 
-def _write_output(args, data: bytes, config: dict, inputs, report: dict | None = None) -> None:
-    """Write ``data`` to ``--out`` and its manifest; refuses to overwrite without --force."""
+def _write_output(args, pieces, config: dict, inputs, report: dict | None = None) -> None:
+    """Write ``pieces`` to ``--out`` and its manifest; refuses to overwrite without --force."""
     outputs = [args.out, _manifest_path(args.out)]
     _ensure_writable(outputs, args.force)
-    _write_atomic(args.out, data)
+    _write_atomic(args.out, pieces)
     _write_manifest(args.out, args.argv, config, inputs, outputs, report)
-
-
-def _mesh_bytes(sub) -> bytes:
-    return (serialize(sub) + "\n").encode("utf-8")
 
 
 # -- External-command profiles ---------------------------------------------
@@ -251,7 +249,7 @@ def _flush_exec_cache(path: str | None, entries: dict[int, tuple[float, ...]]) -
         return
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     doc = {"entries": {str(lin): list(vals) for lin, vals in sorted(entries.items())}}
-    _write_atomic(path, (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
+    _write_atomic(path, [json.dumps(doc, sort_keys=True) + "\n"])
 
 
 def _exec_profile(command: str, arity: int, repeat: int, jobs: int) -> ProfileFunction:
@@ -348,7 +346,7 @@ def _cmd_build(args) -> int:
     echo = dict(config.echo())
     echo.update(source)
     echo["domain"] = list(domain.extents)
-    _write_output(args, _mesh_bytes(sub), echo, inputs, sub.metadata["stats"])
+    _write_output(args, chain(serialize_pieces(sub), ["\n"]), echo, inputs, sub.metadata["stats"])
     print(f"wrote {args.out}: {report.leaf_count} leaves, depth {report.depth}, "
           f"{report.distinct_queries} distinct queries", file=sys.stderr)
     return _EXIT_OK
@@ -367,7 +365,8 @@ def _cmd_diff(args) -> int:
     b = _load_mesh(args.b)
     _ensure_writable([args.out, _manifest_path(args.out)], args.force)
     diff = combine(a, b, "subtract")
-    _write_output(args, _mesh_bytes(diff), {"op": "subtract"}, [args.a, args.b])
+    _write_output(args, chain(serialize_pieces(diff), ["\n"]), {"op": "subtract"},
+                  [args.a, args.b])
     return _EXIT_OK
 
 
@@ -422,7 +421,7 @@ def _cmd_cost(args) -> int:
     result = cost_estimate(counts, model)
     print(_format_value(weighted_average(result, Uniform())))
     if args.out:
-        _write_output(args, _mesh_bytes(result),
+        _write_output(args, chain(serialize_pieces(result), ["\n"]),
                       {"model": args.model, "unit_costs": list(units)}, paths)
     return _EXIT_OK
 
@@ -454,7 +453,7 @@ def _cmd_select(args) -> int:
     config = {"candidates": list(args.candidates)}
     if view is not None:
         config["view"] = list(view)
-    _write_output(args, _mesh_bytes(labels), config, args.candidates)
+    _write_output(args, chain(serialize_pieces(labels), ["\n"]), config, args.candidates)
     return _EXIT_OK
 
 
@@ -479,11 +478,10 @@ def _cmd_optimize(args) -> int:
         best, table = parameter_sweep(builds, dist)
         print(repr(best))
         if args.out:
-            lines = ["param," + ",".join(
-                f"avg_{i}" for i in range(len(table[0][1])))]
+            lines = ["param," + ",".join(f"avg_{i}" for i in range(len(table[0][1])))]
             for param, avg in sorted(table, key=lambda row: row[0]):
                 lines.append(",".join([repr(param)] + [repr(v) for v in avg]))
-            _write_output(args, ("\n".join(lines) + "\n").encode("utf-8"),
+            _write_output(args, ["\n".join(lines) + "\n"],
                           {"sweep": list(args.sweep)}, paths + dist_inputs)
         return _EXIT_OK
 
@@ -496,7 +494,7 @@ def _cmd_optimize(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        _write_output(args, text.encode("utf-8"), {"param_axis": args.param_axis}, [args.mesh])
+        _write_output(args, [text], {"param_axis": args.param_axis}, [args.mesh])
     return _EXIT_OK
 
 
@@ -524,7 +522,7 @@ def _cmd_quality(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        _write_output(args, text.encode("utf-8"),
+        _write_output(args, [text],
                       {"fixture": args.fixture, "thresholds": list(thresholds),
                        "policy": policy.token(), "seed": args.seed,
                        "domain": list(domain.extents)}, [])

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,7 @@ def write_heatmap(sub: Subdivision, path: str, palette: str = "gray",
     info = HeatmapInfo(path, width, height, vmin, vmax, palette)
     sidecar = dict(info.to_dict(), fixed_axes={str(a): i for a, i in (fixed or {}).items()})
     sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    write_files([(path, header + payload), (path + ".json", sidecar_text.encode("utf-8"))])
+    write_files([(path, [header, payload]), (path + ".json", [sidecar_text.encode("utf-8")])])
     return info
 
 
@@ -135,20 +136,22 @@ def leaf_csv(sub: Subdivision) -> str:
 
 
 def write_leaf_csv(sub: Subdivision, path: str) -> None:
-    write_files([(path, leaf_csv(sub).encode("utf-8"))])
+    write_files([(path, [leaf_csv(sub).encode("utf-8")])])
 
 
-def write_files(files: list[tuple[str, bytes]]) -> None:
-    """Write each ``(path, data)`` to a temporary file beside it, then move all into place.
+def write_files(files: list[tuple[str, Iterable[bytes]]]) -> None:
+    """Write each ``(path, chunks)`` to a temporary file beside it, then move all into place.
 
-    If any write fails, every temporary file is removed and no path changes.
+    The byte ``chunks`` are written as they are drawn, so a generator can
+    stream a file.  If a write fails or a chunk iterator raises, every
+    temporary file is removed and no path changes.
     """
     temps = []
     try:
-        for path, data in files:
+        for path, chunks in files:
             temps.append(f"{path}.tmp.{os.getpid()}")
             with open(temps[-1], "wb") as fh:
-                fh.write(data)
+                fh.writelines(chunks)  # drops each chunk before it asks for the next
         for (path, _), tmp in zip(files, temps):
             os.replace(tmp, path)
     except BaseException:

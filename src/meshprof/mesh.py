@@ -9,6 +9,7 @@ evaluate from many threads at once.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
@@ -201,8 +202,9 @@ def _number(v) -> str:
     raise TypeError(f"cannot write a {type(v).__name__} as a mesh number")
 
 
+@functools.cache
 class _Layout:
-    """The constant text around one node's fields, for a node at one nesting level."""
+    """The constant text around one node's fields at one nesting level; one per level."""
 
     def __init__(self, level: int):
         i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
@@ -217,43 +219,12 @@ class _Layout:
         self.children = i1 + '},' + i1 + '"children": [' + i2
         self.no_children = i1 + '},' + i1 + '"children": []' + i0 + '}'
         self.child_sep = ',' + i2
-        self.children_end = i1 + ']'
+        self.children_end = i1 + ']' + i0 + '}'
         self.close = i0 + '}'
         # (open, separator, close) of number arrays: box bounds sit two
         # levels in, leaf fields one.
         self.box = ('[' + i3, ',' + i3, i2 + ']')
         self.field = ('[' + i2, ',' + i2, i1 + ']')
-
-
-def _write_node(node: Node, level: int, layouts: list[_Layout], out: list[str]) -> None:
-    while len(layouts) <= level:
-        layouts.append(_Layout(len(layouts)))
-    f = layouts[level]
-    box = node.box
-    parts = [f.open, _array(box.lo, *f.box), f.hi, _array(box.hi, *f.box)]
-    if isinstance(node, Branch):
-        if not node.children:
-            parts.append(f.no_children)
-            out.append("".join(parts))
-            return
-        parts.append(f.children)
-        out.append("".join(parts))
-        for i, child in enumerate(node.children):
-            if i:
-                out.append(f.child_sep)
-            _write_node(child, level + 2, layouts, out)
-        out.append(f.children_end + f.close)
-        return
-    parts += (f.value, _array(node.value, *f.field),
-              f.samples, _number(node.samples),
-              f.lo_seen, _array(node.lo_seen, *f.field),
-              f.hi_seen, _array(node.hi_seen, *f.field))
-    if node.saturated:
-        parts.append(f.saturated)
-    if node.degenerate:
-        parts.append(f.degenerate)
-    parts.append(f.close)
-    out.append("".join(parts))
 
 
 def _array(values, start: str, sep: str, end: str) -> str:
@@ -262,22 +233,54 @@ def _array(values, start: str, sep: str, end: str) -> str:
     return start + sep.join(map(_number, values)) + end
 
 
-def serialize(sub: Subdivision) -> str:
-    """The v1 JSON text of ``sub``: ``json.dumps`` of the layout above, ``indent=2``."""
-    header = json.dumps({
-        "domain": {
-            "extents": list(sub.domain.extents),
-            "origin": list(sub.domain.origin),
-            "cell_size": list(sub.domain.cell_size),
-        },
-        "value_arity": sub.value_arity,
-        "metadata": sub.metadata,
-    }, indent=2)
+_PIECE_CHARS = 1 << 20  # characters per piece of ``serialize_pieces``
+
+
+def serialize_pieces(sub: Subdivision):
+    """The v1 text of ``sub`` in pieces of about ``_PIECE_CHARS`` characters, which join to
+    ``serialize(sub)``.  A piece is handed out once it reaches the bound, so none passes it
+    by more than one node's text, and the whole text is never held at once."""
+    dom = sub.domain
+    header = json.dumps({"domain": {"extents": list(dom.extents), "origin": list(dom.origin),
+                                    "cell_size": list(dom.cell_size)},
+                         "value_arity": sub.value_arity, "metadata": sub.metadata}, indent=2)
+    out, size = [], 0
+    # (node, nesting level, text before it), or constant text; popped in text order.
     # The header ends in "\n}"; the root goes in as its last key.
-    out = [header[:-2], ',\n  "root": ']
-    _write_node(sub.root, 1, [], out)
-    out.append("\n}")
-    return "".join(out)
+    stack: list = ["\n}", (sub.root, 1, ""), header[:-2] + ',\n  "root": ']
+    while stack:
+        item = stack.pop()
+        if type(item) is not str:
+            node, level, before = item
+            f, box = _Layout(level), node.box
+            parts = [before, f.open, _array(box.lo, *f.box), f.hi, _array(box.hi, *f.box)]
+            if type(node) is not Branch:
+                parts += (f.value, _array(node.value, *f.field), f.samples, _number(node.samples),
+                          f.lo_seen, _array(node.lo_seen, *f.field),
+                          f.hi_seen, _array(node.hi_seen, *f.field),
+                          f.saturated if node.saturated else "",
+                          f.degenerate if node.degenerate else "", f.close)
+            elif kids := node.children:
+                parts.append(f.children)
+                stack.append(f.children_end)
+                stack += [(kid, level + 2, f.child_sep) for kid in reversed(kids[1:])]
+                stack.append((kids[0], level + 2, ""))
+            else:
+                parts.append(f.no_children)
+            item = "".join(parts)
+        out.append(item)
+        size += len(item)
+        if size >= _PIECE_CHARS or not stack:
+            # Neither the piece nor its parts stay referenced here once it is out.
+            piece, out, size = "".join(out), [], 0
+            yield piece
+            del piece
+
+
+def serialize(sub: Subdivision) -> str:
+    """The v1 JSON text of ``sub``: ``json.dumps`` of the layout above, ``indent=2``, and
+    ``serialize_pieces`` joined; a writer of large meshes writes the pieces instead."""
+    return "".join(serialize_pieces(sub))
 
 
 def _expect(doc, key: str, types, path: str):
@@ -342,6 +345,8 @@ def _domain_from_doc(doc) -> GridDomain:
 
 
 def _node_from_doc(doc, box: GridCuboid, arity: int, path: str) -> Node:
+    """The node that ``doc`` describes over ``box``; each entry of ``doc["children"]`` is
+    set to None once its subtree is built, so a load never holds all of ``doc`` and the tree."""
     got = _expect(doc, "box", dict, path)
     lo = _expect(got, "lo", list, f"{path}.box")
     hi = _expect(got, "hi", list, f"{path}.box")
@@ -357,11 +362,11 @@ def _node_from_doc(doc, box: GridCuboid, arity: int, path: str) -> Node:
                 f"{path}.children",
                 f"expected {len(expected)} children for this box, got {len(raw)}",
             )
-        children = tuple(
-            _node_from_doc(c, b, arity, f"{path}.children[{i}]")
-            for i, (c, b) in enumerate(zip(raw, expected))
-        )
-        return Branch(box, children)
+        children = []
+        for i, b in enumerate(expected):
+            children.append(_node_from_doc(raw[i], b, arity, f"{path}.children[{i}]"))
+            raw[i] = None
+        return Branch(box, tuple(children))
     value = _floats(doc, "value", arity, path)
     samples = _count(doc, "samples", 0, path)
     lo_seen = _floats(doc, "lo_seen", arity, path)

@@ -1,18 +1,24 @@
 """End-to-end command-line behavior: exit codes, files, manifests, --exec."""
 
+import argparse
+import errno
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from meshprof import cli
+from meshprof.builder import BuildConfig, SupNormSampling, build
 from meshprof.cli import main
 from meshprof.domain import GridDomain
-from meshprof.mesh import constant, deserialize, evaluate, serialize
+from meshprof.fixtures import resolve_fixture
+from meshprof.mesh import constant, deserialize, evaluate, serialize, serialize_pieces
 
 
 def run(*argv):
@@ -164,6 +170,21 @@ class TestEvalDiffAvg:
         err = capsys.readouterr()
         assert err.out == ""
         assert f"bad weight table {bad}" in err.err
+
+    def test_mesh_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        assert run("eval", str(bad), "0,0") == 2
+        assert f"meshprof: cannot read {bad}: " in capsys.readouterr().err
+
+    def test_weight_table_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        out = build_fixture(tmp_path, "c.json", "const:5")
+        bad = tmp_path / "t.json"
+        bad.write_bytes(b'{"extents": [2, 2], "weights": "\xff"}')
+        assert run("avg", str(out), "--dist", str(bad)) == 2
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert f"meshprof: cannot read {bad}: " in err.err
 
 
 class TestCost:
@@ -482,6 +503,22 @@ class TestExec:
         assert not out.exists()
         assert len(log.read_text().splitlines()) == calls
 
+    def test_cache_that_is_not_utf8_exits_2_and_names_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        command, log = self.ok_script(tmp_path)
+        out = tmp_path / "m.json"
+        args = ["build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
+                "--policy", "fixed:16", "--force", "--out", str(out)]
+        assert run(*args) == 0
+        out.unlink()
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        cache.write_bytes(cache.read_bytes().replace(b"{", b"\xff{", 1))
+        calls = len(log.read_text().splitlines())
+        assert run(*args) == 2
+        assert f"meshprof: cannot read {cache}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert len(log.read_text().splitlines()) == calls
+
     def test_interrupt_keeps_every_answer_so_far(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
         k, calls = 6, []
@@ -565,6 +602,56 @@ class TestDeterminism:
         self.run_pipeline(two, monkeypatch)
         for name in self.PIPELINE_FILES:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+class TestMeshOutputs:
+    """Meshes go into their output file piece by piece, never as one whole text."""
+
+    def test_build_and_diff_write_the_v1_text_and_a_newline(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("meshprof.mesh._PIECE_CHARS", 4096)  # many pieces per file
+        a = build_fixture(tmp_path, "a.json", "ramp", domain="32x32", threshold="2",
+                          policy="sup:c=1")
+        b = build_fixture(tmp_path, "b.json", "step:4:2", domain="32x32")
+        d = tmp_path / "d.json"
+        assert run("diff", str(a), str(b), "--out", str(d)) == 0
+        for path in (a, d):
+            data = path.read_bytes()
+            assert len(data) > 10 * 4096
+            assert data == (serialize(deserialize(data.decode("utf-8"))) + "\n").encode("utf-8")
+        assert not list(tmp_path.glob("*.tmp.*"))
+
+    def test_a_write_that_fails_partway_keeps_the_old_mesh(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("meshprof.mesh._PIECE_CHARS", 4096)
+        out = build_fixture(tmp_path, "m.json", "ramp", domain="32x32", threshold="2")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = cli.serialize_pieces
+
+        def fails_after_one_piece(sub):
+            yield next(real(sub))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "serialize_pieces", fails_after_one_piece)
+        assert run("build", "--fixture", "ramp", "--domain", "32x32", "--threshold", "1",
+                   "--force", "--out", str(out)) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_writing_a_mesh_holds_a_small_part_of_its_text(self, tmp_path):
+        domain = GridDomain((256, 256))
+        config = BuildConfig(threshold=(2.0,), policy=SupNormSampling(1.0), seed=0)
+        sub, _ = build(resolve_fixture("ramp", domain), domain, config)
+        size = sum(map(len, serialize_pieces(sub)))
+        assert size > 10**7
+        out = tmp_path / "m.json"
+        args = argparse.Namespace(out=str(out), force=False, argv=["meshprof"])
+        tracemalloc.start()
+        try:
+            cli._write_output(args, chain(serialize_pieces(sub), ["\n"]), {}, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == size + 1
+        assert peak < size / 4
 
 
 class TestParserBasics:

@@ -182,6 +182,10 @@ class TestAtomicWrites:
                 self.fh.write(data[:len(data) // 2])
                 raise OSError(errno.ENOSPC, "No space left on device")
 
+            def writelines(self, chunks):
+                for data in chunks:
+                    self.write(data)
+
         def fake_open(path, *args, **kwargs):
             fh = real_open(path, *args, **kwargs)
             name, base = os.path.basename(path), os.path.basename(target)
@@ -200,6 +204,38 @@ class TestAtomicWrites:
         self.fail_on_write(monkeypatch, str(tmp_path / failing))
         with pytest.raises(OSError):
             write_heatmap(sub, str(path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @staticmethod
+    def first_then_raise(chunks):
+        """The first of ``chunks``, then the error of a producer that fails partway."""
+        yield next(iter(chunks))
+        raise RuntimeError("producer failed")
+
+    def test_chunks_that_raise_partway(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            export.write_files([(str(path), self.first_then_raise([b"new", b"more"]))])
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert path.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_heatmap_chunks_that_raise_partway(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "map.pgm"
+        write_heatmap(constant(GridDomain((2, 2)), (1.0,)), str(path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = export.write_files
+
+        def write_files(files):
+            files = list(files)
+            name, chunks = files[failing]
+            files[failing] = (name, self.first_then_raise(chunks))
+            real(files)
+
+        monkeypatch.setattr(export, "write_files", write_files)
+        with pytest.raises(RuntimeError):
+            write_heatmap(exact_tree(GridDomain((8, 4)), lambda i, j: i + j), str(path))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_leaf_csv(self, tmp_path, monkeypatch):

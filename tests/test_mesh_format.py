@@ -11,6 +11,7 @@ change that alters one of them changes the format.  To add a case, add it to
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -20,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_doc, random_subdivision
+from meshprof import mesh
 from meshprof.analysis import combine
 from meshprof.builder import BuildConfig, SupNormSampling, build
 from meshprof.domain import GridDomain
 from meshprof.errors import MeshFormatError
 from meshprof.fixtures import resolve_fixture
-from meshprof.mesh import Branch, Leaf, Subdivision, constant, deserialize, serialize
+from meshprof.mesh import (Branch, Leaf, Subdivision, constant, deserialize, serialize,
+                           serialize_pieces)
 
 CORPUS_DIR = Path(__file__).resolve().parent / "data" / "mesh_v1"
 
@@ -136,6 +139,42 @@ def test_serialize_refuses_what_is_not_a_json_number(value):
     sub = Subdivision(dom, 1, Leaf(dom.root_cuboid(), (value,), 0, (0.0,), (0.0,)))
     with pytest.raises(TypeError):
         serialize(sub)
+
+
+# -- The text in pieces -------------------------------------------------------
+
+
+def node_texts(text: str) -> list[str]:
+    """``text`` cut before each node's opening brace: every cut holds one node's text."""
+    return re.split(r'(?=\{\n *"box")', text)
+
+
+@pytest.mark.parametrize("bound", [None, 1, 200, 2000])
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_pieces_join_to_the_golden_file(name, bound, monkeypatch):
+    if bound is not None:
+        monkeypatch.setattr(mesh, "_PIECE_CHARS", bound)
+    sub = corpus()[name]
+    pieces = list(serialize_pieces(sub))
+    assert "".join(pieces) == serialize(sub) == golden(name)
+    if bound is None:
+        assert len(pieces) == 1  # every corpus file is far below a mebibyte
+    assert all(pieces)
+
+
+@pytest.mark.parametrize("bound", [1, 500, 5000, 50000])
+def test_no_piece_passes_the_bound_by_more_than_one_node(bound, monkeypatch):
+    sub = random_subdivision(np.random.default_rng(4), GridDomain((32, 32)), arity=2,
+                             split_prob=1.0, max_depth=4)
+    text = serialize(sub)
+    longest = max(map(len, node_texts(text)))
+    monkeypatch.setattr(mesh, "_PIECE_CHARS", bound)
+    pieces = list(serialize_pieces(sub))
+    assert "".join(pieces) == text
+    assert len(pieces) > 1
+    assert all(len(piece) < bound + longest for piece in pieces)
+    # Only the last piece may stop short of the bound.
+    assert all(len(piece) >= bound for piece in pieces[:-1])
 
 
 # -- Malformed documents ------------------------------------------------------
