@@ -636,22 +636,40 @@ class TestMeshOutputs:
         assert f"cannot write {out}" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_writing_a_mesh_holds_a_small_part_of_its_text(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def ramp_mesh(self):
+        """The ramp 256x256 mesh of ``build --policy sup:c=1 --threshold 2``: 16.7 MB of text."""
         domain = GridDomain((256, 256))
         config = BuildConfig(threshold=(2.0,), policy=SupNormSampling(1.0), seed=0)
-        sub, _ = build(resolve_fixture("ramp", domain), domain, config)
-        size = sum(map(len, serialize_pieces(sub)))
+        return build(resolve_fixture("ramp", domain), domain, config)[0]
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writing_a_mesh_holds_a_small_part_of_its_text(self, tmp_path, ramp_mesh):
+        size = sum(map(len, serialize_pieces(ramp_mesh)))
         assert size > 10**7
         out = tmp_path / "m.json"
         args = argparse.Namespace(out=str(out), force=False, argv=["meshprof"])
-        tracemalloc.start()
-        try:
-            cli._write_output(args, chain(serialize_pieces(sub), ["\n"]), {}, [])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self.traced_peak(
+            lambda: cli._write_output(args, chain(serialize_pieces(ramp_mesh), ["\n"]), {}, []))
         assert out.stat().st_size == size + 1
-        assert peak < size / 4
+        assert peak < size / 4  # joining the text first peaks at about twice its size
+
+    def test_loading_a_mesh_frees_its_document_as_the_tree_grows(self, ramp_mesh):
+        text = serialize(ramp_mesh)
+        loaded = []
+        peak = self.traced_peak(lambda: loaded.append(deserialize(text)))
+        assert loaded == [ramp_mesh]
+        # Holding the whole parsed document beside the finished tree peaks at
+        # about 1.65 times the text; freeing it as the tree grows, 1.07 times.
+        assert peak < 1.35 * len(text)
 
 
 class TestParserBasics:
