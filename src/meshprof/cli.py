@@ -478,7 +478,8 @@ def _cmd_optimize(args) -> int:
         best, table = parameter_sweep(builds, dist)
         print(repr(best))
         if args.out:
-            lines = ["param," + ",".join(f"avg_{i}" for i in range(len(table[0][1])))]
+            lines = ["param," + ",".join(
+                f"avg_{i}" for i in range(len(table[0][1])))]
             for param, avg in sorted(table, key=lambda row: row[0]):
                 lines.append(",".join([repr(param)] + [repr(v) for v in avg]))
             _write_output(args, ["\n".join(lines) + "\n"],
