@@ -35,7 +35,6 @@ from .builder import (
     RmsSampling,
     SupNormSampling,
     build,
-    median_of_repeats,
     sample_size,
 )
 from .domain import GridCuboid, GridDomain, GridPoint

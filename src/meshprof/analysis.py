@@ -140,19 +140,19 @@ def _derived_leaf(box, value: tuple[float, ...], degenerate: bool = False) -> Le
     return Leaf(box, value, 0, value, value, degenerate=degenerate)
 
 
-def _as_children(node: Node, box) -> tuple[Node, ...]:
-    if isinstance(node, Branch):
-        return node.children
-    return tuple(_derived_leaf(b, node.value) for b in box.split())
-
-
-def _merge(nodes: Sequence[Node],
+def _merge(nodes: Sequence[Node], box,
            make_leaf: Callable[[object, Sequence[tuple[float, ...]]], Leaf]) -> Node:
-    if all(isinstance(n, Leaf) for n in nodes):
-        return make_leaf(nodes[0].box, [n.value for n in nodes])
-    box = nodes[0].box
-    child_sets = [_as_children(n, box) for n in nodes]
-    return Branch(box, tuple(_merge(group, make_leaf) for group in zip(*child_sets)))
+    """The common refinement of ``nodes`` over ``box``.
+
+    A leaf stands for itself in each child of another operand's branch; the
+    child boxes come from that branch.
+    """
+    branch = next((n for n in nodes if isinstance(n, Branch)), None)
+    if branch is None:
+        return make_leaf(box, [n.value for n in nodes])
+    return Branch(box, tuple(
+        _merge([n.children[i] if isinstance(n, Branch) else n for n in nodes], child.box,
+               make_leaf) for i, child in enumerate(branch.children)))
 
 
 def _require_same_domain(subs: Sequence[Subdivision]) -> GridDomain:
@@ -182,7 +182,7 @@ def combine(a: Subdivision, b: Subdivision, op: str) -> Subdivision:
         va, vb = values
         return _derived_leaf(box, tuple(map(fn, va, vb)), degenerate=op == "ratio" and 0.0 in vb)
 
-    root = _merge([a.root, b.root], make_leaf)
+    root = _merge([a.root, b.root], a.root.box, make_leaf)
     return Subdivision(domain, a.value_arity, root, {"derived": f"combine:{op}"})
 
 
@@ -250,7 +250,7 @@ def cost_estimate(counts: Sequence[Subdivision], model: CostModel) -> Subdivisio
     def make_leaf(box, values):
         return _derived_leaf(box, (model.apply([v[0] for v in values]),))
 
-    root = _merge([s.root for s in counts], make_leaf)
+    root = _merge([s.root for s in counts], counts[0].root.box, make_leaf)
     return Subdivision(domain, 1, root,
                        {"derived": "cost_estimate", "model": model.describe()})
 
@@ -316,7 +316,7 @@ def selection_map(candidates: Sequence[Subdivision],
         keys = list(map(key, values))
         return _derived_leaf(box, (float(min(range(len(keys)), key=keys.__getitem__)),))
 
-    root = _merge([c.root for c in candidates], make_leaf)
+    root = _merge([c.root for c in candidates], candidates[0].root.box, make_leaf)
     return Subdivision(domain, 1, root,
                        {"derived": "selection_map", "candidates": len(candidates)})
 
@@ -397,13 +397,8 @@ def view_weights(direction_deg: float, fov_deg: float) -> tuple[float, ...]:
 
 def evaluate_view(sub: Subdivision, p: GridPoint, direction_deg: float,
                   fov_deg: float) -> float:
-    """Blend a 4-component directional subdivision over a view cone at ``p``."""
-    if sub.value_arity != _SIDE_COUNT:
-        raise ValueError(
-            f"view evaluation needs {_SIDE_COUNT} components, got {sub.value_arity}")
-    value = evaluate(sub, p)
-    w = view_weights(direction_deg, fov_deg)
-    return float(sum(wi * vi for wi, vi in zip(w, value)))
+    """Blend a 4-component directional subdivision over a view cone at ``p``, as select does."""
+    return float(_selection_key((direction_deg, fov_deg))(evaluate(sub, p)))
 
 
 # -- Error against the ground truth ---------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import GridCuboid, GridDomain, GridPoint, _trusted_cuboid, sample_cell_indices
-from .errors import NonDeterministicProfileError, OutOfDomainError, ProfileQueryError
+from .errors import NonDeterministicProfileError, ProfileQueryError
 from .mesh import Branch, Leaf, Node, Subdivision
 
 @dataclass(frozen=True)
@@ -52,31 +52,6 @@ class ProfileFunction:
     pure: bool = True
     name: str = ""
     batch: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def median_of_repeats(f: ProfileFunction, repeats: int = 5) -> ProfileFunction:
-    """Query ``f`` several times per point and keep the componentwise median.
-
-    Intended for noisy measurements such as wall-clock timings; the result is
-    steadier but still not pure, so it stays exempt from purity spot-checks.
-    A ``batch`` of ``f`` is repeated the same way, a whole batch per round.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-
-    def median(rounds) -> np.ndarray:
-        return np.median(np.array(rounds, dtype=np.float64), axis=0)
-
-    def query(p: GridPoint) -> tuple[float, ...]:
-        return tuple(median([f.query(p) for _ in range(repeats)]).tolist())
-
-    def batch(world: np.ndarray) -> np.ndarray:
-        return median([np.reshape(f.batch(world), (len(world), f.arity))
-                       for _ in range(repeats)])
-
-    return ProfileFunction(f.arity, query, pure=False,
-                           name=f"median{repeats}({f.name})" if f.name else "",
-                           batch=batch if f.batch is not None else None)
 
 
 def _batch_rows(f: ProfileFunction, world: np.ndarray) -> np.ndarray | None:
@@ -232,33 +207,19 @@ class QueryCache:
 
     A small fraction of cache hits re-queries the profile and compares, to
     catch quantities that were declared pure but are not; each call draws
-    those checks as one array over its hits, in order.  ``preload``, keyed by
-    linear cell index, seeds the store and receives every new answer as soon
-    as it arrives, so it keeps each answer also when the build fails.
+    those checks as one array over its hits, in order.  The store starts
+    empty: a profile that keeps answers across runs, such as the CLI's
+    external command, keeps them itself.
     """
 
-    def __init__(self, f: ProfileFunction, domain: GridDomain, config: BuildConfig,
-                 preload: dict | None = None):
+    def __init__(self, f: ProfileFunction, domain: GridDomain, config: BuildConfig):
         self._f = f
         self._domain = domain
         self._check_rate = config.purity_check_rate if f.pure else 0.0
         self._check_rng = np.random.default_rng((config.seed ^ 0x5EEDCAFE) & _MASK_64)
-        self._preload = preload
         self.total_requests = 0
-        n = domain.cell_count
-        entries = sorted((preload or {}).items())
-        for lin, value in entries:
-            if not 0 <= lin < n:
-                raise OutOfDomainError(f"preloaded cell {lin} lies outside the domain's "
-                                       f"{n} cells")
-            if len(value) != f.arity:
-                raise ValueError(f"preloaded cell {lin} has {len(value)} components, "
-                                 f"profile arity is {f.arity}")
-            if not all(map(math.isfinite, value)):
-                raise ValueError(f"preloaded cell {lin} has non-finite value {value}")
-        self._keys = np.array([lin for lin, _ in entries], dtype=np.int64)
-        self._values = np.array([value for _, value in entries],
-                                dtype=np.float64).reshape(len(entries), f.arity)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._values = np.empty((0, f.arity))
 
     @property
     def distinct_queries(self) -> int:
@@ -310,7 +271,6 @@ class QueryCache:
                 if not hit[i]:
                     rows[i] = value
                     answered[i] = True
-                    self._mirror(lins[i:i + 1], rows[i:i + 1])
                 elif value != tuple(rows[i].tolist()):
                     raise NonDeterministicProfileError(
                         f"profile declared pure but point {point.index} "
@@ -334,12 +294,7 @@ class QueryCache:
         done = misses[finite]
         rows[done] = values[finite]
         answered[done] = True
-        self._mirror(lins[done], values[finite])
         return misses[~finite]
-
-    def _mirror(self, keys: np.ndarray, values: np.ndarray) -> None:
-        if self._preload is not None:
-            self._preload.update(zip(keys.tolist(), map(tuple, values.tolist())))
 
     def _merge(self, keys: np.ndarray, values: np.ndarray) -> None:
         if len(keys):
@@ -634,21 +589,21 @@ def _assemble(levels: list[tuple]) -> Node:
 
 
 def build(f: ProfileFunction, domain: GridDomain, config: BuildConfig, *,
-          sample_log=None, preload: dict | None = None) -> tuple[Subdivision, BuildReport]:
+          sample_log=None) -> tuple[Subdivision, BuildReport]:
     """Approximate ``f`` over ``domain`` by an adaptive subdivision.
 
     Returns the subdivision plus a report with query counts, tree shape, and
     wall time.  ``sample_log`` may be a writable text file; every distinct
     query is appended as a CSV row (cell indices, then value components),
-    ordered by cell.  ``preload`` seeds the cache with known values, keyed by
-    row-major linear cell index, and receives each new answer as it arrives,
-    also when the build then fails (used for resuming external profiling runs).
+    ordered by cell.  Every query goes to ``f`` or to this build's own cache,
+    which starts empty; a profile that must keep its answers across runs, or
+    through a failed build, records them itself.
     """
     if f.arity != len(config.threshold):
         raise ValueError(
             f"profile arity {f.arity} does not match threshold arity {len(config.threshold)}")
     started = time.perf_counter()
-    cache = QueryCache(f, domain, config, preload)
+    cache = QueryCache(f, domain, config)
     root, n_leaves, max_depth, saturated = _build_levels(domain, config, cache)
     wall = time.perf_counter() - started
 

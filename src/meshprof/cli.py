@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -55,7 +56,6 @@ from .builder import (
     RmsSampling,
     SupNormSampling,
     build,
-    median_of_repeats,
 )
 from .domain import GridDomain
 from .errors import MeshprofError, NonDeterministicProfileError, ProfileQueryError
@@ -228,38 +228,52 @@ def _exec_cache_file(command: str, domain: GridDomain, repeat: int) -> str | Non
     return os.path.join(cache_dir, f"exec-{name}.json")
 
 
-def _load_exec_cache(path: str | None) -> dict[int, tuple[float, ...]]:
+def _load_exec_cache(path: str | None, domain: GridDomain,
+                     arity: int) -> dict[int, tuple[float, ...]]:
     if path is None or not os.path.isfile(path):
         return {}
     try:
         entries = json.loads(_read_text(path))["entries"].items()
         answered = {}
-        for lin, vals in entries:
+        for key, vals in entries:
             # Exact types: a string would load character by character.
             if type(vals) is not list or not all(type(v) in (int, float) for v in vals):
-                raise ValueError(f"entry {lin} is not an array of numbers: {vals!r}")
-            answered[int(lin)] = tuple(map(float, vals))
+                raise ValueError(f"entry {key} is not an array of numbers: {vals!r}")
+            lin, value = int(key), tuple(map(float, vals))
+            if not 0 <= lin < domain.cell_count:
+                raise ValueError(f"entry {key} lies outside the {domain.cell_count}-cell domain")
+            if len(value) != arity:
+                raise ValueError(f"entry {key} has {len(value)} components, expected {arity}")
+            if not all(map(math.isfinite, value)):
+                raise ValueError(f"entry {key} has non-finite value {value}")
+            answered[lin] = value
         return answered
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise _CliError(f"corrupt exec cache {path}: {e}") from e
 
 
-def _flush_exec_cache(path: str | None, entries: dict[int, tuple[float, ...]]) -> None:
+def _flush_exec_cache(path: str | None, answered: dict) -> None:
+    """Write the answers of ``answered`` to ``path``; its failures stay out."""
     if path is None:
         return
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    doc = {"entries": {str(lin): list(vals) for lin, vals in sorted(entries.items())}}
-    _write_atomic(path, [json.dumps(doc, sort_keys=True) + "\n"])
+    entries = {str(lin): list(v) for lin, v in sorted(answered.items()) if type(v) is tuple}
+    _write_atomic(path, [json.dumps({"entries": entries}, sort_keys=True) + "\n"])
 
 
-def _exec_profile(command: str, arity: int, repeat: int, jobs: int) -> ProfileFunction:
+def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, jobs: int,
+                  answered: dict) -> ProfileFunction:
     """One process invocation per query; arguments are the world coordinates.
 
-    The command must print ``arity`` decimal numbers on stdout.  A nonzero
-    exit or unparseable output aborts the run with the offending point and
-    the raw output attached.  With ``jobs > 1`` the profile gets a batch
-    that runs up to ``jobs`` invocations at once; a point that fails there
-    gets a NaN row, so the builder runs it again on its own to report it.
+    The command must print ``arity`` finite decimal numbers on stdout; with
+    ``repeat > 1`` it runs that many times per point and the componentwise
+    median is kept.  A nonzero exit or unusable output fails the point.
+    ``answered``, keyed by linear cell index, is the profile's store: each
+    point's value, or the error it failed with, enters it the moment its
+    commands complete, so a build that stops keeps every completed point.
+    The batch runs the cells not in the store, up to ``jobs`` at once, then
+    reads every row from it: a failed cell's row is NaN, and ``query`` then
+    raises the error kept for it instead of running the command again.
     """
     argv = shlex.split(command)
     if not argv:
@@ -275,26 +289,47 @@ def _exec_profile(command: str, arity: int, repeat: int, jobs: int) -> ProfileFu
         if len(tokens) != arity:
             raise RuntimeError(f"expected {arity} numbers on stdout, got {proc.stdout!r}")
         try:
-            return tuple(float(t) for t in tokens)
+            value = tuple(float(t) for t in tokens)
         except ValueError:
             raise RuntimeError(f"non-numeric output {proc.stdout!r}") from None
+        if not all(map(math.isfinite, value)):
+            raise RuntimeError(f"non-finite output {proc.stdout!r}")
+        return value
 
-    def attempt(world) -> tuple[float, ...]:
+    def run(lin: int, world) -> None:
         try:
-            return run_once(world)
-        except Exception:
-            return (np.nan,) * arity
+            runs = [run_once(world) for _ in range(repeat)]
+            answered[lin] = runs[0] if repeat == 1 else tuple(np.median(runs, axis=0).tolist())
+        except Exception as e:
+            answered[lin] = e
+
+    def query(p) -> tuple[float, ...]:
+        lin = int(np.ravel_multi_index(p.index, domain.extents))
+        if lin not in answered:
+            run(lin, p.world)
+        if isinstance(answered[lin], Exception):
+            raise answered[lin]
+        return answered[lin]
 
     def batch(world: np.ndarray) -> np.ndarray:
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        try:
-            return np.array(list(pool.map(attempt, world.tolist())), dtype=np.float64)
-        finally:
-            pool.shutdown(cancel_futures=True)
+        cells = np.rint((world - domain.origin) / domain.cell_size - 0.5).astype(np.int64)
+        lins = np.ravel_multi_index(tuple(cells.T), domain.extents).tolist()
+        todo = [(lin, w) for lin, w in zip(lins, world.tolist()) if lin not in answered]
+        if jobs > 1 and len(todo) > 1:
+            pool = ThreadPoolExecutor(max_workers=jobs)
+            try:
+                list(pool.map(run, *zip(*todo)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            for lin, w in todo:
+                run(lin, w)
+        failed = (math.nan,) * arity
+        return np.array([v if type(v) is tuple else failed for v in map(answered.get, lins)])
 
-    base = ProfileFunction(arity, lambda p: run_once(p.world), pure=False,
-                           name=f"exec:{argv[0]}", batch=batch if jobs > 1 else None)
-    return median_of_repeats(base, repeat) if repeat > 1 else base
+    name = f"exec:{argv[0]}"
+    return ProfileFunction(arity, query, pure=False,
+                           name=f"median{repeat}({name})" if repeat > 1 else name, batch=batch)
 
 
 # -- Subcommands -----------------------------------------------------------
@@ -320,7 +355,7 @@ def _cmd_build(args) -> int:
 
     inputs: list[str] = []
     cache_file = None
-    answered: dict[int, tuple[float, ...]] = {}
+    answered: dict = {}
     if args.fixture is not None:
         try:
             profile = resolve_fixture(args.fixture, domain)
@@ -329,16 +364,17 @@ def _cmd_build(args) -> int:
         source = {"fixture": args.fixture}
     else:
         cache_file = _exec_cache_file(args.exec, domain, args.repeat)
-        answered = _load_exec_cache(cache_file)
-        profile = _exec_profile(args.exec, len(threshold), args.repeat, args.jobs)
+        answered = _load_exec_cache(cache_file, domain, len(threshold))
+        profile = _exec_profile(args.exec, domain, len(threshold), args.repeat, args.jobs,
+                                answered)
         source = {"exec": args.exec, "repeat": args.repeat}
         head = shlex.split(args.exec)[0]
         if os.path.isfile(head):
             inputs.append(head)
 
     try:
-        # The build's cache fills ``answered`` as answers arrive.
-        sub, report = build(profile, domain, config, preload=answered)
+        # The exec profile fills ``answered`` as its commands complete.
+        sub, report = build(profile, domain, config)
     finally:
         # Keep what was answered, however the build ends, so a rerun resumes from it.
         _flush_exec_cache(cache_file, answered)

@@ -18,13 +18,12 @@ from meshprof.builder import (
     RmsSampling,
     SupNormSampling,
     build,
-    median_of_repeats,
     sample_size,
     _box_states,
     _split_bounds,
 )
 from meshprof.domain import GridCuboid, GridDomain
-from meshprof.errors import NonDeterministicProfileError, OutOfDomainError, ProfileQueryError
+from meshprof.errors import NonDeterministicProfileError, ProfileQueryError
 from meshprof.fixtures import resolve_fixture
 from meshprof.fixtures.lipschitz import ramp
 from meshprof.mesh import leaf_arrays, serialize, to_dense
@@ -227,48 +226,6 @@ class TestDeterminismAndCache:
         for _ in trees:
             pass
 
-    def test_preload_skips_profile_calls(self):
-        dom = GridDomain((16, 16))
-        calls = []
-        def f(p):
-            calls.append(p.index)
-            return (p.world[0],)
-        pf = ProfileFunction(1, f)
-        cfg = config(0.5, FixedSampling(10), seed=1, purity_check_rate=0.0)
-        _, report = build(pf, dom, cfg)
-        full = {int(np.ravel_multi_index(i, dom.extents)): (dom.world(i)[0],)
-                for i in np.ndindex(16, 16)}
-        calls.clear()
-        again, _ = build(pf, dom, cfg, preload=full)
-        assert calls == []
-        assert serialize(again) == serialize(build(pf, dom, cfg)[0])
-
-    def test_preload_receives_every_answer(self):
-        dom = GridDomain((16, 16))
-        store = {0: (0.5,)}
-        _, report = build(ramp().profile(), dom, config(0.5, FixedSampling(10), seed=1),
-                          preload=store)
-        assert len(store) == report.distinct_queries > 1
-        assert all(v == (sum(dom.point_from_linear(lin).world),) for lin, v in store.items()
-                   if lin != 0)
-
-    def test_preload_outside_the_domain_rejected(self):
-        for lin in (-1, 16):
-            with pytest.raises(OutOfDomainError):
-                build(RAMP, GridDomain((4, 4)), config(1.0, FixedSampling(4)),
-                      preload={lin: (1.0,)})
-
-    def test_preload_of_wrong_arity_rejected(self):
-        with pytest.raises(ValueError, match="components"):
-            build(RAMP, GridDomain((4, 4)), config(1.0, FixedSampling(4)),
-                  preload={3: (1.0, 2.0)})
-
-    def test_preload_of_non_finite_value_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="non-finite"):
-                build(RAMP, GridDomain((4, 4)), config(1.0, FixedSampling(4)),
-                      preload={3: (bad,)})
-
     def test_box_stream_is_seed_sequence_of_seed_and_box(self):
         rng = np.random.default_rng(2)
         boxes = [GridCuboid((0, 3), (70000, 9)), GridCuboid((2**32, 1), (2**33 + 5, 2)),
@@ -431,26 +388,6 @@ def test_sample_log_rows_sorted_by_cell():
     for r in rows:
         i, j = int(r[0]), int(r[1])
         assert float(r[2]) == (i + 0.5) + (j + 0.5)
-
-
-def test_median_of_repeats_takes_median():
-    seq = {}
-    def jittery(p):
-        n = seq.get(p.index, 0)
-        seq[p.index] = n + 1
-        return (float([5.0, 100.0, 6.0][n % 3]),)
-    wrapped = median_of_repeats(ProfileFunction(1, jittery, pure=False), repeats=3)
-    assert not wrapped.pure
-    dom = GridDomain((4,))
-    assert wrapped.query(dom.point((0,))) == (6.0,)
-
-
-def test_median_of_repeats_repeats_the_batch():
-    rounds = iter([[1.0, 9.0], [5.0, 2.0], [3.0, 4.0]])
-    pf = ProfileFunction(1, lambda p: (0.0,), batch=lambda w: np.array(next(rounds)))
-    wrapped = median_of_repeats(pf, repeats=3)
-    assert wrapped.batch(np.zeros((2, 1))).tolist() == [[3.0], [4.0]]
-    assert median_of_repeats(ProfileFunction(1, lambda p: (0.0,)), 3).batch is None
 
 
 # Digest of the build matrix below, recorded on the per-box builder that the

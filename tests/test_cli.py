@@ -5,10 +5,13 @@ import errno
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,8 +582,152 @@ class TestExec:
         saved = json.loads(cache.read_text())["entries"]
         assert set(saved) == {str(lin) for lin in range(15)}
         calls = log.read_text().splitlines()
-        assert sorted(calls) == sorted(
-            [f"{i + 0.5},{j + 0.5}" for i in range(4) for j in range(4)] + ["3.5,3.5"])
+        assert sorted(calls) == sorted(f"{i + 0.5},{j + 0.5}" for i in range(4) for j in range(4))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failed_point_runs_once(self, tmp_path, capsys, jobs):
+        log = tmp_path / "calls.txt"
+        script = tmp_path / "flaky.py"
+        script.write_text(
+            "import sys\n"
+            "x, y = float(sys.argv[1]), float(sys.argv[2])\n"
+            f"open({str(log)!r}, 'a').write(f'{{x}},{{y}}\\n')\n"
+            "if (x, y) in ((0.5, 1.5), (3.5, 3.5)):\n"
+            "    sys.exit(1)\n"
+            "print(x + y)\n"
+        )
+        assert run("build", "--exec", f"{sys.executable} {script}", "--domain", "4x4",
+                   "--threshold", "0.5", "--policy", "fixed:16", "--jobs", jobs,
+                   "--out", str(tmp_path / "m.json")) == 3
+        assert "(0, 1)" in capsys.readouterr().err  # the first failed point in cell order
+        calls = log.read_text().splitlines()
+        assert "0.5,1.5" in calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_repeat_3_writes_the_per_component_median(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        log = tmp_path / "calls.txt"
+        script = tmp_path / "noisy.py"
+        # The n-th run at a point prints x + (5, 100, 6)[n] and y * (1, -7, 3)[n], so
+        # the componentwise medians, x + 6 and y, come from different runs.
+        script.write_text(
+            "import os, sys\n"
+            "x, y = float(sys.argv[1]), float(sys.argv[2])\n"
+            f"log = {str(log)!r}\n"
+            "n = open(log).read().split().count(f'{x},{y}') if os.path.exists(log) else 0\n"
+            "open(log, 'a').write(f'{x},{y}\\n')\n"
+            "print(x + (5, 100, 6)[n], y * (1, -7, 3)[n])\n"
+        )
+        out = tmp_path / "m.json"
+        assert run("build", "--exec", f"{sys.executable} {script}", "--domain", "4x4",
+                   "--threshold", "0.5,0.5", "--policy", "fixed:16", "--repeat", "3",
+                   "--jobs", jobs, "--out", str(out)) == 0
+        sub = load_mesh(out)
+        medians = {}
+        for index in np.ndindex(4, 4):
+            x, y = (i + 0.5 for i in index)
+            medians[str(np.ravel_multi_index(index, (4, 4)))] = [x + 6, y]
+            assert evaluate(sub, sub.domain.point(index)) == (x + 6, y)
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        assert json.loads(cache.read_text())["entries"] == medians
+        assert len(log.read_text().split()) == 3 * 16
+
+    @pytest.mark.parametrize("output", ["nan", "inf", "-inf"])
+    def test_a_non_finite_output_fails_its_point_and_is_not_stored(
+            self, tmp_path, monkeypatch, capsys, output):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        script = tmp_path / "odd.py"
+        script.write_text(
+            "import sys\n"
+            "x, y = float(sys.argv[1]), float(sys.argv[2])\n"
+            f"print({output!r} if (x, y) == (1.5, 2.5) else x + y)\n"
+        )
+        args = ["build", "--exec", f"{sys.executable} {script}", "--domain", "4x4",
+                "--threshold", "0.5", "--policy", "fixed:16", "--out", str(tmp_path / "m.json")]
+        assert run(*args) == 3
+        err = capsys.readouterr().err
+        assert "(1, 2)" in err and "non-finite" in err
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        assert "6" not in json.loads(cache.read_text())["entries"]
+        assert run(*args) == 3  # the cache loads, and the point fails again
+
+    def test_cache_entry_of_the_wrong_arity_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        command, log = self.ok_script(tmp_path)
+        out = tmp_path / "m.json"
+        args = ["build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
+                "--policy", "fixed:16", "--force", "--out", str(out)]
+        assert run(*args) == 0
+        out.unlink()
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        doc = json.loads(cache.read_text())
+        doc["entries"]["5"] = [1.0, 2.0]
+        cache.write_text(json.dumps(doc))
+        calls = len(log.read_text().splitlines())
+        assert run(*args) == 2
+        err = capsys.readouterr().err
+        assert f"corrupt exec cache {cache}" in err and "2 components" in err
+        assert not out.exists()
+        assert len(log.read_text().splitlines()) == calls
+
+    def test_parallel_runs_store_every_point(self, monkeypatch):
+        """Eight workers on a shortened switch interval lose no stored point."""
+        monkeypatch.setattr(subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(
+            argv, 0, stdout=f"{argv[-1]}\n", stderr=""))
+        domain, answered = GridDomain((4096,)), {}
+        profile = cli._exec_profile("probe", domain, 1, 1, 8, answered)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = profile.batch(domain.world_from_linear(np.arange(4096)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answered == {lin: (lin + 0.5,) for lin in range(4096)}
+        assert rows[:, 0].tolist() == [lin + 0.5 for lin in range(4096)]
+
+    def test_sigint_under_jobs_2_keeps_every_completed_point(self, tmp_path):
+        """Ctrl-C while a level runs in parallel keeps each point whose command completed."""
+        cache_dir, log = tmp_path / "cache", tmp_path / "calls.txt"
+        script = tmp_path / "slow.py"
+        script.write_text(
+            "import sys, time\n"
+            f"open({str(log)!r}, 'a').write(sys.argv[1] + '\\n')\n"
+            "time.sleep(0.05)\n"
+            "print(sys.argv[1])\n"
+        )
+        env = dict(os.environ, MESHPROF_CACHE_DIR=str(cache_dir))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        argv = [sys.executable, "-m", "meshprof.cli", "build", "--exec",
+                f"{sys.executable} {script}", "--domain", "256", "--threshold", "1000",
+                "--policy", "fixed:128", "--jobs", "2", "--out", str(tmp_path / "m.json")]
+        child = subprocess.Popen(argv, env=env, start_new_session=True,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not log.exists() or len(log.read_text().split()) < 20:
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.kill(child.pid, signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=60)
+        assert child.returncode == 130, err
+        cache, = cache_dir.glob("exec-*.json")
+        saved = json.loads(cache.read_text())["entries"]
+        logged = log.read_text().split()
+        assert saved == {str(int(float(x))): [float(x)] for x in logged}
+        assert len(saved) >= 20 and not (tmp_path / "m.json").exists()
+
+        log.unlink()
+        script.write_text(script.read_text().replace("time.sleep(0.05)", "pass"))
+        rerun = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert rerun.returncode == 0, rerun.stderr
+        assert not set(log.read_text().split()) & set(logged)
+        assert len(log.read_text().split()) + len(logged) == 128
 
 
 class TestDeterminism:
