@@ -14,12 +14,17 @@ for the same grid cell.
 
 Each cuboid draws from its own random stream derived from (seed, box), so a
 subtree's construction is reproducible in isolation and independent of build
-order.  Queries run on the calling thread; a profile that gains from running
-points at once, such as an external command, does so inside its ``batch``.
+order.  A level's draws are replayed as arrays, bit-identical to
+``Generator.choice`` on each box's own stream; it is called per box only for
+a shape with fewer boxes than draws, in NumPy's tail-shuffle branch, and for
+boxes of 2**32 - 1 cells or more.  Queries run on the calling thread; a
+profile that gains from running points at once, such as an external command,
+does so inside its ``batch``.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -328,11 +333,9 @@ class BuildReport:
 
 # -- Per-box random streams -------------------------------------------------
 #
-# Box (lo, hi) draws from default_rng(SeedSequence((seed, *lo, *hi))).  Making
-# that generator costs more than the draw itself, so a level's streams are
-# seeded together: SeedSequence's hash runs over all boxes at once in uint32
-# array arithmetic, and one PCG64 is then set to each box's seeded state in
-# turn.  Tests pin both against NumPy's own SeedSequence and PCG64.
+# Box (lo, hi) draws from default_rng(SeedSequence((seed, *lo, *hi))).  A level's
+# streams are made together: SeedSequence's hash in uint32 arithmetic, PCG64's
+# 128-bit seeding, steps and output on 32-bit limbs held in uint64 arrays.
 
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -340,83 +343,162 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = (1 << 128) - 1
+_LOW_32 = np.uint64(0xFFFFFFFF)
+_REPLAY_WORDS = 1 << 14     # stream words per chunk of replayed boxes
 
 
-def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of ``entropy``.
-
-    ``entropy`` is a ``(boxes, words)`` uint32 array; all arithmetic wraps
-    modulo 2**32, as in SeedSequence.
-    """
-    const = _HASH_INIT_A
+def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(8)`` for each row of a ``(boxes, words)``
+    uint32 array; all arithmetic wraps modulo 2**32, as in SeedSequence."""
+    const, mult = _HASH_INIT_A, _HASH_MULT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
         nonlocal const
         value = value ^ np.uint32(const)
-        const = const * _HASH_MULT_A & 0xFFFFFFFF
+        const = const * mult & 0xFFFFFFFF
         value = value * np.uint32(const)
         return value ^ value >> np.uint32(16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return out ^ out >> np.uint32(16)
 
     boxes, length = entropy.shape
     pool = [hashmix(entropy[:, i] if i < length else np.zeros(boxes, dtype=np.uint32))
             for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
+    for src in range(max(length, _POOL_SIZE)):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    const = _HASH_INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _HASH_MULT_B & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        words.append(value ^ value >> np.uint32(16))
-    return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R
+                         * hashmix(pool[src] if src < _POOL_SIZE else entropy[:, src]))
+                pool[dst] = mixed ^ mixed >> np.uint32(16)
+    const, mult = _HASH_INIT_B, _HASH_MULT_B
+    return np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
 
 
-def _box_states(seed: int, lo: np.ndarray, hi: np.ndarray) -> list[dict]:
-    """Per box, the PCG64 state of ``default_rng(SeedSequence((seed, *lo, *hi)))``.
+def _state_limbs(words: np.ndarray) -> list[np.ndarray]:
+    """A ``(boxes, 2)`` array of high and low words as four ``(boxes, 1)`` limbs."""
+    high, low = words[:, :1], words[:, 1:]
+    return [low & _LOW_32, low >> np.uint64(32), high & _LOW_32, high >> np.uint64(32)]
 
-    ``lo`` and ``hi`` are ``(boxes, ndim)`` arrays of non-negative integers.
-    SeedSequence reads each number as its little-endian uint32 words, one
-    word below 2**32 and two above, so boxes are hashed in groups that share
-    one layout of words.
+
+def _mul_add(a: list, b: list, c: list, d: list) -> list[np.ndarray]:
+    """``(a*b + c*d) mod 2**128`` on 32-bit limbs; operands broadcast."""
+    cols: list = [0, 0, 0, 0]   # at most fourteen 32-bit halves of limb products each
+    for x, y in ((a, b), (c, d)):
+        for i in range(4):
+            for j in range(4 - i):
+                product = x[i] * y[j]
+                cols[i + j] = cols[i + j] + (product & _LOW_32)
+                if i + j < 3:
+                    cols[i + j + 1] = cols[i + j + 1] + (product >> np.uint64(32))
+    for i in range(3):
+        cols[i + 1] = cols[i + 1] + (cols[i] >> np.uint64(32))
+    return [col & _LOW_32 for col in cols]
+
+
+def _box_states(seed: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per box, the PCG64 ``(state, inc)`` of ``default_rng(SeedSequence((seed, *lo, *hi)))``.
+
+    ``lo`` and ``hi`` are ``(boxes, ndim)`` arrays of non-negative integers;
+    each result is a ``(boxes, 2)`` uint64 array of high and low words.
+    SeedSequence reads a number as one uint32 word below 2**32 and two above,
+    so boxes are hashed in groups that share one layout of words.
     """
-    seed_words = []
-    while True:
-        seed_words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
-        if not seed:
-            break
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     numbers = np.concatenate([lo, hi], axis=1).astype(np.uint64)
-    wide = numbers >> np.uint64(32) != 0
-    layouts, which = np.unique(wide, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    states: list[dict] = [{}] * len(numbers)
-    for layout, pattern in enumerate(layouts.tolist()):
-        rows = np.flatnonzero(which == layout)
+    # Bit c of a box's layout is set when its number c takes two words.
+    layouts = (numbers >> np.uint64(32) != 0) @ (1 << np.arange(numbers.shape[1]))
+    seeded = np.empty((len(numbers), 2 * _POOL_SIZE), dtype=np.uint32)
+    for layout in np.unique(layouts).tolist():
+        rows = np.flatnonzero(layouts == layout)
         words = [np.full(len(rows), w, dtype=np.uint64) for w in seed_words]
-        for column, two_words in enumerate(pattern):
-            number = numbers[rows, column]
-            words.append(number & np.uint64(0xFFFFFFFF))
-            if two_words:
-                words.append(number >> np.uint64(32))
-        seeded = _seed_sequence_states(np.stack(words, axis=1).astype(np.uint32))
-        for i, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(rows.tolist(), seeded.tolist()):
-            # PCG64's seeding: odd increment from the second pair, then a step
-            # from zero, the first pair added, and one more step.
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK_128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK_128
-            states[i] = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-    return states
+        for column, number in enumerate(numbers[rows].T):
+            words += [number & _LOW_32, number >> np.uint64(32)][:1 + (layout >> column & 1)]
+        seeded[rows] = _seed_sequence_words(np.stack(words, axis=1).astype(np.uint32))
+    # PCG64's seeding reads high and low words of a start, then of an
+    # increment, which it makes odd; the state is M * start + (M + 1) * inc.
+    seeded = seeded.astype("<u4").view("<u8").astype(np.uint64)
+    inc = np.stack([seeded[:, 2] << np.uint64(1) | seeded[:, 3] >> np.uint64(63),
+                    seeded[:, 3] << np.uint64(1) | np.uint64(1)], axis=1)
+    step = _jump_table(2)   # M is the multiplier for one step, M + 1 is G_2
+    l0, l1, l2, l3 = _mul_add(_state_limbs(step[:1, 0]), _state_limbs(seeded[:, :2]),
+                              _state_limbs(step[1:, 1]), _state_limbs(inc))
+    return np.concatenate([l3 << np.uint64(32) | l2, l1 << np.uint64(32) | l0], axis=1), inc
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_table(size: int) -> np.ndarray:
+    """High and low words of ``M**t`` and ``G_t = M**(t-1) + ... + 1`` for t = 1..size,
+    as ``(size, 2, 2)``: ``t`` PCG64 steps take a state s to ``M**t * s + G_t * inc``."""
+    rows, m, g = [], 1, 0
+    for _ in range(size):
+        m, g = m * _PCG_MULT & _MASK_128, (g * _PCG_MULT + 1) & _MASK_128
+        rows.append([[m >> 64, m & _MASK_64], [g >> 64, g & _MASK_64]])
+    return np.array(rows, dtype=np.uint64)
+
+
+def _stream(state: np.ndarray, inc: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Words ``2*start`` to ``2*(start + count)`` of each box's ``next_uint32`` stream:
+    output ``t`` is the XSL-RR of the state after ``t + 1`` steps, low half first."""
+    table = _jump_table(1 << (start + count - 1).bit_length())[start:start + count]
+    mult, add = ([limb.T for limb in _state_limbs(table[:, i])] for i in (0, 1))
+    l0, l1, l2, l3 = _mul_add(mult, _state_limbs(state), add, _state_limbs(inc))
+    x = (l3 ^ l1) << np.uint64(32) | l2 ^ l0
+    rot = l3 >> np.uint64(26)
+    out = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+    return np.stack([out & _LOW_32, out >> np.uint64(32)], axis=2).reshape(len(state), -1)
+
+
+def _replay_choice(state: np.ndarray, inc: np.ndarray, n: int, k: int) -> np.ndarray:
+    """``Generator.choice(n, k, replace=False)`` on each box's stream, bit for bit.
+
+    ``state`` and ``inc`` are ``_box_states`` rows; returns ``(boxes, k)``
+    offsets.  NumPy's algorithm for ``n < 2**32 - 1`` outside its tail-shuffle
+    branch (``n > 10000`` and ``k > n // 50``) is Floyd's selection (Bentley
+    and Floyd, CACM 1987), then a Fisher-Yates shuffle.  Its ``2k - 1`` draws
+    are Lemire's bounded integers (ACM TOMACS 2019): Floyd's in [0, j] for
+    j = n-k..n-1, the shuffle's in [0, i] for i = k-1..1.
+    """
+    # A draw is the high word of word * span, unless the low word is below
+    # 2**32 mod span: that word is skipped, and every later draw moves on too.
+    span = np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)]).astype(np.uint64) + 1
+    threshold = (np.uint64(1 << 32) - span) % span
+    words = _stream(state, inc, 0, k)
+    pos = np.broadcast_to(np.arange(2 * k - 1), (len(state), 2 * k - 1))
+    while True:
+        product = np.take_along_axis(words, pos, axis=1) * span
+        rejected = (product & _LOW_32) < threshold
+        if not rejected.any():
+            break
+        pos = pos + np.logical_or.accumulate(rejected, axis=1)
+        if pos[:, -1].max() == words.shape[1]:
+            words = np.concatenate([words, _stream(state, inc, words.shape[1] // 2, 1)], axis=1)
+    drawn = (product >> np.uint64(32)).astype(np.int64)
+    floyd = drawn[:, :k]
+    # Floyd takes j for a draw picked before: one equal to an earlier draw, or
+    # to the j of an earlier step that took its j.  Links followed by doubling.
+    step = np.arange(k)
+    order = np.argsort(floyd, axis=1, kind="stable")
+    ranked = np.take_along_axis(floyd, order, axis=1)
+    taken = np.zeros(floyd.shape, dtype=bool)
+    np.put_along_axis(taken, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+    link = np.where(floyd >= n - k, floyd - (n - k), step)
+    for _ in range(k.bit_length()):
+        taken |= np.take_along_axis(taken, link, axis=1)
+        link = np.take_along_axis(link, link, axis=1)
+    picks = np.where(taken, step + (n - k), floyd)
+    boxes = np.arange(len(picks))
+    for i, j in zip(range(k - 1, 0, -1), drawn[:, k:].T):
+        picks[boxes, j], picks[:, i] = picks[:, i].copy(), picks[boxes, j]
+    return picks
+
+
+def _draw_each(state: np.ndarray, inc: np.ndarray, box: GridCuboid, k: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """``(boxes, k)`` offsets: ``rng`` set to each box's state, then ``sample_cell_indices``."""
+    picks = np.empty((len(state), k), dtype=np.int64)
+    for i, (s_hi, s_lo, c_hi, c_lo) in enumerate(np.concatenate([state, inc], axis=1).tolist()):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": s_hi << 64 | s_lo, "inc": c_hi << 64 | c_lo}}
+        picks[i] = sample_cell_indices(box, k, rng)
+    return picks
 
 
 # -- Levels as arrays -------------------------------------------------------
@@ -451,8 +533,9 @@ def _sample_cells(lo: np.ndarray, hi: np.ndarray, config: BuildConfig, domain: G
     Counts come from one ``sample_size`` per distinct box shape: ``sizes``
     keeps each shape's count and a cuboid of that shape for the whole build.
     A box that asks for all its cells takes them in row-major order.  Any
-    other box draws its cells from its own stream: ``rng`` is set to each
-    drawing box's state in turn.
+    other box draws from its own stream, bit for bit as ``Generator.choice``:
+    the boxes of one shape as arrays, or, where that does not pay or NumPy
+    takes another branch, with ``rng`` set to each box's state in turn.
     """
     shape = hi - lo
     shapes, which = np.unique(shape, axis=0, return_inverse=True)
@@ -471,12 +554,19 @@ def _sample_cells(lo: np.ndarray, hi: np.ndarray, config: BuildConfig, domain: G
     draws = counts < shape.prod(axis=1)
     if draws.any():
         drawing = np.flatnonzero(draws)
-        drawn = []
-        for state, k, u in zip(_box_states(config.seed & _MASK_64, lo[drawing], hi[drawing]),
-                               counts[drawing].tolist(), which[drawing].tolist()):
-            rng.bit_generator.state = state
-            drawn.append(sample_cell_indices(picked[u][1], k, rng))
-        offset[draws[owner]] = np.concatenate(drawn)
+        state, inc = _box_states(config.seed & _MASK_64, lo[drawing], hi[drawing])
+        group = which[drawing]
+        for u in np.unique(group).tolist():
+            rows = np.flatnonzero(group == u)
+            k, box = picked[u]
+            n = box.cell_count
+            replay = len(rows) >= k and n < 2**32 - 1 and not (n > 10000 and k > n // 50)
+            # Replayed boxes go in chunks of about _REPLAY_WORDS stream words.
+            step = max(k, _REPLAY_WORDS // (2 * k)) if replay else len(rows)
+            for part in np.split(rows, range(step, len(rows), step)):
+                offset[starts[drawing[part], None] + np.arange(k)] = (
+                    _replay_choice(state[part], inc[part], n, k) if replay
+                    else _draw_each(state[part], inc[part], box, k, rng))
     cell = lo[owner]
     shape = shape[owner]
     for a in range(domain.ndim - 1, -1, -1):

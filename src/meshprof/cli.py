@@ -27,6 +27,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 
@@ -271,9 +272,10 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
     ``answered``, keyed by linear cell index, is the profile's store: each
     point's value, or the error it failed with, enters it the moment its
     commands complete, so a build that stops keeps every completed point.
-    The batch runs the cells not in the store, up to ``jobs`` at once, then
-    reads every row from it: a failed cell's row is NaN, and ``query`` then
-    raises the error kept for it instead of running the command again.
+    The batch runs the cells not in the store, up to ``jobs`` at once, and
+    starts none once a point has failed; it then reads every row from the
+    store.  The row of a failed cell, or of one that did not run, is NaN, and
+    ``query`` then raises the error kept for it, or runs the cell.
     """
     argv = shlex.split(command)
     if not argv:
@@ -315,15 +317,23 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
         cells = np.rint((world - domain.origin) / domain.cell_size - 0.5).astype(np.int64)
         lins = np.ravel_multi_index(tuple(cells.T), domain.extents).tolist()
         todo = [(lin, w) for lin, w in zip(lins, world.tolist()) if lin not in answered]
+        stop = threading.Event()
+
+        def attempt(lin: int, w) -> None:
+            if not stop.is_set():
+                run(lin, w)
+                if isinstance(answered[lin], Exception):
+                    stop.set()
+
         if jobs > 1 and len(todo) > 1:
             pool = ThreadPoolExecutor(max_workers=jobs)
             try:
-                list(pool.map(run, *zip(*todo)))
+                list(pool.map(attempt, *zip(*todo)))
             finally:
                 pool.shutdown(cancel_futures=True)
         else:
             for lin, w in todo:
-                run(lin, w)
+                attempt(lin, w)
         failed = (math.nan,) * arity
         return np.array([v if type(v) is tuple else failed for v in map(answered.get, lins)])
 

@@ -20,7 +20,11 @@ from meshprof.builder import (
     build,
     sample_size,
     _box_states,
+    _draw_each,
+    _replay_choice,
+    _sample_cells,
     _split_bounds,
+    _stream,
 )
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import NonDeterministicProfileError, ProfileQueryError
@@ -236,11 +240,16 @@ class TestDeterminismAndCache:
         for seed in (0, 5, 2**32 - 1, 2**32, 2**64 - 1):
             for ndim in (1, 2, 3):
                 group = [box for box in boxes if box.ndim == ndim]
-                states = _box_states(seed, np.array([box.lo for box in group]),
-                                     np.array([box.hi for box in group]))
-                for box, state in zip(group, states, strict=True):
+                state, inc = _box_states(seed, np.array([box.lo for box in group]),
+                                         np.array([box.hi for box in group]))
+                assert state.dtype == inc.dtype == np.uint64
+                for box, (s_hi, s_lo), (c_hi, c_lo) in zip(group, state.tolist(), inc.tolist(),
+                                                           strict=True):
                     ref = np.random.PCG64(np.random.SeedSequence((seed, *box.lo, *box.hi)))
-                    assert state == ref.state
+                    assert ref.state == {"bit_generator": "PCG64", "has_uint32": 0,
+                                         "uinteger": 0,
+                                         "state": {"state": s_hi << 64 | s_lo,
+                                                   "inc": c_hi << 64 | c_lo}}
 
     def test_batched_queries_match_per_cell_queries(self):
         dom = GridDomain((8, 8), (1.0, -2.0), (0.5, 3.0))
@@ -443,3 +452,89 @@ def test_array_split_is_the_cuboid_split(boxes):
     assert children.tolist() == [len(box.split()) for box in cuboids]
     assert [GridCuboid(tuple(l), tuple(h)) for l, h in zip(lo.tolist(), hi.tolist())] == [
         child for box in cuboids for child in box.split()]
+
+
+# -- Replayed draws ---------------------------------------------------------
+
+
+def numpy_choice(seed, lo, hi, k):
+    """The draw the builder pins: ``choice`` on the box's own ``default_rng``."""
+    n = math.prod(h - l for l, h in zip(lo, hi))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, *lo, *hi)))
+    return rng.choice(n, k, replace=False).tolist()
+
+
+def replayed(seed, lo, hi, k):
+    """``_replay_choice`` for boxes of one shape, each as a list of offsets."""
+    lo, hi = np.array(lo, dtype=np.uint64), np.array(hi, dtype=np.uint64)
+    state, inc = _box_states(seed, lo, hi)
+    return _replay_choice(state, inc, int(np.prod(hi[0] - lo[0])), k).tolist()
+
+
+def lemire_rejections(seed, lo, hi, k):
+    """Per box, how many of its first ``2k - 1`` stream words Lemire's method rejects."""
+    n = math.prod(h - l for l, h in zip(lo[0], hi[0]))
+    state, inc = _box_states(seed, np.array(lo, dtype=np.uint64), np.array(hi, dtype=np.uint64))
+    words = _stream(state, inc, 0, k)[:, :2 * k - 1]
+    span = np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)]).astype(np.uint64) + 1
+    return ((words * span & np.uint64(0xFFFFFFFF)) < (2**32 - span) % span).sum(axis=1).tolist()
+
+
+CORNER = st.one_of(st.integers(0, 2**10), st.integers(2**32 - 3, 2**33),
+                   st.integers(2**63, 2**64 - 2**12))
+
+
+@st.composite
+def same_shape_boxes(draw):
+    """``(seed, lo, hi, k)``: 1-6 boxes of one shape in 1-3 dimensions, and ``1 <= k < n``."""
+    seed = draw(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+                          st.integers(0, 2**64 - 1)))
+    ndim = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, 14), min_size=ndim, max_size=ndim)
+                 .filter(lambda extents: math.prod(extents) > 1))
+    lo = draw(st.lists(st.lists(CORNER, min_size=ndim, max_size=ndim), min_size=1, max_size=6))
+    hi = [[l + e for l, e in zip(corner, shape)] for corner in lo]
+    return seed, lo, hi, draw(st.integers(1, math.prod(shape) - 1))
+
+
+class TestReplayedDraws:
+    @given(same_shape_boxes())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_replay_is_numpy_choice_on_each_box_stream(self, case):
+        seed, lo, hi, k = case
+        assert replayed(seed, lo, hi, k) == [numpy_choice(seed, l, h, k) for l, h in zip(lo, hi)]
+
+    def test_large_boxes_where_lemire_rejects_and_the_stream_refills(self):
+        # Floyd's draw in [0, j] is rejected with chance (2**32 mod (j + 1)) / 2**32:
+        # 256 * (2**24 - j - 1) / 2**32 in a 4096x4096 box, about a dozen of its
+        # first 20,000 draws; about half of them just over 2**31 cells.
+        for seed, shape, k in ((11, (4096, 4096), 20000), (2**64 - 1, (46341, 46341), 40)):
+            lo = [[0, 0], [2**32 + 5, 17], [123456, 2**40]]
+            hi = [[l + e for l, e in zip(corner, shape)] for corner in lo]
+            rejected = lemire_rejections(seed, lo, hi, k)
+            assert max(rejected) >= 2  # 2k - 1 draws and one spare word: a refill
+            assert replayed(seed, lo, hi, k) == [numpy_choice(seed, l, h, k)
+                                                  for l, h in zip(lo, hi)]
+
+    def test_box_drawn_alone_equals_the_same_box_within_a_level(self):
+        dom = GridDomain((320, 200))
+        cfg = config(1.0, FixedSampling(10), seed=2**32 + 9)
+        corners = np.array([(x, y) for x in range(0, 320, 8) for y in range(0, 200, 8)])
+        assert len(corners) == 1000
+        lo, hi = corners, corners + 8
+        rng = np.random.Generator(np.random.PCG64(0))
+        counts, lins = _sample_cells(lo, hi, cfg, dom, {}, rng)
+        assert counts.tolist() == [10] * 1000
+        for i in (0, 1, 417, 999):
+            alone_counts, alone = _sample_cells(lo[i:i + 1], hi[i:i + 1], cfg, dom, {}, rng)
+            assert alone_counts.tolist() == [10]
+            assert alone.tolist() == lins[10 * i:10 * i + 10].tolist()
+
+    def test_replay_and_per_box_helpers_agree_on_a_level(self):
+        corners = np.array([(x, y) for x in range(0, 600, 12) for y in range(0, 240, 12)])
+        lo, hi = corners, corners + (12, 6)
+        state, inc = _box_states(77, lo, hi)
+        box = GridCuboid((0, 0), (12, 6))
+        for k in (1, 2, 30, 71):
+            each = _draw_each(state, inc, box, k, np.random.Generator(np.random.PCG64(0)))
+            assert np.array_equal(_replay_choice(state, inc, 72, k), each)

@@ -603,6 +603,24 @@ class TestExec:
         calls = log.read_text().splitlines()
         assert "0.5,1.5" in calls and len(calls) == len(set(calls))
 
+    @pytest.mark.parametrize("jobs, most", [("1", 1), ("2", 2)])
+    def test_a_failed_point_stops_the_level(self, tmp_path, capsys, jobs, most):
+        # Every call fails: the batch starts no command once one has failed,
+        # where it used to run all 128 cells of the root's draw.
+        log = tmp_path / "calls.txt"
+        script = tmp_path / "failing.py"
+        script.write_text(
+            "import sys\n"
+            f"open({str(log)!r}, 'a').write(sys.argv[1] + '\\n')\n"
+            "sys.exit(1)\n"
+        )
+        assert run("build", "--exec", f"{sys.executable} {script}", "--domain", "256",
+                   "--threshold", "1", "--policy", "fixed:128", "--jobs", jobs,
+                   "--out", str(tmp_path / "m.json")) == 3
+        assert "(169,)" in capsys.readouterr().err  # the first point of the draw
+        calls = log.read_text().splitlines()
+        assert 1 <= len(calls) <= most and "169.5" in calls
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_repeat_3_writes_the_per_component_median(self, tmp_path, monkeypatch, jobs):
         monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
