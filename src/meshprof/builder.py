@@ -404,10 +404,11 @@ def _box_states(seed: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, 
     seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     numbers = np.concatenate([lo, hi], axis=1).astype(np.uint64)
     # Bit c of a box's layout is set when its number c takes two words.
-    layouts = (numbers >> np.uint64(32) != 0) @ (1 << np.arange(numbers.shape[1]))
+    wide = (numbers >> np.uint64(32) != 0) @ (1 << np.arange(numbers.shape[1]))
+    layouts, which = np.unique(wide, return_inverse=True)
     seeded = np.empty((len(numbers), 2 * _POOL_SIZE), dtype=np.uint32)
-    for layout in np.unique(layouts).tolist():
-        rows = np.flatnonzero(layouts == layout)
+    for i, layout in enumerate(layouts.tolist()):
+        rows = np.flatnonzero(which == i)
         words = [np.full(len(rows), w, dtype=np.uint64) for w in seed_words]
         for column, number in enumerate(numbers[rows].T):
             words += [number & _LOW_32, number >> np.uint64(32)][:1 + (layout >> column & 1)]
@@ -555,13 +556,12 @@ def _sample_cells(lo: np.ndarray, hi: np.ndarray, config: BuildConfig, domain: G
     if draws.any():
         drawing = np.flatnonzero(draws)
         state, inc = _box_states(config.seed & _MASK_64, lo[drawing], hi[drawing])
-        group = which[drawing]
-        for u in np.unique(group).tolist():
-            rows = np.flatnonzero(group == u)
-            k, box = picked[u]
+        for u, (k, box) in enumerate(picked):
+            rows = np.flatnonzero(which[drawing] == u)
             n = box.cell_count
+            if not len(rows):
+                continue
             replay = len(rows) >= k and n < 2**32 - 1 and not (n > 10000 and k > n // 50)
-            # Replayed boxes go in chunks of about _REPLAY_WORDS stream words.
             step = max(k, _REPLAY_WORDS // (2 * k)) if replay else len(rows)
             for part in np.split(rows, range(step, len(rows), step)):
                 offset[starts[drawing[part], None] + np.arange(k)] = (
