@@ -15,11 +15,11 @@ for the same grid cell.
 Each cuboid draws from its own random stream derived from (seed, box), so a
 subtree's construction is reproducible in isolation and independent of build
 order.  A level's draws are replayed as arrays, bit-identical to
-``Generator.choice`` on each box's own stream; it is called per box only for
-a shape with fewer boxes than draws, in NumPy's tail-shuffle branch, and for
-boxes of 2**32 - 1 cells or more.  Queries run on the calling thread; a
-profile that gains from running points at once, such as an external command,
-does so inside its ``batch``.
+``Generator.choice`` on each box's own stream; the call itself runs per box
+only for a shape with fewer boxes than draws, in NumPy's tail-shuffle branch,
+and for boxes of 2**32 - 1 cells or more.  Queries run on the calling thread;
+a profile that gains from running points at once, such as an external
+command, does so inside its ``batch``.
 """
 
 from __future__ import annotations

@@ -507,7 +507,7 @@ class TestReplayedDraws:
     def test_large_boxes_where_lemire_rejects_and_the_stream_refills(self):
         # Floyd's draw in [0, j] is rejected with chance (2**32 mod (j + 1)) / 2**32:
         # 256 * (2**24 - j - 1) / 2**32 in a 4096x4096 box, about a dozen of its
-        # first 20,000 draws; about half of them just over 2**31 cells.
+        # first 20,000 draws, and about one in two in a box just over 2**31 cells.
         for seed, shape, k in ((11, (4096, 4096), 20000), (2**64 - 1, (46341, 46341), 40)):
             lo = [[0, 0], [2**32 + 5, 17], [123456, 2**40]]
             hi = [[l + e for l, e in zip(corner, shape)] for corner in lo]
