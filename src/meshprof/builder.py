@@ -7,10 +7,10 @@ level at a time, and a level is two integer arrays of box bounds: sample
 counts, sample cells, the per-box reductions (min, max, mean) that decide
 the boxes and the split of the failing ones are array operations over the
 whole level, and the samples of every box go to the profile as one batch.
-Box, leaf and branch objects are made once, when the finished levels are
-assembled into the tree.  Sample counts come from a pluggable policy; every
-queried point goes through a memoizing cache so refinement never pays twice
-for the same grid cell.
+The subdivision keeps the finished levels, and its box, leaf and branch
+objects are made only when its tree is first read.  Sample counts come from
+a pluggable policy; every queried point goes through a memoizing cache so
+refinement never pays twice for the same grid cell.
 
 Each cuboid draws from its own random stream derived from (seed, box), so a
 subtree's construction is reproducible in isolation and independent of build
@@ -25,8 +25,6 @@ command, does so inside its ``batch``.
 from __future__ import annotations
 
 import functools
-import gc
-import itertools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -34,9 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import GridCuboid, GridDomain, GridPoint, _trusted_cuboid, sample_cell_indices
+from .domain import GridCuboid, GridDomain, GridPoint, sample_cell_indices
 from .errors import NonDeterministicProfileError, ProfileQueryError
-from .mesh import Branch, Leaf, Node, Subdivision
+from .mesh import Level, Subdivision
 
 @dataclass(frozen=True)
 class ProfileFunction:
@@ -539,15 +537,17 @@ def _sample_cells(lo: np.ndarray, hi: np.ndarray, config: BuildConfig, domain: G
     takes another branch, with ``rng`` set to each box's state in turn.
     """
     shape = hi - lo
-    shapes, which = np.unique(shape, axis=0, return_inverse=True)
+    # Shapes as mixed-radix numbers, the first axis most significant, sort as the rows do.
+    low = shape.min(axis=0)
+    place = np.append(np.cumprod((shape.max(axis=0) - low + 1)[:0:-1])[::-1], 1)
+    _, first, which = np.unique((shape - low) @ place, return_index=True, return_inverse=True)
     picked = []
-    for row in map(tuple, shapes.tolist()):
+    for row in map(tuple, shape[first].tolist()):
         if row not in sizes:
             box = GridCuboid((0,) * len(row), row)
             sizes[row] = (1 if box.cell_count == 1
                           else sample_size(config.policy, box, config, domain), box)
         picked.append(sizes[row])
-    which = which.reshape(-1)
     counts = np.array([k for k, _ in picked], dtype=np.int64)[which]
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(len(lo)), counts)
@@ -592,8 +592,8 @@ def _segment_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -
 
 
 def _build_levels(domain: GridDomain, config: BuildConfig,
-                  cache: QueryCache) -> tuple[Node, int, int, int]:
-    """Build the tree one depth level at a time.
+                  cache: QueryCache) -> list[Level]:
+    """Build the subdivision's levels one depth at a time.
 
     A level is a pair of ``(boxes, ndim)`` bound arrays.  Its boxes are
     disjoint, so their samples go to the cache as one batch of distinct
@@ -603,15 +603,12 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
     the largest |sample - mean| since float subtraction is monotone.  A
     passing box, or a single-cell one, becomes a leaf holding those three,
     its mean clamped into [min, max]; the failing boxes' split children form
-    the next level.  Boxes, leaves and branches become objects only when the
-    tree is assembled, bottom-up, at the end.  Returns the root plus the leaf
-    count, depth and saturated-leaf count.
+    the next level.
     """
     threshold = np.asarray(config.threshold, dtype=np.float64)
     sizes: dict = {}
     rng = np.random.Generator(np.random.PCG64(0))  # reseeded per box before use
-    levels: list[tuple] = []
-    n_leaves = saturated = 0
+    levels: list[Level] = []
     lo = np.zeros((1, domain.ndim), dtype=np.int64)
     hi = np.array([domain.extents], dtype=np.int64)
     while len(lo):
@@ -631,51 +628,11 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
         # are all equal; clamp it back.
         mean = np.minimum(np.maximum(mean, lo_seen), hi_seen)
         forced = floor[leaf] & (len(levels) > 0)
-        n_leaves += len(forced)
-        saturated += int(forced.sum())
         below_lo, below_hi, children = _split_bounds(lo[~leaf], hi[~leaf])
-        levels.append((lo, hi, leaf, mean[leaf], lo_seen[leaf], hi_seen[leaf], counts[leaf],
-                       forced, children))
+        levels.append(Level(lo, hi, leaf, children, mean[leaf], lo_seen[leaf], hi_seen[leaf],
+                            counts[leaf], forced, np.zeros_like(forced)))
         lo, hi = below_lo, below_hi
-    return _assemble(levels), n_leaves, len(levels) - 1, saturated
-
-
-def _assemble(levels: list[tuple]) -> Node:
-    """The tree of ``levels``, built bottom-up; returns its root.
-
-    Each level holds its boxes' bounds and leaf mask, its leaves' fields and
-    its branches' child counts.  The tree holds no reference cycles, so the
-    cyclic collector, which would only rescan the growing heap while it is
-    built, is paused meanwhile.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        nodes: list[Node] = []
-        for lo, hi, leaf, value, lo_seen, hi_seen, samples, saturated, children in reversed(levels):
-            boxes = list(map(_trusted_cuboid, map(tuple, lo.tolist()), map(tuple, hi.tolist())))
-            value = list(map(tuple, value.tolist()))
-            # A one-sample leaf's extremes are its value: share that tuple.
-            one = (samples == 1).tolist()
-            lo_seen, hi_seen = (
-                [v if o else tuple(row) for v, o, row in zip(value, one, seen.tolist())]
-                for seen in (lo_seen, hi_seen))
-            leaves = map(Leaf, itertools.compress(boxes, leaf.tolist()), value, samples.tolist(),
-                         lo_seen, hi_seen, saturated.tolist())
-            children = iter(children.tolist())
-            above, pos = [], 0
-            for box, is_leaf in zip(boxes, leaf.tolist()):
-                if is_leaf:
-                    above.append(next(leaves))
-                else:
-                    n = next(children)
-                    above.append(Branch(box, tuple(nodes[pos:pos + n])))
-                    pos += n
-            nodes = above
-        return nodes[0]
-    finally:
-        if enabled:
-            gc.enable()
+    return levels
 
 
 def build(f: ProfileFunction, domain: GridDomain, config: BuildConfig, *,
@@ -694,15 +651,16 @@ def build(f: ProfileFunction, domain: GridDomain, config: BuildConfig, *,
             f"profile arity {f.arity} does not match threshold arity {len(config.threshold)}")
     started = time.perf_counter()
     cache = QueryCache(f, domain, config)
-    root, n_leaves, max_depth, saturated = _build_levels(domain, config, cache)
+    levels = _build_levels(domain, config, cache)
     wall = time.perf_counter() - started
 
     report = BuildReport(cache.distinct_queries, cache.total_requests,
-                         n_leaves, max_depth, saturated, wall)
+                         sum(len(level.samples) for level in levels), len(levels) - 1,
+                         sum(int(level.saturated.sum()) for level in levels), wall)
     stats = report.to_dict()
     del stats["wall_time_s"]  # varies run to run; meshes and manifests must not
     metadata = {"profile": f.name, "config": config.echo(), "stats": stats}
-    sub = Subdivision(domain, f.arity, root, metadata)
+    sub = Subdivision(domain, f.arity, metadata=metadata, levels=levels)
     if sample_log is not None:
         for index, value in cache.sorted_rows():
             row = list(map(str, index)) + [repr(v) for v in value]

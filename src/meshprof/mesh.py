@@ -3,8 +3,10 @@
 A subdivision stores one piecewise-constant approximation of a profiled
 quantity.  Leaves tile the domain; every internal node's children are exactly
 the canonical split of its box, so lookup is a walk from the root choosing the
-one child that contains the query cell.  Instances are immutable and safe to
-evaluate from many threads at once.
+one child that contains the query cell.  It is also held as levels, columns
+per depth: a build makes only those, and its tree is built on first read of
+``root`` and kept, as a tree's levels are.  Nothing else changes; the first
+reads from several threads may each build the missing form, into equal copies.
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ import functools
 import gc
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from collections import namedtuple
+from dataclasses import dataclass
+from itertools import chain, compress
 from operator import attrgetter
 from typing import Union
 
 import numpy as np
 
-from .domain import GridCuboid, GridDomain, GridPoint
+from .domain import GridCuboid, GridDomain, GridPoint, _trusted_cuboid
 from .errors import MeshFormatError, OutOfDomainError
 
 
@@ -53,25 +56,94 @@ class Branch:
 Node = Union[Leaf, Branch]
 
 
-@dataclass(frozen=True)
+# One depth of a subdivision: its boxes' int64 bounds ``lo``/``hi``, ``leaf`` mask and
+# branches' numbers of ``children``, then one row per leaf of each Leaf field.  The boxes
+# are the children of the branches above, branch by branch in split order.
+Level = namedtuple("Level", "lo hi leaf children value lo_seen hi_seen samples saturated degenerate")
+
+
 class Subdivision:
     """A piecewise-constant approximation over a grid domain.
 
     ``value_arity`` is the number of components each leaf value carries
     (1 for scalar profiles, 4 for per-side directional profiles in 2D).
     ``metadata`` echoes the build configuration and sample statistics.
+    The builder passes ``levels`` in place of ``root``, which is assembled on first read.
     """
 
-    domain: GridDomain
-    value_arity: int
-    root: Node
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.value_arity < 1:
+    def __init__(self, domain: GridDomain, value_arity: int, root: Node | None = None,
+                 metadata: dict | None = None, *, levels: tuple[Level, ...] | None = None):
+        if value_arity < 1:
             raise ValueError("value arity must be >= 1")
-        if self.root.box != self.domain.root_cuboid():
+        if levels is None and root.box != domain.root_cuboid():
             raise ValueError("root box must cover the whole domain")
+        self.domain, self.value_arity, self.metadata = domain, value_arity, metadata or {}
+        self.__dict__.update({"root": root} if levels is None else {"levels": tuple(levels)})
+
+    @functools.cached_property
+    def root(self) -> Node:
+        return _assemble(self.levels)
+
+    @functools.cached_property
+    def levels(self) -> tuple[Level, ...]:
+        """One ``Level`` per depth, the root's first, from one breadth-first pass of the tree."""
+        def rows(items, name: str, dtype, width: int) -> np.ndarray:
+            flat = chain.from_iterable(map(attrgetter(name), items))
+            return np.fromiter(flat, dtype, len(items) * width).reshape(len(items), width)
+
+        nd, m = self.domain.ndim, self.value_arity
+        levels, nodes = [], [self.root]
+        while nodes:
+            leaf = np.array([isinstance(node, Leaf) for node in nodes], dtype=bool)
+            leaves, branches = (list(compress(nodes, mask)) for mask in (leaf, ~leaf))
+            boxes = [node.box for node in nodes]
+            levels.append(Level(
+                *(rows(boxes, name, np.int64, nd) for name in ("lo", "hi")), leaf,
+                np.array([len(branch.children) for branch in branches], dtype=np.int64),
+                *(rows(leaves, name, np.float64, m) for name in ("value", "lo_seen", "hi_seen")),
+                *(np.fromiter(map(attrgetter(name), leaves), t, len(leaves)) for name, t in
+                  (("samples", np.int64), ("saturated", bool), ("degenerate", bool)))))
+            nodes = [kid for branch in branches for kid in branch.children]
+        return tuple(levels)
+
+    def __eq__(self, other):
+        fields = attrgetter("domain", "value_arity", "metadata", "root")
+        return isinstance(other, Subdivision) and fields(self) == fields(other)
+
+
+def _assemble(levels: tuple[Level, ...]) -> Node:
+    """The tree of ``levels``, built bottom-up; returns its root.  The tree holds no
+    reference cycles, so the cyclic collector, which would only rescan the growing heap
+    while it is built, is paused meanwhile."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        nodes: list[Node] = []
+        for (lo, hi, leaf, children, value, lo_seen, hi_seen, samples, saturated,
+             degenerate) in reversed(levels):
+            boxes = list(map(_trusted_cuboid, map(tuple, lo.tolist()), map(tuple, hi.tolist())))
+            value = list(map(tuple, value.tolist()))
+            # A one-sample leaf's extremes are its value: share that tuple.
+            one = (samples == 1).tolist()
+            lo_seen, hi_seen = (
+                [v if o else tuple(row) for v, o, row in zip(value, one, seen.tolist())]
+                for seen in (lo_seen, hi_seen))
+            leaves = map(Leaf, compress(boxes, leaf.tolist()), value, samples.tolist(),
+                         lo_seen, hi_seen, saturated.tolist(), degenerate.tolist())
+            children = iter(children.tolist())
+            above, pos = [], 0
+            for box, is_leaf in zip(boxes, leaf.tolist()):
+                if is_leaf:
+                    above.append(next(leaves))
+                else:
+                    n = next(children)
+                    above.append(Branch(box, tuple(nodes[pos:pos + n])))
+                    pos += n
+            nodes = above
+        return nodes[0]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def constant(domain: GridDomain, value: tuple[float, ...]) -> Subdivision:
@@ -115,33 +187,25 @@ class LeafArrays:
 
 
 def leaf_arrays(sub: Subdivision) -> LeafArrays:
-    """The leaves of ``sub`` as columns, from one walk of the tree."""
-    found: list[Leaf] = []
-    depths: list[int] = []
-
-    def walk(node: Node, depth: int) -> None:
-        if isinstance(node, Leaf):
-            found.append(node)
-            depths.append(depth)
-        else:
-            for child in node.children:
-                walk(child, depth + 1)
-
-    walk(sub.root, 0)
-    n, boxes = len(found), [leaf.box for leaf in found]
-
-    def column(items, name, dtype, width=None):
-        values = map(attrgetter(name), items)
-        if width is None:
-            return np.fromiter(values, dtype, n)
-        return np.fromiter(chain.from_iterable(values), dtype, n * width).reshape(n, width)
-
-    nd, m = sub.domain.ndim, sub.value_arity
-    return LeafArrays(
-        *(column(boxes, name, np.int64, nd) for name in ("lo", "hi")),
-        *(column(found, name, np.float64, m) for name in ("value", "lo_seen", "hi_seen")),
-        column(found, "samples", np.int64), column(found, "saturated", bool),
-        column(found, "degenerate", bool), np.array(depths, dtype=np.int64))
+    """The leaves of ``sub`` as columns, read from its levels.  A leaf's row is its rank
+    depth-first in split order: leaves per box are counted bottom-up, then each branch's
+    children take its first rank plus their elder siblings' leaf counts, top-down."""
+    levels = sub.levels
+    # totals[d] is 0, then the running leaf count over depth d's boxes.
+    totals = [np.zeros(1, dtype=np.int64)]
+    for level in reversed(levels):
+        count, ends = np.ones(len(level.leaf), np.int64), np.cumsum(level.children)
+        count[~level.leaf] = totals[0][ends] - totals[0][ends - level.children]
+        totals.insert(0, np.concatenate([[0], np.cumsum(count)]))
+    rank, ranks = np.zeros(1, dtype=np.int64), []
+    for level, below in zip(levels, totals[1:]):
+        ranks.append(rank[level.leaf])
+        starts = np.cumsum(level.children) - level.children
+        rank = np.repeat(rank[~level.leaf] - below[starts], level.children) + below[:-1]
+    row = np.argsort(np.concatenate(ranks))
+    parts = [(level.lo[level.leaf], level.hi[level.leaf], *level[4:], np.full(len(r), depth))
+             for depth, (level, r) in enumerate(zip(levels, ranks))]
+    return LeafArrays(*(np.concatenate(column)[row] for column in zip(*parts)))
 
 
 def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:

@@ -30,7 +30,7 @@ from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import NonDeterministicProfileError, ProfileQueryError
 from meshprof.fixtures import resolve_fixture
 from meshprof.fixtures.lipschitz import ramp
-from meshprof.mesh import leaf_arrays, serialize, to_dense
+from meshprof.mesh import deserialize, leaf_arrays, serialize, to_dense
 
 
 def world_profile(fn):
@@ -226,9 +226,14 @@ class TestDeterminismAndCache:
         f = world_profile(lambda x, y: math.hypot(x - 16, y - 16))
         trees = {serialize(build(f, dom, config(2.0, DiameterSampling(), seed=s))[0])
                  for s in range(4)}
-        assert len(trees) >= 1  # structure may coincide; all must deserialize
-        for _ in trees:
-            pass
+        for text in trees:  # structure may coincide; every text must load and be valid
+            t = leaf_arrays(deserialize(text))
+            covered = np.zeros(dom.extents, dtype=int)
+            for lo, hi in zip(t.lo, t.hi):
+                covered[tuple(map(slice, lo, hi))] += 1
+            assert (covered == 1).all()
+            assert ((t.lo_seen <= t.value) & (t.value <= t.hi_seen)).all()
+            assert serialize(deserialize(text)) == text
 
     def test_box_stream_is_seed_sequence_of_seed_and_box(self):
         rng = np.random.default_rng(2)
@@ -452,6 +457,25 @@ def test_array_split_is_the_cuboid_split(boxes):
     assert children.tolist() == [len(box.split()) for box in cuboids]
     assert [GridCuboid(tuple(l), tuple(h)) for l, h in zip(lo.tolist(), hi.tolist())] == [
         child for box in cuboids for child in box.split()]
+
+
+@given(levels(), st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_sample_cells_groups_shapes_in_row_order(boxes, seed):
+    """Shapes meet the size policy in sorted row order, and each box draws as if alone."""
+    lo = np.array([[l for l, _ in axes] for axes in boxes])
+    hi = lo + np.array([[e for _, e in axes] for axes in boxes])
+    dom = GridDomain(tuple(hi.max(axis=0).tolist()))
+    cfg = config(1.0, DiameterSampling(0.5), seed=seed)
+    sizes: dict = {}
+    rng = np.random.Generator(np.random.PCG64(0))
+    counts, lins = _sample_cells(lo, hi, cfg, dom, sizes, rng)
+    assert list(sizes) == sorted(set(map(tuple, (hi - lo).tolist())))
+    starts = np.cumsum(counts) - counts
+    for i, (k, start) in enumerate(zip(counts.tolist(), starts.tolist())):
+        assert k == sizes[tuple((hi[i] - lo[i]).tolist())][0]
+        alone = _sample_cells(lo[i:i + 1], hi[i:i + 1], cfg, dom, {}, rng)[1]
+        assert alone.tolist() == lins[start:start + k].tolist()
 
 
 # -- Replayed draws ---------------------------------------------------------

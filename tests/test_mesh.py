@@ -1,13 +1,18 @@
-"""Subdivision trees: evaluation, traversal, serialization."""
+"""Subdivision trees: evaluation, traversal, serialization, and the levels a build keeps."""
 
 import json
 
 import numpy as np
 import pytest
 
-from helpers import dense_eval, random_subdivision
+from helpers import dense_eval, random_subdivision, walk_leaves
+from meshprof import mesh
+from meshprof.analysis import error_vs_oracle, weighted_average
+from meshprof.builder import BuildConfig, SupNormSampling, build
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import MeshFormatError, OutOfDomainError
+from meshprof.export import leaf_csv
+from meshprof.fixtures import resolve_fixture
 from meshprof.mesh import (
     Branch,
     Leaf,
@@ -156,3 +161,63 @@ class TestSerialization:
             deserialize("{not json")
         with pytest.raises(MeshFormatError):
             deserialize(json.dumps({"domain": {"extents": [2]}}))
+
+
+class TestLevels:
+    """A build keeps its levels; the tree is assembled only when ``root`` is read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """A 32x32 ramp build, and a list that records each call of the assembler."""
+        calls = []
+        assemble = mesh._assemble
+        monkeypatch.setattr(mesh, "_assemble", lambda levels: calls.append(1) or assemble(levels))
+        dom = GridDomain((32, 32))
+        profile = resolve_fixture("ramp", dom)
+        sub, _ = build(profile, dom, BuildConfig(threshold=(2.0,), policy=SupNormSampling(1.0)))
+        return sub, profile, calls
+
+    def test_readers_of_a_build_assemble_no_tree(self, built):
+        sub, profile, calls = built
+        table = leaf_arrays(sub)
+        to_dense(sub)
+        weighted_average(sub)
+        error_vs_oracle(sub, profile)
+        leaf_csv(sub)
+        assert calls == [] and "root" not in vars(sub)
+        assert len(table.depth) > 1
+
+    def test_root_is_assembled_once_and_kept(self, built):
+        sub, _, calls = built
+        assert sub.root is sub.root
+        assert calls == [1]
+
+    def test_build_equals_its_round_trip(self, built):
+        sub, _, _ = built
+        again = deserialize(serialize(sub))
+        assert "levels" not in vars(again)
+        assert again == sub
+        assert serialize(again) == serialize(sub)
+
+    def test_levels_of_a_tree_are_one_per_depth_in_split_order(self):
+        sub = one_split_tree()
+        top, below = sub.levels
+        assert top.leaf.tolist() == [False] and top.children.tolist() == [4]
+        assert below.leaf.tolist() == [True] * 4 and below.children.tolist() == []
+        assert below.lo.tolist() == [[0, 0], [0, 2], [2, 0], [2, 2]]
+        assert below.value.tolist() == [[1.0], [5.0], [2.0], [4.0]]
+
+    def test_assembled_tree_equals_the_tree_its_levels_came_from(self):
+        rng = np.random.default_rng(41)
+        for extents in ((16, 16), (9, 5, 3), (40,)):
+            sub = random_subdivision(rng, GridDomain(extents), arity=2)
+            assert mesh._assemble(sub.levels) == sub.root
+
+    def test_leaf_arrays_of_a_childless_branch(self):
+        dom = GridDomain((4,))
+        box = dom.root_cuboid()
+        lo, hi = box.split()
+        sub = Subdivision(dom, 1, Branch(box, (Branch(lo, ()), Leaf(hi, (3.0,), 1, (3.0,), (3.0,)))))
+        table = leaf_arrays(sub)
+        assert table.lo.tolist() == [[2]] and table.depth.tolist() == [1]
+        assert [leaf.box for leaf, _ in walk_leaves(sub)] == [hi]

@@ -5,7 +5,9 @@ policy, a seed, a spread mode and a threshold, then checks that the leaves
 tile the domain, that every leaf value lies within the range of its own
 samples, that every leaf the builder chose to stop at passes its spread
 mode's test on its stored fields, and that serialization round-trips bit for
-bit and writes the same text as the v1 oracle encoder.  The runs are
+bit and writes the same text as the v1 oracle encoder.  ``leaf_arrays`` must
+read, from a build's levels and from the levels derived from a tree alike,
+exactly what a recursive walk of the tree reads.  The runs are
 derandomized so that the suite is repeatable; the explicit examples are the
 cases where a leaf mean used to land an ulp outside its samples' range.
 """
@@ -16,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import oracle_doc, walk_leaves
+from helpers import oracle_doc, random_subdivision, walk_leaves
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from meshprof.analysis import combine, selection_map
 from meshprof.builder import (
     BuildConfig,
     DiameterSampling,
@@ -164,6 +167,31 @@ LOADABLE = sorted(p for p in (Path(__file__).resolve().parent / "data" / "mesh_v
 def test_leaf_arrays_are_the_tree_walk_on_the_golden_corpus(path):
     sub = deserialize(path.read_text())
     assert table_rows(sub) == walked_rows(sub)
+
+
+@st.composite
+def trees(draw):
+    """Two random trees on one domain, from ``helpers.random_subdivision``, and their arity."""
+    ndim = draw(st.integers(1, 3))
+    extents = tuple(draw(st.lists(st.integers(1, 40 if ndim == 1 else 12),
+                                  min_size=ndim, max_size=ndim)))
+    arity = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    split = draw(st.floats(0.0, 1.0))
+    domain = GridDomain(extents)
+    return [random_subdivision(rng, domain, arity, split, draw(st.integers(0, 7)))
+            for _ in range(2)], arity
+
+
+@PROPERTY_SETTINGS
+@given(trees(), st.sampled_from(["subtract", "ratio", "max"]))
+def test_leaf_arrays_of_tree_levels_are_the_tree_walk_bit_for_bit(pair, op):
+    (a, b), arity = pair
+    derived = [a, combine(a, b, op)]
+    if arity in (1, 4):
+        derived.append(selection_map([a, b], view=(30.0, 90.0) if arity == 4 else None))
+    for sub in derived:
+        assert table_rows(sub) == walked_rows(sub)
 
 
 @PROPERTY_SETTINGS
