@@ -217,7 +217,8 @@ class TestLevels:
         dom = GridDomain((4,))
         box = dom.root_cuboid()
         lo, hi = box.split()
-        sub = Subdivision(dom, 1, Branch(box, (Branch(lo, ()), Leaf(hi, (3.0,), 1, (3.0,), (3.0,)))))
+        leaf = Leaf(hi, (3.0,), 1, (3.0,), (3.0,))
+        sub = Subdivision(dom, 1, Branch(box, (Branch(lo, ()), leaf)))
         table = leaf_arrays(sub)
         assert table.lo.tolist() == [[2]] and table.depth.tolist() == [1]
         assert [leaf.box for leaf, _ in walk_leaves(sub)] == [hi]
