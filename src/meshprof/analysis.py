@@ -3,26 +3,26 @@
 Everything here consumes finished subdivisions and produces either derived
 subdivisions (pointwise combination, cost composition, per-cell selection
 labels) or plain numbers (weighted averages, best parameters, error
-statistics).  Derived trees live on the common refinement of their inputs,
-computed by descending all input trees simultaneously — the canonical split
-rule guarantees that boxes at equal depth coincide, so refinement is a walk,
-not a geometric intersection problem.
+statistics).  Derived subdivisions live on the common refinement of their
+inputs, computed on their levels one depth at a time — the canonical split
+rule guarantees that boxes at equal depth coincide, so refinement is a few
+array operations per depth, not a geometric intersection problem.
 
 All operations are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .builder import ProfileFunction, _batch_rows
 from .domain import GridDomain, GridPoint
-from .mesh import Branch, Leaf, Node, Subdivision, evaluate, leaf_arrays, to_dense
+from .mesh import Subdivision, _derived, _split_bounds, evaluate, leaf_arrays, to_dense
 
 _SIDE_COUNT = 4           # value components of a directional subdivision
 _SECTOR_DEG = 90.0        # angular width of one side's sector
@@ -129,30 +129,50 @@ def weighted_average(sub: Subdivision, dist: Distribution = Uniform()) -> tuple[
 # -- Pointwise combination on the common refinement ------------------------
 
 
+# Each as Python's operator on two floats: min and max keep x on a tie or a NaN.
 _BINARY_OPS = {
-    "subtract": operator.sub, "add": operator.add, "min": min, "max": max,
+    "subtract": np.subtract, "add": np.add,
+    "min": lambda x, y: np.where(y < x, y, x), "max": lambda x, y: np.where(y > x, y, x),
     # A zero denominator gives 0, and combine flags the leaf degenerate.
-    "ratio": lambda x, y: x / y if y else 0.0,
+    "ratio": lambda x, y: np.where(y == 0, 0.0, x / np.where(y == 0, 1.0, y)),
 }
 
 
-def _derived_leaf(box, value: tuple[float, ...], degenerate: bool = False) -> Leaf:
-    return Leaf(box, value, 0, value, value, degenerate=degenerate)
+def _refine(subs: Sequence[Subdivision]) -> tuple[list[tuple], list[np.ndarray]]:
+    """The common refinement of ``subs``: each depth's box bounds, leaf mask and child
+    counts, and per operand its value rows at the refinement's leaves in level order.
 
-
-def _merge(nodes: Sequence[Node], box,
-           make_leaf: Callable[[object, Sequence[tuple[float, ...]]], Leaf]) -> Node:
-    """The common refinement of ``nodes`` over ``box``.
-
-    A leaf stands for itself in each child of another operand's branch; the
-    child boxes come from that branch.
+    A box branches where any operand branches there, into the split that the
+    operands share; an operand's leaf carries its value row down into it.
     """
-    branch = next((n for n in nodes if isinstance(n, Branch)), None)
-    if branch is None:
-        return make_leaf(box, [n.value for n in nodes])
-    return Branch(box, tuple(
-        _merge([n.children[i] if isinstance(n, Branch) else n for n in nodes], child.box,
-               make_leaf) for i, child in enumerate(branch.children)))
+    root = subs[0].domain.root_cuboid()
+    lo, hi = np.array([root.lo], dtype=np.int64), np.array([root.hi], dtype=np.int64)
+    # Per operand, at each box of this depth: its node there, or -1 below one of its
+    # leaves, and the value row of the leaf that covers the box.
+    nodes = [np.zeros(1, dtype=np.int64) for _ in subs]
+    carried = [np.zeros((1, s.value_arity)) for s in subs]
+    shape, rows = [], []
+    for depth in range(max(len(s.levels) for s in subs)):
+        starts = []  # per operand, where it branches: its first child's position below
+        for s, node, carry in zip(subs, nodes, carried):
+            start, here = np.full(len(node), -1), np.flatnonzero(node >= 0)
+            if len(here):
+                level = s.levels[depth]
+                leaf = level.leaf[node[here]]
+                carry[here[leaf]] = level.value[np.cumsum(level.leaf)[node[here[leaf]]] - 1]
+                first = np.cumsum(level.children) - level.children
+                start[here[~leaf]] = first[np.cumsum(~level.leaf)[node[here[~leaf]]] - 1]
+            starts.append(start)
+        leaf = np.all(np.array(starts) < 0, axis=0)
+        rows.append([carry[leaf] for carry in carried])
+        below_lo, below_hi, children = _split_bounds(lo[~leaf], hi[~leaf])
+        shape.append((lo, hi, leaf, children))
+        owner = np.repeat(np.flatnonzero(~leaf), children)
+        rank = np.arange(len(owner)) - np.repeat(np.cumsum(children) - children, children)
+        nodes = [np.where(start[owner] >= 0, start[owner] + rank, -1) for start in starts]
+        carried = [carry[owner] for carry in carried]
+        lo, hi = below_lo, below_hi
+    return shape, [np.concatenate(column) for column in zip(*rows)]
 
 
 def _require_same_domain(subs: Sequence[Subdivision]) -> GridDomain:
@@ -176,14 +196,12 @@ def combine(a: Subdivision, b: Subdivision, op: str) -> Subdivision:
         raise ValueError(f"value arity mismatch: {a.value_arity} vs {b.value_arity}")
     if op not in _BINARY_OPS:
         raise ValueError(f"unknown op {op!r}; expected one of {tuple(_BINARY_OPS)}")
-    fn = _BINARY_OPS[op]
-
-    def make_leaf(box, values):
-        va, vb = values
-        return _derived_leaf(box, tuple(map(fn, va, vb)), degenerate=op == "ratio" and 0.0 in vb)
-
-    root = _merge([a.root, b.root], a.root.box, make_leaf)
-    return Subdivision(domain, a.value_arity, root, {"derived": f"combine:{op}"})
+    shape, (va, vb) = _refine([a, b])
+    # Overflow and NaN pass quietly, as in Python's float arithmetic.
+    with np.errstate(all="ignore"):
+        value = _BINARY_OPS[op](va, vb)
+    return _derived(domain, shape, value, {"derived": f"combine:{op}"},
+                    (op == "ratio") & (vb == 0).any(axis=1))
 
 
 # -- Cost models ----------------------------------------------------------
@@ -247,35 +265,36 @@ def cost_estimate(counts: Sequence[Subdivision], model: CostModel) -> Subdivisio
         if s.value_arity != 1:
             raise ValueError("count subdivisions must be scalar")
 
-    def make_leaf(box, values):
-        return _derived_leaf(box, (model.apply([v[0] for v in values]),))
-
-    root = _merge([s.root for s in counts], counts[0].root.box, make_leaf)
-    return Subdivision(domain, 1, root,
-                       {"derived": "cost_estimate", "model": model.describe()})
+    shape, rows = _refine(counts)
+    with np.errstate(all="ignore"):
+        terms = [u.per_unit * r[:, 0] for u, r in zip(model.unit_costs, rows)]
+        # As ``apply``: summed from +0.0 left to right, or the first largest term.
+        value = (sum(terms) if model.combinator == "sequential"
+                 else functools.reduce(_BINARY_OPS["max"], terms))
+    return _derived(domain, shape, value[:, None],
+                    {"derived": "cost_estimate", "model": model.describe()})
 
 
 # -- Selection ------------------------------------------------------------
 
 
-def _selection_key(view) -> Callable[[tuple[float, ...]], float]:
-    """The key candidates' values compete by: a scalar value itself, or a
-    4-component value weighted by the view, whose weights are computed once."""
+def _selection_keys(values: np.ndarray, view) -> np.ndarray:
+    """The keys that candidates' value rows compete by: a scalar value itself,
+    or a 4-component value weighted by the view, added from +0.0 component by
+    component as Python's ``sum`` adds floats."""
     if view is None:
-        def key(value: tuple[float, ...]) -> float:
-            if len(value) != 1:
-                raise ValueError(
-                    "selection over vector subdivisions needs a view (direction, fov)")
-            return value[0]
-        return key
+        if values.shape[1] != 1:
+            raise ValueError("selection over vector subdivisions needs a view (direction, fov)")
+        return values[:, 0]
     direction, fov = view
     w = view_weights(direction, fov)
-
-    def key(value: tuple[float, ...]) -> float:
-        if len(value) != len(w):
-            raise ValueError(f"view selection needs {len(w)} components, got {len(value)}")
-        return sum(wi * vi for wi, vi in zip(w, value))
-    return key
+    if values.shape[1] != len(w):
+        raise ValueError(f"view selection needs {len(w)} components, got {values.shape[1]}")
+    keys = np.zeros(len(values))
+    with np.errstate(all="ignore"):
+        for wi, column in zip(w, values.T):
+            keys = keys + wi * column
+    return keys
 
 
 def select(candidates: Sequence[Subdivision], p: GridPoint,
@@ -290,7 +309,7 @@ def select(candidates: Sequence[Subdivision], p: GridPoint,
         raise ValueError("need at least one candidate")
     _require_same_domain(candidates)
     values = [evaluate(c, p) for c in candidates]
-    keys = list(map(_selection_key(view), values))
+    keys = [_selection_keys(np.array([value]), view)[0] for value in values]
     best = min(range(len(keys)), key=keys.__getitem__)
     return best, values[best]
 
@@ -309,16 +328,15 @@ def selection_map(candidates: Sequence[Subdivision],
     for c in candidates:
         if c.value_arity != arity:
             raise ValueError("candidates must share one value arity")
-
-    key = _selection_key(view)
-
-    def make_leaf(box, values):
-        keys = list(map(key, values))
-        return _derived_leaf(box, (float(min(range(len(keys)), key=keys.__getitem__)),))
-
-    root = _merge([c.root for c in candidates], candidates[0].root.box, make_leaf)
-    return Subdivision(domain, 1, root,
-                       {"derived": "selection_map", "candidates": len(candidates)})
+    shape, rows = _refine(candidates)
+    keys = [_selection_keys(r, view) for r in rows]
+    best, low = np.zeros(len(keys[0])), keys[0]
+    for index, key in enumerate(keys[1:], 1):
+        better = key < low
+        best[better] = index
+        low = np.where(better, key, low)
+    return _derived(domain, shape, best[:, None],
+                    {"derived": "selection_map", "candidates": len(candidates)})
 
 
 # -- Parameter optimization -----------------------------------------------
@@ -398,7 +416,7 @@ def view_weights(direction_deg: float, fov_deg: float) -> tuple[float, ...]:
 def evaluate_view(sub: Subdivision, p: GridPoint, direction_deg: float,
                   fov_deg: float) -> float:
     """Blend a 4-component directional subdivision over a view cone at ``p``, as select does."""
-    return float(_selection_key((direction_deg, fov_deg))(evaluate(sub, p)))
+    return float(_selection_keys(np.array([evaluate(sub, p)]), (direction_deg, fov_deg))[0])
 
 
 # -- Error against the ground truth ---------------------------------------

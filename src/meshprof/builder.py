@@ -34,7 +34,7 @@ import numpy as np
 
 from .domain import GridCuboid, GridDomain, GridPoint, sample_cell_indices
 from .errors import NonDeterministicProfileError, ProfileQueryError
-from .mesh import Level, Subdivision
+from .mesh import Level, Subdivision, _split_bounds
 
 @dataclass(frozen=True)
 class ProfileFunction:
@@ -501,28 +501,6 @@ def _draw_each(state: np.ndarray, inc: np.ndarray, box: GridCuboid, k: int,
 
 
 # -- Levels as arrays -------------------------------------------------------
-
-
-def _split_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``GridCuboid.split`` of every box at once.
-
-    Returns the children's bounds, concatenated box by box in split order,
-    and each box's number of children.  Every axis of extent >= 2 is cut at
-    ``lo + extent // 2``; the children of one box count in binary over its
-    cut axes, the first axis most significant.
-    """
-    cut = lo + (hi - lo) // 2
-    can = hi - lo >= 2
-    children = np.left_shift(1, can.sum(axis=1))
-    owner = np.repeat(np.arange(len(lo)), children)
-    rank = np.arange(len(owner)) - np.repeat(np.cumsum(children) - children, children)
-    lo, hi, cut, can = lo[owner], hi[owner], cut[owner], can[owner]
-    for a in range(lo.shape[1] - 1, -1, -1):
-        upper = rank & 1 == 1
-        lo[:, a] = np.where(can[:, a] & upper, cut[:, a], lo[:, a])
-        hi[:, a] = np.where(can[:, a] & ~upper, cut[:, a], hi[:, a])
-        rank = np.where(can[:, a], rank >> 1, rank)
-    return lo, hi, children
 
 
 def _sample_cells(lo: np.ndarray, hi: np.ndarray, config: BuildConfig, domain: GridDomain,

@@ -170,14 +170,6 @@ class GridCuboid:
         return [_trusted_cuboid(tuple(r[0] for r in ranges), tuple(r[1] for r in ranges))
                 for ranges in itertools.product(*halves)]
 
-    def child_index(self, index: tuple[int, ...]) -> int:
-        """Position within ``split()`` of the child holding cell ``index``."""
-        pos = 0
-        for i, l, h in zip(index, self.lo, self.hi):
-            if h - l >= 2:
-                pos = pos * 2 + (1 if i >= l + (h - l) // 2 else 0)
-        return pos
-
 
 def _trusted_cuboid(lo: tuple[int, ...], hi: tuple[int, ...]) -> GridCuboid:
     """A GridCuboid from int tuples already known to be valid, unchecked."""

@@ -1,12 +1,13 @@
-"""The hierarchical subdivision tree: constant-valued leaves over grid cuboids.
+"""The hierarchical subdivision: constant-valued leaves over grid cuboids.
 
 A subdivision stores one piecewise-constant approximation of a profiled
 quantity.  Leaves tile the domain; every internal node's children are exactly
 the canonical split of its box, so lookup is a walk from the root choosing the
-one child that contains the query cell.  It is also held as levels, columns
-per depth: a build makes only those, and its tree is built on first read of
-``root`` and kept, as a tree's levels are.  Nothing else changes; the first
-reads from several threads may each build the missing form, into equal copies.
+one child that contains the query cell.  It is held as levels, columns per
+depth, which builds, the reader and the algebra make; its tree is assembled
+on first read of ``root`` and kept, and a subdivision made from a tree derives
+its levels on first read.  Nothing else changes; the first reads from several
+threads may each build the missing form, into equal copies.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class Subdivision:
     ``value_arity`` is the number of components each leaf value carries
     (1 for scalar profiles, 4 for per-side directional profiles in 2D).
     ``metadata`` echoes the build configuration and sample statistics.
-    The builder passes ``levels`` in place of ``root``, which is assembled on first read.
+    Builds, the reader and the algebra pass ``levels`` in place of ``root``, which is
+    assembled on first read.
     """
 
     def __init__(self, domain: GridDomain, value_arity: int, root: Node | None = None,
@@ -122,11 +124,13 @@ def _assemble(levels: tuple[Level, ...]) -> Node:
         for (lo, hi, leaf, children, value, lo_seen, hi_seen, samples, saturated,
              degenerate) in reversed(levels):
             boxes = list(map(_trusted_cuboid, map(tuple, lo.tolist()), map(tuple, hi.tolist())))
+            bits = value.view(np.int64)
             value = list(map(tuple, value.tolist()))
-            # A one-sample leaf's extremes are its value: share that tuple.
-            one = (samples == 1).tolist()
+            # Extremes bit for bit equal to the value, as in one-sample and derived leaves,
+            # share its tuple.
             lo_seen, hi_seen = (
-                [v if o else tuple(row) for v, o, row in zip(value, one, seen.tolist())]
+                [v if same else tuple(row) for v, same, row in
+                 zip(value, (seen.view(np.int64) == bits).all(axis=1).tolist(), seen.tolist())]
                 for seen in (lo_seen, hi_seen))
             leaves = map(Leaf, compress(boxes, leaf.tolist()), value, samples.tolist(),
                          lo_seen, hi_seen, saturated.tolist(), degenerate.tolist())
@@ -148,27 +152,61 @@ def _assemble(levels: tuple[Level, ...]) -> Node:
 
 def constant(domain: GridDomain, value: tuple[float, ...]) -> Subdivision:
     """A single-leaf subdivision holding ``value`` everywhere."""
-    value = tuple(float(v) for v in value)
-    leaf = Leaf(domain.root_cuboid(), value, 0, value, value)
-    return Subdivision(domain, len(value), leaf)
+    root = (np.zeros((1, domain.ndim), dtype=np.int64), np.array([domain.extents], dtype=np.int64),
+            np.ones(1, dtype=bool), np.zeros(0, dtype=np.int64))
+    return _derived(domain, [root], np.array([value], dtype=np.float64))
 
 
-def descend(sub: Subdivision, p: GridPoint) -> tuple[Leaf, int]:
-    """Leaf containing ``p`` plus the number of descent steps taken."""
-    if not sub.domain.contains_index(p.index):
-        raise OutOfDomainError(f"point {p.index} outside domain {sub.domain.extents}")
-    node = sub.root
-    steps = 0
-    while isinstance(node, Branch):
-        node = node.children[node.box.child_index(p.index)]
-        steps += 1
-    return node, steps
+def _derived(domain: GridDomain, shape: list[tuple], value: np.ndarray,
+             metadata: dict | None = None, degenerate: np.ndarray | None = None) -> Subdivision:
+    """The subdivision of ``shape``, each depth's box bounds, leaf mask and child counts,
+    whose leaves hold the rows of ``value`` in level order: with no samples, extremes
+    equal to the value, and flagged where ``degenerate`` is true."""
+    none = np.zeros(len(value), dtype=np.int64)
+    degenerate = none.astype(bool) if degenerate is None else degenerate
+    cuts = np.cumsum([np.count_nonzero(leaf) for _, _, leaf, _ in shape])[:-1]
+    parts = [np.split(column, cuts) for column in (value, none, none.astype(bool), degenerate)]
+    levels = [Level(*depth, v, v, v, n, s, d) for depth, v, n, s, d in zip(shape, *parts)]
+    return Subdivision(domain, value.shape[1], metadata=metadata, levels=levels)
 
 
 def evaluate(sub: Subdivision, p: GridPoint) -> tuple[float, ...]:
-    """Constant value of the leaf whose box contains ``p``."""
-    leaf, _ = descend(sub, p)
-    return leaf.value
+    """Constant value of the leaf whose box contains ``p``, found depth by depth: the
+    child of a branch that holds ``p`` is its rank in ``GridCuboid.split`` order."""
+    if not sub.domain.contains_index(p.index):
+        raise OutOfDomainError(f"point {p.index} outside domain {sub.domain.extents}")
+    node = 0
+    for level in sub.levels:
+        leaves = int(np.count_nonzero(level.leaf[:node]))
+        if level.leaf[node]:
+            return tuple(level.value[leaves].tolist())
+        child = 0
+        for i, l, h in zip(p.index, level.lo[node].tolist(), level.hi[node].tolist()):
+            if h - l >= 2:
+                child = 2 * child + (i >= l + (h - l) // 2)
+        node = int(level.children[:node - leaves].sum()) + child
+
+
+def _split_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``GridCuboid.split`` of every box at once.
+
+    Returns the children's bounds, concatenated box by box in split order,
+    and each box's number of children.  Every axis of extent >= 2 is cut at
+    ``lo + extent // 2``; the children of one box count in binary over its
+    cut axes, the first axis most significant.
+    """
+    cut = lo + (hi - lo) // 2
+    can = hi - lo >= 2
+    children = np.left_shift(1, can.sum(axis=1))
+    owner = np.repeat(np.arange(len(lo)), children)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(children) - children, children)
+    lo, hi, cut, can = lo[owner], hi[owner], cut[owner], can[owner]
+    for a in range(lo.shape[1] - 1, -1, -1):
+        upper = rank & 1 == 1
+        lo[:, a] = np.where(can[:, a] & upper, cut[:, a], lo[:, a])
+        hi[:, a] = np.where(can[:, a] & ~upper, cut[:, a], hi[:, a])
+        rank = np.where(can[:, a], rank >> 1, rank)
+    return lo, hi, children
 
 
 @dataclass(frozen=True)
@@ -359,18 +397,20 @@ def _expect(doc, key: str, types, path: str):
 
 
 # json.loads makes exact int, float and bool objects, so the checks below
-# test exact types: JSON true and false are not integers here.
+# test exact types: JSON true and false are not integers here.  Integers
+# must fit the int64 columns of the levels.
 _INT_ONLY = {int}
 
 
 def _count(doc, key: str, minimum: int, path: str) -> int:
     value = _expect(doc, key, int, path)
-    if type(value) is not int or value < minimum:
-        raise MeshFormatError(f"{path}.{key}", f"expected an integer >= {minimum}, got {value!r}")
+    if type(value) is not int or not minimum <= value < 2**63:
+        raise MeshFormatError(f"{path}.{key}",
+                              f"expected an integer from {minimum} to 2**63 - 1, got {value!r}")
     return value
 
 
-def _floats(doc, key: str, arity: int | None, path: str) -> tuple[float, ...]:
+def _floats(doc, key: str, arity: int | None, path: str) -> list[float]:
     raw = _expect(doc, key, list, path)
     if arity is not None and len(raw) != arity:
         raise MeshFormatError(f"{path}.{key}", f"expected {arity} components, got {len(raw)}")
@@ -384,7 +424,7 @@ def _floats(doc, key: str, arity: int | None, path: str) -> tuple[float, ...]:
         if type(v) is not float or not math.isfinite(v):
             raise MeshFormatError(f"{path}.{key}[{i}]", "not a finite number")
         out.append(v)
-    return tuple(out)
+    return out
 
 
 def _flag(doc, key: str, path: str) -> bool:
@@ -398,8 +438,8 @@ def _domain_from_doc(doc) -> GridDomain:
     dom_doc = _expect(doc, "domain", dict, "$")
     extents = _expect(dom_doc, "extents", list, "$.domain")
     for i, e in enumerate(extents):
-        if type(e) is not int:
-            raise MeshFormatError(f"$.domain.extents[{i}]", "not an integer")
+        if type(e) is not int or not -2**63 <= e < 2**63:
+            raise MeshFormatError(f"$.domain.extents[{i}]", "not a 64-bit integer")
     origin = _floats(dom_doc, "origin", None, "$.domain")
     cell_size = _floats(dom_doc, "cell_size", None, "$.domain")
     try:
@@ -408,66 +448,100 @@ def _domain_from_doc(doc) -> GridDomain:
         raise MeshFormatError("$.domain", str(e)) from e
 
 
-def _node_from_doc(doc, box: GridCuboid, arity: int, path: str) -> Node:
-    """The node that ``doc`` describes over ``box``; each entry of ``doc["children"]`` is
-    set to None once its subtree is built, so a load never holds all of ``doc`` and the tree."""
-    got = _expect(doc, "box", dict, path)
-    lo = _expect(got, "lo", list, f"{path}.box")
-    hi = _expect(got, "hi", list, f"{path}.box")
-    if tuple(lo) != box.lo or tuple(hi) != box.hi or _INT_ONLY != set(map(type, lo + hi)):
-        raise MeshFormatError(f"{path}.box", f"expected lo={box.lo} hi={box.hi}, got lo={lo} hi={hi}")
-    if "children" in doc:
-        raw = _expect(doc, "children", list, path)
-        if box.cell_count == 1:
-            raise MeshFormatError(f"{path}.children", "a single-cell box cannot have children")
-        expected = box.split()
-        if len(raw) != len(expected):
-            raise MeshFormatError(
-                f"{path}.children",
-                f"expected {len(expected)} children for this box, got {len(raw)}",
-            )
-        children = []
-        for i, b in enumerate(expected):
-            children.append(_node_from_doc(raw[i], b, arity, f"{path}.children[{i}]"))
-            raw[i] = None
-        return Branch(box, tuple(children))
-    value = _floats(doc, "value", arity, path)
-    samples = _count(doc, "samples", 0, path)
-    lo_seen = _floats(doc, "lo_seen", arity, path)
-    hi_seen = _floats(doc, "hi_seen", arity, path)
-    return Leaf(box, value, samples, lo_seen, hi_seen,
-                _flag(doc, "saturated", path), _flag(doc, "degenerate", path))
+def _node_path(levels: list[Level], i: int) -> str:
+    """The JSON path of node ``i`` of the depth below ``levels``."""
+    steps = []
+    for level in reversed(levels):
+        ends = np.cumsum(level.children)
+        branch = int(np.searchsorted(ends, i, side="right"))
+        steps.append(f".children[{i - ends[branch] + level.children[branch]}]")
+        i = int(np.flatnonzero(~level.leaf)[branch])
+    return "$.root" + "".join(reversed(steps))
+
+
+def _check_boxes(bounds: list, lo: np.ndarray, hi: np.ndarray, levels: list[Level]) -> None:
+    """Raise naming the first node, in order, whose box lists in ``bounds`` (lo, hi, lo,
+    hi, ... of one depth's nodes) are not its rows of ``lo``/``hi`` in exact integers."""
+    want = np.stack([lo, hi], axis=1)[:len(bounds) // 2].reshape(-1, lo.shape[1]).tolist()
+    if bounds == want and _INT_ONLY >= set(map(type, chain.from_iterable(bounds))):
+        return
+    for i in range(0, len(bounds), 2):
+        got = bounds[i:i + 2]
+        if got != want[i:i + 2] or _INT_ONLY != set(map(type, got[0] + got[1])):
+            raise MeshFormatError(_node_path(levels, i // 2) + ".box", f"expected lo="
+                                  f"{tuple(want[i])} hi={tuple(want[i + 1])}, got lo={got[0]} "
+                                  f"hi={got[1]}")
+
+
+def _levels_from_doc(doc: dict, domain: GridDomain, arity: int) -> list[Level]:
+    """The levels of the tree that ``doc["root"]`` holds, read one depth at a time: a
+    depth's boxes must split the branches above, and its nodes are checked in order,
+    each box first.  Each node's document is freed once it is read."""
+    docs, levels = [_expect(doc, "root", dict, "$")], []
+    del doc["root"]
+    lo, hi = np.zeros((1, domain.ndim), dtype=np.int64), np.array([domain.extents], dtype=np.int64)
+    while docs:
+        count = np.left_shift(1, (hi - lo >= 2).sum(axis=1)).tolist()
+        leaf, bounds, children, below = np.ones(len(docs), dtype=bool), [], [], []
+        value, samples, lo_seen, hi_seen, saturated, degenerate = ([] for _ in range(6))
+        try:
+            for i, node in enumerate(docs):
+                box = _expect(node, "box", dict, "")
+                bounds += (_expect(box, "lo", list, ".box"), _expect(box, "hi", list, ".box"))
+                if "children" in node:
+                    kids = _expect(node, "children", list, "")
+                    if count[i] == 1:
+                        raise MeshFormatError(".children", "a single-cell box cannot have children")
+                    if len(kids) != count[i]:
+                        raise MeshFormatError(".children", f"expected {count[i]} children "
+                                                           f"for this box, got {len(kids)}")
+                    leaf[i] = False
+                    children.append(len(kids))
+                    below += kids
+                else:
+                    value += _floats(node, "value", arity, "")
+                    samples.append(_count(node, "samples", 0, ""))
+                    lo_seen += _floats(node, "lo_seen", arity, "")
+                    hi_seen += _floats(node, "hi_seen", arity, "")
+                    saturated.append(_flag(node, "saturated", ""))
+                    degenerate.append(_flag(node, "degenerate", ""))
+                docs[i] = None
+        except MeshFormatError as e:
+            _check_boxes(bounds, lo, hi, levels)
+            raise MeshFormatError(_node_path(levels, i) + e.path, e.reason) from None
+        _check_boxes(bounds, lo, hi, levels)
+        levels.append(Level(
+            lo, hi, leaf, np.array(children, dtype=np.int64),
+            *(np.array(c, dtype=np.float64).reshape(-1, arity) for c in (value, lo_seen, hi_seen)),
+            np.array(samples, dtype=np.int64), np.array(saturated, dtype=bool),
+            np.array(degenerate, dtype=bool)))
+        lo, hi, _ = _split_bounds(lo[~leaf], hi[~leaf])
+        docs = below
+    return levels
 
 
 def deserialize(text: str) -> Subdivision:
-    """The subdivision in v1 JSON ``text``.
+    """The subdivision in v1 JSON ``text``, read into levels.
 
-    Raises MeshFormatError, naming the JSON path of the first problem, on
-    any document that is not a well-formed v1 mesh.
+    Raises MeshFormatError, naming the JSON path of the first problem in level
+    order, on any document that is not a well-formed v1 mesh.
     """
-    # A mesh document and its tree hold no reference cycles, so the cyclic
-    # collector would only rescan the growing heap while they are built.
+    # A mesh document holds no reference cycles, so the cyclic collector
+    # would only rescan the growing heap while it is parsed.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _from_text(text)
-    except RecursionError:
-        raise MeshFormatError("$", "nested too deeply") from None
+        doc = json.loads(text)
+    except (RecursionError, ValueError) as e:
+        # JSONDecodeError, an integer literal too long to convert, or nesting too deep.
+        raise MeshFormatError("$", f"invalid JSON: {e}") from None
     finally:
         if enabled:
             gc.enable()
-
-
-def _from_text(text: str) -> Subdivision:
-    try:
-        doc = json.loads(text)
-    except ValueError as e:
-        # JSONDecodeError, or an integer literal too long to convert.
-        raise MeshFormatError("$", f"invalid JSON: {e}") from e
     domain = _domain_from_doc(doc)
     arity = _count(doc, "value_arity", 1, "$")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise MeshFormatError("$.metadata", "expected object")
-    root = _node_from_doc(_expect(doc, "root", dict, "$"), domain.root_cuboid(), arity, "$.root")
-    return Subdivision(domain, arity, root, metadata)
+    return Subdivision(domain, arity, metadata=metadata,
+                       levels=_levels_from_doc(doc, domain, arity))

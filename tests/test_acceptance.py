@@ -56,7 +56,7 @@ from meshprof.fixtures.scene import (
     directional_profile,
     symmetric_scene,
 )
-from meshprof.mesh import constant, descend, evaluate, to_dense
+from meshprof.mesh import constant, evaluate, leaf_arrays, to_dense
 
 from helpers import random_subdivision
 
@@ -247,11 +247,12 @@ def test_09_parameter_optimization(criterion):
     sub, _ = build(square_gap(32).profile(), dom,
                    BuildConfig(threshold=(60.0,), policy=FixedSampling(2048), seed=5))
     chosen = parameter_profile(sub, 1)
+    leaves = leaf_arrays(sub)
     within = True
     for i in range(32):
         j = int(chosen[i])
-        leaf, _ = descend(sub, dom.point((i, j)))
-        if abs(j - i) > leaf.box.hi[1] - leaf.box.lo[1]:
+        holds = np.all((leaves.lo <= (i, j)) & ((i, j) < leaves.hi), axis=1)
+        if abs(j - i) > (leaves.hi - leaves.lo)[holds, 1][0]:
             within = False
     # Culling-depth sweep: the sweep's winner must agree with a dense-grid
     # oracle average of the same quantity.

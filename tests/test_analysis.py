@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -406,6 +407,68 @@ class TestEvaluateView:
         dom = GridDomain((4, 4))
         with pytest.raises(ValueError):
             evaluate_view(constant(dom, (1.0,)), dom.point((0, 0)), 0.0, 90.0)
+
+
+# Signed zeros, extremes whose sums and ratios overflow, infinities and a NaN.
+SPECIAL = (0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)
+
+
+def cells(rows) -> Subdivision:
+    """A 1-D subdivision split down to single cells, cell ``i`` holding ``rows[i]``."""
+    dom = GridDomain((len(rows),))
+
+    def make(box):
+        if box.cell_count > 1:
+            return Branch(box, tuple(map(make, box.split())))
+        row = tuple(rows[box.lo[0]])
+        return Leaf(box, row, 0, row, row)
+
+    return Subdivision(dom, len(rows[0]), make(dom.root_cuboid()))
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestPythonFloatBits:
+    """The algebra's array ops give the bits of the pointwise Python float ops."""
+
+    PAIRS = list(itertools.product(SPECIAL, repeat=2))
+
+    @pytest.mark.parametrize("op, fn", [
+        ("subtract", operator.sub), ("add", operator.add), ("min", min), ("max", max),
+        ("ratio", lambda x, y: x / y if y else 0.0)])
+    def test_combine(self, op, fn):
+        a, b = (cells([(pair[k],) for pair in self.PAIRS]) for k in (0, 1))
+        got = leaf_arrays(combine(a, b, op))
+        assert hexes(got.value[:, 0]) == hexes(fn(x, y) for x, y in self.PAIRS)
+        assert got.degenerate.tolist() == [op == "ratio" and 0.0 in (y,) for _, y in self.PAIRS]
+
+    @pytest.mark.parametrize("combinator", ["sequential", "parallel"])
+    def test_cost_estimate(self, combinator):
+        model = CostModel((UnitCost("a", 1.0), UnitCost("b", 1.0), UnitCost("c", 0.5)),
+                          combinator)
+        triples = list(itertools.product(SPECIAL, repeat=3))
+        counts = [cells([(t[k],) for t in triples]) for k in range(3)]
+        got = leaf_arrays(cost_estimate(counts, model)).value[:, 0]
+        assert hexes(got) == hexes(model.apply(t) for t in triples)
+
+    @pytest.mark.parametrize("view", [(0.0, 90.0), (45.0, 90.0), (200.0, 120.0), (0.0, 360.0)])
+    def test_view_keys_and_labels(self, view):
+        rows = list(itertools.product((0.0, -0.0, 2.5, 1e308, -math.inf), repeat=4))
+        first, second = cells(rows), cells(rows[::-1])
+        w = view_weights(*view)
+
+        def key(row):
+            return sum(wi * vi for wi, vi in zip(w, row))
+
+        labels = leaf_arrays(selection_map([first, second], view)).value[:, 0]
+        for i, (row, other) in enumerate(zip(rows, rows[::-1])):
+            p = first.domain.point((i,))
+            assert evaluate_view(first, p, *view).hex() == float(key(row)).hex()
+            keys = [key(row), key(other)]
+            best = min(range(2), key=keys.__getitem__)
+            assert labels[i] == best and select([first, second], p, view)[0] == best
 
 
 class TestErrorVsOracle:

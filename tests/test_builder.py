@@ -23,14 +23,13 @@ from meshprof.builder import (
     _draw_each,
     _replay_choice,
     _sample_cells,
-    _split_bounds,
     _stream,
 )
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import NonDeterministicProfileError, ProfileQueryError
 from meshprof.fixtures import resolve_fixture
 from meshprof.fixtures.lipschitz import ramp
-from meshprof.mesh import deserialize, leaf_arrays, serialize, to_dense
+from meshprof.mesh import _split_bounds, deserialize, leaf_arrays, serialize, to_dense
 
 
 def world_profile(fn):

@@ -174,6 +174,23 @@ class TestEvalDiffAvg:
         assert err.out == ""
         assert f"bad weight table {bad}" in err.err
 
+    @pytest.mark.parametrize("path, value", [("$.root.samples", 2**64),
+                                             ("$.domain.extents[0]", 2**70),
+                                             ("$.root.box", 2**63)])
+    def test_integer_beyond_int64_exits_2_naming_its_path(self, tmp_path, capsys, path, value):
+        bad = build_fixture(tmp_path, "c.json", "const:5")
+        doc = json.loads(bad.read_text())
+        assert "children" not in doc["root"]
+        target = {"$.root.samples": (doc["root"], "samples"),
+                  "$.domain.extents[0]": (doc["domain"]["extents"], 0),
+                  "$.root.box": (doc["root"]["box"]["hi"], 0)}[path]
+        target[0][target[1]] = value
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("avg", str(bad)) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and err.err.startswith(f"meshprof: {path}: ")
+
     def test_mesh_that_is_not_utf8_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff{}")

@@ -123,13 +123,6 @@ class TestSplit:
             assert union == cells_of(box)
             assert len(children) == 2 ** sum(e >= 2 for e in box.extents())
 
-    def test_child_order_matches_child_index(self):
-        box = GridCuboid((0, 0, 0), (4, 4, 1))
-        children = box.split()
-        for i, child in enumerate(children):
-            for cell in cells_of(child):
-                assert box.child_index(cell) == i
-
     def test_grid_diameter(self):
         assert GridCuboid((0, 0), (256, 256)).grid_diameter == pytest.approx(256 * np.sqrt(2))
         assert GridCuboid((3,), (8,)).grid_diameter == 5.0

@@ -1,13 +1,16 @@
 """Subdivision trees: evaluation, traversal, serialization, and the levels a build keeps."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import dense_eval, random_subdivision, walk_leaves
 from meshprof import mesh
-from meshprof.analysis import error_vs_oracle, weighted_average
+from meshprof.analysis import (CostModel, UnitCost, combine, cost_estimate, error_vs_oracle,
+                               evaluate_view, select, selection_map, weighted_average)
 from meshprof.builder import BuildConfig, SupNormSampling, build
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import MeshFormatError, OutOfDomainError
@@ -16,9 +19,9 @@ from meshprof.fixtures import resolve_fixture
 from meshprof.mesh import (
     Branch,
     Leaf,
+    Level,
     Subdivision,
     constant,
-    descend,
     deserialize,
     evaluate,
     leaf_arrays,
@@ -79,18 +82,6 @@ def test_leaf_tiling_is_exact_on_random_trees():
         for lo, hi in zip(got.lo, got.hi):
             covered[tuple(map(slice, lo, hi))] += 1
         assert np.all(covered == 1)
-
-
-def test_descend_step_count_bounded_by_depth():
-    rng = np.random.default_rng(9)
-    dom = GridDomain((256, 256))
-    sub = random_subdivision(rng, dom, split_prob=0.7, max_depth=8)
-    d = leaf_arrays(sub).depth.max()
-    assert d <= 8
-    for _ in range(50):
-        index = tuple(int(i) for i in rng.integers(0, 256, size=2))
-        _, steps = descend(sub, dom.point(index))
-        assert steps <= d
 
 
 def test_depth_bound_halving_all_axes_together():
@@ -166,6 +157,8 @@ class TestSerialization:
 class TestLevels:
     """A build keeps its levels; the tree is assembled only when ``root`` is read."""
 
+    CONFIG = BuildConfig(threshold=(2.0,), policy=SupNormSampling(1.0))
+
     @pytest.fixture
     def built(self, monkeypatch):
         """A 32x32 ramp build, and a list that records each call of the assembler."""
@@ -174,18 +167,31 @@ class TestLevels:
         monkeypatch.setattr(mesh, "_assemble", lambda levels: calls.append(1) or assemble(levels))
         dom = GridDomain((32, 32))
         profile = resolve_fixture("ramp", dom)
-        sub, _ = build(profile, dom, BuildConfig(threshold=(2.0,), policy=SupNormSampling(1.0)))
+        sub, _ = build(profile, dom, self.CONFIG)
         return sub, profile, calls
 
     def test_readers_of_a_build_assemble_no_tree(self, built):
         sub, profile, calls = built
-        table = leaf_arrays(sub)
-        to_dense(sub)
-        weighted_average(sub)
-        error_vs_oracle(sub, profile)
-        leaf_csv(sub)
-        assert calls == [] and "root" not in vars(sub)
-        assert len(table.depth) > 1
+        loaded = deserialize(serialize(build(profile, sub.domain, self.CONFIG)[0]))
+        sides = deserialize((Path(__file__).parent / "data" / "mesh_v1" /
+                             "plane_arity4_2d.json").read_text(encoding="utf-8"))
+        calls.clear()
+        p = sub.domain.point((3, 17))
+        derived = [combine(sub, loaded, "ratio"), selection_map([loaded, sub]),
+                   cost_estimate([sub, loaded], CostModel((UnitCost("a", 2.0),
+                                                           UnitCost("b", 0.5))))]
+        for read in (sub, loaded, *derived):
+            table = leaf_arrays(read)
+            to_dense(read)
+            weighted_average(read)
+            error_vs_oracle(read, profile)
+            leaf_csv(read)
+            evaluate(read, p)
+            assert len(table.depth) > 1
+        select([sub, loaded], p)
+        evaluate_view(sides, sides.domain.point((4, 2)), 30.0, 120.0)
+        assert calls == []
+        assert not any("root" in vars(read) for read in (sub, loaded, sides, *derived))
 
     def test_root_is_assembled_once_and_kept(self, built):
         sub, _, calls = built
@@ -195,7 +201,7 @@ class TestLevels:
     def test_build_equals_its_round_trip(self, built):
         sub, _, _ = built
         again = deserialize(serialize(sub))
-        assert "levels" not in vars(again)
+        assert "root" not in vars(again)
         assert again == sub
         assert serialize(again) == serialize(sub)
 
@@ -222,3 +228,16 @@ class TestLevels:
         table = leaf_arrays(sub)
         assert table.lo.tolist() == [[2]] and table.depth.tolist() == [1]
         assert [leaf.box for leaf, _ in walk_leaves(sub)] == [hi]
+
+    def test_extremes_share_the_value_only_when_bit_for_bit_equal(self):
+        # A one-sample leaf of value -0.0 whose samples' maximum was written as 0.0,
+        # as in the golden file special_floats_1d.json.
+        one = np.ones(1, dtype=bool)
+        level = Level(np.array([[0]]), np.array([[8]]), one, np.zeros(0, dtype=np.int64),
+                      np.array([[-0.0]]), np.array([[-0.0]]), np.array([[0.0]]),
+                      np.ones(1, dtype=np.int64), ~one, ~one)
+        root = Subdivision(GridDomain((8,)), 1, levels=[level]).root
+        assert root.lo_seen is root.value
+        assert math.copysign(1.0, root.hi_seen[0]) == 1.0
+        text = serialize(Subdivision(GridDomain((8,)), 1, levels=[level]))
+        assert '"hi_seen": [\n      0.0\n    ]' in text

@@ -296,7 +296,7 @@ def replaced(doc, path, value):
 
 
 def mutations(doc):
-    """Every (mutation, path, new value) of the five kinds the reader must refuse."""
+    """Every (mutation, path, new value) of the six kinds the reader must refuse."""
     for path, value in sites(doc):
         if isinstance(value, list) and value:
             for keep in range(len(value)):
@@ -310,6 +310,9 @@ def mutations(doc):
         if len(path) >= 2 and path[-2] in ("lo", "hi"):
             for delta in (-2, -1, 1, 2):
                 yield "box off the tiling", path, value + delta
+        if kind(value) == "integer":
+            for beyond in (2**63, -2**63 - 1, 2**64):
+                yield "beyond int64", path, beyond
         # A float slot takes an integer; every other swap of kind is wrong.
         allowed = {kind(value)} | ({"integer"} if isinstance(value, float) else set())
         for name, other in KINDS.items():
@@ -327,11 +330,23 @@ def test_every_mutation_of_a_valid_document_is_a_format_error(data):
         deserialize(json.dumps(replaced(doc, path, value)))
 
 
+@pytest.mark.parametrize("name", LOADABLE)
+def test_every_count_beyond_int64_is_a_format_error(name):
+    """Extents, the value arity and every leaf's samples; box bounds take the random test."""
+    doc = document(name)
+    for what, path, value in mutations(doc):
+        if what == "beyond int64" and "box" not in path:
+            with pytest.raises(MeshFormatError) as err:
+                deserialize(json.dumps(replaced(doc, path, value)))
+            key = path[-1]
+            assert err.value.path.endswith(f"[{key}]" if isinstance(key, int) else f".{key}")
+
+
 def test_mutations_reach_every_kind_and_key():
     doc = document("ratio_derived_2d.json")
     found = list(mutations(doc))
     assert {what for what, _, _ in found} == {"truncated list", "child count", "non-finite",
-                                              "box off the tiling", "wrong type"}
+                                              "box off the tiling", "wrong type", "beyond int64"}
     keys = {path[-1] for _, path, _ in found if path and isinstance(path[-1], str)}
     assert keys >= {"domain", "extents", "origin", "cell_size", "value_arity", "metadata", "root",
                     "box", "lo", "hi", "children", "value", "samples", "lo_seen", "hi_seen",
