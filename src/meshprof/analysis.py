@@ -268,7 +268,7 @@ def cost_estimate(counts: Sequence[Subdivision], model: CostModel) -> Subdivisio
     shape, rows = _refine(counts)
     with np.errstate(all="ignore"):
         terms = [u.per_unit * r[:, 0] for u, r in zip(model.unit_costs, rows)]
-        # As ``apply``: summed from +0.0 left to right, or the first largest term.
+        # From +0.0 left to right, as ``apply`` on Python 3.11, or the first largest term.
         value = (sum(terms) if model.combinator == "sequential"
                  else functools.reduce(_BINARY_OPS["max"], terms))
     return _derived(domain, shape, value[:, None],
@@ -281,7 +281,7 @@ def cost_estimate(counts: Sequence[Subdivision], model: CostModel) -> Subdivisio
 def _selection_keys(values: np.ndarray, view) -> np.ndarray:
     """The keys that candidates' value rows compete by: a scalar value itself,
     or a 4-component value weighted by the view, added from +0.0 component by
-    component as Python's ``sum`` adds floats."""
+    component as Python 3.11's ``sum`` adds floats."""
     if view is None:
         if values.shape[1] != 1:
             raise ValueError("selection over vector subdivisions needs a view (direction, fov)")
