@@ -66,8 +66,8 @@ class WeightTable:
 Distribution = Uniform | WeightTable
 
 
-def _cell_maps(table: WeightTable, domain: GridDomain) -> list[np.ndarray]:
-    """Per axis, the table cell holding each mesh cell's center.
+def _cell_bounds(table: WeightTable, domain: GridDomain) -> list[np.ndarray]:
+    """Per axis, the first mesh cell of each table cell, then the extent.
 
     Cell ``i`` of axis ``a`` belongs to table cell
     ``floor((center - t_origin) / t_cell)``, so a center on a boundary
@@ -76,25 +76,26 @@ def _cell_maps(table: WeightTable, domain: GridDomain) -> list[np.ndarray]:
     t = table.domain
     if t.ndim != domain.ndim:
         raise ValueError("weight table dimensionality differs from the domain")
-    maps = []
+    bounds = []
     for a in range(domain.ndim):
         centers = domain.origin[a] + (np.arange(domain.extents[a]) + 0.5) * domain.cell_size[a]
         cells = np.floor((centers - t.origin[a]) / t.cell_size[a]).astype(np.int64)
         if cells[0] < 0 or cells[-1] >= t.extents[a]:
             raise ValueError(f"weight table does not cover the domain along axis {a}")
-        maps.append(cells)
-    return maps
+        bounds.append(np.searchsorted(cells, np.arange(t.extents[a] + 1)))
+    return bounds
 
 
-def _masses(lo: np.ndarray, hi: np.ndarray, maps: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """Summed weight ``w[maps[0][i], maps[1][j], ...]`` over each box ``[lo, hi)``.
+def _masses(lo: np.ndarray, hi: np.ndarray, cell_bounds: list[np.ndarray],
+            w: np.ndarray) -> np.ndarray:
+    """Summed weight over each box ``[lo, hi)``, where table cell ``t`` of axis ``a`` holds
+    the mesh cells from ``cell_bounds[a][t]`` up to ``cell_bounds[a][t + 1]``.
 
-    A map is nondecreasing, so per axis a box's cell count in each table cell
-    is a difference of cumulative counts; axes are contracted one at a time.
+    Per axis a box's cell count in each table cell is a difference of
+    cumulative counts; axes are contracted one at a time.
     """
     mass = w
-    for a, cells in enumerate(maps):
-        bounds = np.searchsorted(cells, np.arange(w.shape[a] + 1))
+    for a, bounds in enumerate(cell_bounds):
         counts = np.diff(np.minimum(hi[:, a, None], bounds) - np.minimum(lo[:, a, None], bounds))
         mass = np.einsum("it,it...->i..." if a else "it,t...->i...", counts, mass)
     return mass
@@ -110,16 +111,16 @@ def weighted_average(sub: Subdivision, dist: Distribution = Uniform()) -> tuple[
     """
     domain = sub.domain
     if isinstance(dist, WeightTable):
-        maps, w = _cell_maps(dist, domain), dist.array()
+        bounds, w = _cell_bounds(dist, domain), dist.array()
     else:
         # One table cell of weight 1 holding every cell.
-        maps = [np.zeros(e, dtype=np.int64) for e in domain.extents]
+        bounds = [np.array([0, e]) for e in domain.extents]
         w = np.ones((1,) * domain.ndim)
-    total = _masses(np.zeros((1, domain.ndim), np.int64), np.array([domain.extents]), maps, w)[0]
+    total = _masses(np.zeros((1, domain.ndim), np.int64), np.array([domain.extents]), bounds, w)[0]
     if total <= 0.0:
         raise ValueError("distribution has zero total mass over the domain")
     leaves = leaf_arrays(sub)
-    rows = leaves.value * _masses(leaves.lo, leaves.hi, maps, w)[:, None]
+    rows = leaves.value * _masses(leaves.lo, leaves.hi, bounds, w)[:, None]
     # Summed left to right from +0.0, as a running total would: a leaf of
     # zero mass adds nothing and an all -0.0 mesh averages to +0.0.
     acc = np.add.accumulate(np.vstack([np.zeros((1, sub.value_arity)), rows]))[-1]

@@ -18,8 +18,8 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, contains, eq, gt, is_, le
 from typing import Union
 
 import numpy as np
@@ -70,7 +70,7 @@ class Subdivision:
     (1 for scalar profiles, 4 for per-side directional profiles in 2D).
     ``metadata`` echoes the build configuration and sample statistics.
     Builds, the reader and the algebra pass ``levels`` in place of ``root``, which is
-    assembled on first read.
+    assembled on first read; ``from_tree`` tells a subdivision made from a tree.
     """
 
     def __init__(self, domain: GridDomain, value_arity: int, root: Node | None = None,
@@ -80,6 +80,7 @@ class Subdivision:
         if levels is None and root.box != domain.root_cuboid():
             raise ValueError("root box must cover the whole domain")
         self.domain, self.value_arity, self.metadata = domain, value_arity, metadata or {}
+        self.from_tree = levels is None
         self.__dict__.update({"root": root} if levels is None else {"levels": tuple(levels)})
 
     @functools.cached_property
@@ -282,7 +283,8 @@ def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
 # The text is exactly what ``json.dumps(doc, indent=2)`` makes of that layout
 # when box and leaf fields hold numbers.  The tree part is written directly:
 # json's indenting encoder is pure Python and several times slower.  Floats
-# use repr, which round-trips bit-exactly.
+# use repr, which round-trips bit-exactly.  The reader checks the document a
+# depth at a time, each check over a whole column of the depth's nodes.
 
 
 def _number(v) -> str:
@@ -336,47 +338,114 @@ def _array(values, start: str, sep: str, end: str) -> str:
 
 
 _PIECE_CHARS = 1 << 20  # characters per piece of ``serialize_pieces``
+_BLOCK = 64  # nodes of one depth spelled at a time
+
+
+def _tree_texts(root: Node) -> list:
+    """Per depth, each node of a hand-built tree as (its text, its number of children), in
+    index order, spelled node by node through ``_number``: a leaf or a childless branch
+    is whole, a branch's text ends where its first child's begins."""
+    def spell(node: Node, f: _Layout) -> tuple[str, int]:
+        box = f.open + _array(node.box.lo, *f.box) + f.hi + _array(node.box.hi, *f.box)
+        if type(node) is Branch:
+            return box + (f.children if node.children else f.no_children), len(node.children)
+        return "".join((box, f.value, _array(node.value, *f.field), f.samples,
+                        _number(node.samples), f.lo_seen, _array(node.lo_seen, *f.field),
+                        f.hi_seen, _array(node.hi_seen, *f.field),
+                        f.saturated if node.saturated else "",
+                        f.degenerate if node.degenerate else "", f.close)), 0
+
+    depths, nodes = [], [root]
+    while nodes:
+        depths.append(map(spell, nodes, repeat(_Layout(1 + 2 * len(depths)))))
+        nodes = [kid for node in nodes if type(node) is Branch for kid in node.children]
+    return depths
+
+
+def _slots(n: int, start: str, sep: str, end: str) -> str:
+    """The ``%`` template of an array of ``n`` numbers."""
+    return start + sep.join(["%s"] * n) + end if n else "[]"
+
+
+def _level_texts(level: Level, depth: int):
+    """Each node of one depth as ``_tree_texts`` gives it, spelled ``_BLOCK`` nodes at a
+    time: numbers as Python's ints and floats, which ``%s`` spells as ``json.dumps`` does,
+    except non-finite floats, which ``_number`` spells; one ``%`` template per node."""
+    f = _Layout(1 + 2 * depth)
+    nd, m = level.lo.shape[1], level.value.shape[1]
+    box, field = f.open + _slots(nd, *f.box) + f.hi + _slots(nd, *f.box), _slots(m, *f.field)
+    leaf_text = box + f.value + field + f.samples + "%s" + f.lo_seen + field + f.hi_seen + field
+    # By saturated * 2 + degenerate, and by whether a branch has children.
+    leaf_templates = [leaf_text + s + d + f.close for s in ("", f.saturated)
+                      for d in ("", f.degenerate)]
+    branch_templates = [box + f.no_children, box + f.children]
+    leaves = branches = 0
+    for a in range(0, len(level.leaf), _BLOCK):
+        leaf = level.leaf[a:a + _BLOCK]
+        n, k = len(leaf), int(np.count_nonzero(leaf))
+        own = slice(leaves, leaves + k)  # the block's leaves
+        boxes = np.concatenate([level.lo[a:a + n], level.hi[a:a + n]], axis=1).astype(object)
+        floats = np.concatenate([level.value[own], level.lo_seen[own], level.hi_seen[own]], axis=1)
+        spelled = floats.astype(object)
+        for i, j in zip(*np.nonzero(~np.isfinite(floats))):
+            spelled[i, j] = _number(spelled[i, j])
+        samples = level.samples[own, None].astype(object)
+        cells = np.concatenate([boxes[leaf], spelled[:, :m], samples, spelled[:, m:]], axis=1)
+        code = 2 * level.saturated[own] + level.degenerate[own]
+        kids = level.children[branches:branches + n - k]
+        texts = np.empty(n, dtype=object)
+        texts[leaf] = list(map(str.__mod__, map(leaf_templates.__getitem__, code.tolist()),
+                               map(tuple, cells.tolist())))
+        texts[~leaf] = list(map(str.__mod__, map(branch_templates.__getitem__,
+                                                 (kids > 0).tolist()),
+                                map(tuple, boxes[~leaf].tolist())))
+        sizes = np.zeros(n, dtype=np.int64)
+        sizes[~leaf] = kids
+        yield from zip(texts.tolist(), sizes.tolist())
+        leaves, branches = leaves + k, branches + n - k
 
 
 def serialize_pieces(sub: Subdivision):
     """The v1 text of ``sub`` in pieces of about ``_PIECE_CHARS`` characters, which join to
     ``serialize(sub)``.  A piece is handed out once it reaches the bound, so none passes it
-    by more than one node's text, and the whole text is never held at once."""
+    by more than one node's text, and the whole text is never held at once.
+
+    The nodes are written in preorder, which meets each depth's nodes in index order, so
+    each depth is spelled in blocks as the walk reaches them: from the levels, or node by
+    node for a subdivision made from a tree, whose numbers need not be floats."""
     dom = sub.domain
     header = json.dumps({"domain": {"extents": list(dom.extents), "origin": list(dom.origin),
                                     "cell_size": list(dom.cell_size)},
                          "value_arity": sub.value_arity, "metadata": sub.metadata}, indent=2)
-    out, size = [], 0
-    # (node, nesting level, text before it), or constant text; popped in text order.
+    depths = (_tree_texts(sub.root) if sub.from_tree else
+              [_level_texts(level, depth) for depth, level in enumerate(sub.levels)])
+    # Per open depth, its nodes left to write under the branch above; ``first`` is true
+    # when the next node is its branch's first child, written with no separator.
+    left, first = [1], True
     # The header ends in "\n}"; the root goes in as its last key.
-    stack: list = ["\n}", (sub.root, 1, ""), header[:-2] + ',\n  "root": ']
-    while stack:
-        item = stack.pop()
-        if type(item) is not str:
-            node, level, before = item
-            f, box = _Layout(level), node.box
-            parts = [before, f.open, _array(box.lo, *f.box), f.hi, _array(box.hi, *f.box)]
-            if type(node) is not Branch:
-                parts += (f.value, _array(node.value, *f.field), f.samples, _number(node.samples),
-                          f.lo_seen, _array(node.lo_seen, *f.field),
-                          f.hi_seen, _array(node.hi_seen, *f.field),
-                          f.saturated if node.saturated else "",
-                          f.degenerate if node.degenerate else "", f.close)
-            elif kids := node.children:
-                parts.append(f.children)
-                stack.append(f.children_end)
-                stack += [(kid, level + 2, f.child_sep) for kid in reversed(kids[1:])]
-                stack.append((kids[0], level + 2, ""))
-            else:
-                parts.append(f.no_children)
-            item = "".join(parts)
+    item, out, size = header[:-2] + ',\n  "root": ', [], 0
+    while True:
         out.append(item)
         size += len(item)
-        if size >= _PIECE_CHARS or not stack:
+        if size >= _PIECE_CHARS or not left:
             # Neither the piece nor its parts stay referenced here once it is out.
             piece, out, size = "".join(out), [], 0
             yield piece
             del piece
+        if not left:
+            return
+        if left[-1]:
+            left[-1] -= 1
+            depth = len(left) - 1
+            text, kids = next(depths[depth])
+            item = text if first else _Layout(2 * depth - 1).child_sep + text
+            first = kids > 0
+            if first:
+                left.append(kids)
+        else:
+            left.pop()
+            item = _Layout(2 * len(left) - 1).children_end if left else "\n}"
+            first = False
 
 
 def serialize(sub: Subdivision) -> str:
@@ -399,39 +468,98 @@ def _expect(doc, key: str, types, path: str):
 # json.loads makes exact int, float and bool objects, so the checks below
 # test exact types: JSON true and false are not integers here.  Integers
 # must fit the int64 columns of the levels.
-_INT_ONLY = {int}
+
+_READ_NODES = 1024  # nodes of one depth that the reader checks at a time
 
 
-def _count(doc, key: str, minimum: int, path: str) -> int:
-    value = _expect(doc, key, int, path)
-    if type(value) is not int or not minimum <= value < 2**63:
-        raise MeshFormatError(f"{path}.{key}",
-                              f"expected an integer from {minimum} to 2**63 - 1, got {value!r}")
-    return value
+def _as_float(v) -> float:
+    """A float slot's number as ``float`` makes it, infinity for an integer too large, and
+    NaN for anything that is not a JSON number."""
+    if type(v) is int:
+        try:
+            return float(v)
+        except OverflowError:
+            return math.inf
+    return v if type(v) is float else math.nan
 
 
-def _floats(doc, key: str, arity: int | None, path: str) -> list[float]:
-    raw = _expect(doc, key, list, path)
-    if arity is not None and len(raw) != arity:
-        raise MeshFormatError(f"{path}.{key}", f"expected {arity} components, got {len(raw)}")
-    out = []
-    for i, v in enumerate(raw):
-        if type(v) is int:
-            try:
-                v = float(v)
-            except OverflowError:
-                v = math.inf
-        if type(v) is not float or not math.isfinite(v):
-            raise MeshFormatError(f"{path}.{key}[{i}]", "not a finite number")
-        out.append(v)
-    return out
+def _float_array(values: list) -> np.ndarray:
+    """``values`` as float64, each as ``_as_float`` makes it."""
+    if {float} >= set(map(type, values)):
+        return np.array(values, dtype=np.float64)
+    return np.fromiter(map(_as_float, values), np.float64, len(values))
 
 
-def _flag(doc, key: str, path: str) -> bool:
-    value = doc.get(key, False)
-    if type(value) is not bool:
-        raise MeshFormatError(f"{path}.{key}", f"expected true or false, got {type(value).__name__}")
-    return value
+def _mask(ok) -> np.ndarray:
+    return np.array(list(ok), dtype=bool)
+
+
+class _Nodes:
+    """Some nodes of one depth as aligned columns, one entry per node: ``rows`` holds their
+    numbers in the depth, ascending.  A check tests a whole column at once; only when that
+    fails does it find which nodes fail, and ``keep`` drops those after noting the first
+    in ``problems``.  A dropped node is checked no further, so with checks run in the order
+    of one node's fields, each failing node is named by its first problem."""
+
+    def __init__(self, problems: list, rows: np.ndarray, **columns):
+        self.problems, self.rows, self.columns = problems, rows, columns
+
+    def __getitem__(self, name: str):
+        return self.columns[name]
+
+    def keep(self, ok: np.ndarray, explain) -> None:
+        """Drop the nodes whose ``ok`` is false; ``explain(i)`` gives the path below the
+        ``i``-th node and the reason."""
+        if ok.all():
+            return
+        i = int(np.argmin(ok))
+        self.problems.append((int(self.rows[i]), *explain(i)))
+        self.rows = self.rows[ok]
+        self.columns = {name: c[ok] if isinstance(c, np.ndarray) else list(compress(c, ok))
+                        for name, c in self.columns.items()}
+
+    def read(self, source: str, key: str, kinds: set, where: str = "",
+             default=None) -> None:
+        """Add column ``key``: each ``source`` object's entry ``key``, of a type in ``kinds``;
+        ``default`` where it is absent, unless that is None."""
+        values = self.columns[key] = list(map(dict.get, self[source], repeat(key),
+                                              repeat(default)))
+        if kinds >= set(map(type, values)):
+            return
+        at = f"{where}.{key}"
+        if default is None:
+            self.keep(_mask(map(contains, self[source], repeat(key))), lambda i: (at, "missing"))
+        values = self[key]
+        self.keep(_mask(map(kinds.__contains__, map(type, values))), lambda i: (
+            at, f"unexpected type {type(values[i]).__name__}" if default is None else
+            f"expected true or false, got {type(values[i]).__name__}"))
+
+    def floats(self, key: str, arity: int) -> None:
+        """Add column ``key``: each node's list of ``arity`` finite numbers, as float64 rows."""
+        self.read("node", key, {list})
+        if {arity} != set(map(len, self[key])):
+            lengths = np.array(list(map(len, self[key])))
+            self.keep(lengths == arity,
+                      lambda i: (f".{key}", f"expected {arity} components, got {lengths[i]}"))
+        values = self.columns[key] = _float_array(
+            list(chain.from_iterable(self[key]))).reshape(-1, arity)
+        finite = np.isfinite(values)
+        self.keep(finite.all(axis=1),
+                  lambda i: (f".{key}[{np.argmin(finite[i])}]", "not a finite number"))
+
+    def count(self, key: str, minimum: int) -> None:
+        """Add column ``key``: each node's integer from ``minimum`` to 2**63 - 1, as int64."""
+        self.read("node", key, {int, bool})
+        values = self[key]
+        if not values or ({int} >= set(map(type, values))
+                          and minimum <= min(values) and max(values) < 2**63):
+            self.columns[key] = np.array(values, dtype=np.int64)
+            return
+        self.keep(_mask(map(is_, map(type, values), repeat(int)))
+                  & _mask(map(le, repeat(minimum), values))
+                  & _mask(map(gt, repeat(2**63), values)),
+                  lambda i: (f".{key}", f"expected an integer from {minimum} to 2**63 - 1, "
+                                        f"got {values[i]!r}"))
 
 
 def _domain_from_doc(doc) -> GridDomain:
@@ -440,10 +568,14 @@ def _domain_from_doc(doc) -> GridDomain:
     for i, e in enumerate(extents):
         if type(e) is not int or not -2**63 <= e < 2**63:
             raise MeshFormatError(f"$.domain.extents[{i}]", "not a 64-bit integer")
-    origin = _floats(dom_doc, "origin", None, "$.domain")
-    cell_size = _floats(dom_doc, "cell_size", None, "$.domain")
+    floats = {}
+    for key in ("origin", "cell_size"):
+        floats[key] = _float_array(_expect(dom_doc, key, list, "$.domain"))
+        finite = np.isfinite(floats[key])
+        if not finite.all():
+            raise MeshFormatError(f"$.domain.{key}[{np.argmin(finite)}]", "not a finite number")
     try:
-        return GridDomain(tuple(extents), origin, cell_size)
+        return GridDomain(tuple(extents), floats["origin"].tolist(), floats["cell_size"].tolist())
     except ValueError as e:
         raise MeshFormatError("$.domain", str(e)) from e
 
@@ -459,63 +591,73 @@ def _node_path(levels: list[Level], i: int) -> str:
     return "$.root" + "".join(reversed(steps))
 
 
-def _check_boxes(bounds: list, lo: np.ndarray, hi: np.ndarray, levels: list[Level]) -> None:
-    """Raise naming the first node, in order, whose box lists in ``bounds`` (lo, hi, lo,
-    hi, ... of one depth's nodes) are not its rows of ``lo``/``hi`` in exact integers."""
-    want = np.stack([lo, hi], axis=1)[:len(bounds) // 2].reshape(-1, lo.shape[1]).tolist()
-    if bounds == want and _INT_ONLY >= set(map(type, chain.from_iterable(bounds))):
-        return
-    for i in range(0, len(bounds), 2):
-        got = bounds[i:i + 2]
-        if got != want[i:i + 2] or _INT_ONLY != set(map(type, got[0] + got[1])):
-            raise MeshFormatError(_node_path(levels, i // 2) + ".box", f"expected lo="
-                                  f"{tuple(want[i])} hi={tuple(want[i + 1])}, got lo={got[0]} "
-                                  f"hi={got[1]}")
+def _read_nodes(docs: list, lo: np.ndarray, hi: np.ndarray, arity: int,
+                levels: list[Level], first: int) -> tuple[tuple, list]:
+    """The ``Level`` columns after ``lo``/``hi`` of node documents of one depth, from its
+    node ``first`` on, whose boxes must be ``lo``/``hi``, below ``levels``, and the
+    documents of their children.  Each check runs over a whole column of the nodes; on
+    problems, raises naming the first in level order."""
+    problems: list = []
+    nodes = _Nodes(problems, np.arange(len(docs)), node=docs)
+    if {dict} != set(map(type, docs)):
+        nodes.keep(_mask(map(is_, map(type, docs), repeat(dict))),
+                   lambda i: ("", f"expected object, got {type(docs[i]).__name__}"))
+    nodes.read("node", "box", {dict})
+    nodes.read("box", "lo", {list}, ".box")
+    nodes.read("box", "hi", {list}, ".box")
+    got, want = (nodes["lo"], nodes["hi"]), (lo[nodes.rows].tolist(), hi[nodes.rows].tolist())
+    # Equal in value, and exact ints: JSON 1.0 and true also equal 1.
+    if got != want or {int} != set(map(type, chain.from_iterable(chain(*got)))):
+        ok = (_mask(map(eq, got[0], want[0])) & _mask(map(eq, got[1], want[1]))
+              & _mask({int} == set(map(type, l + h)) for l, h in zip(*got)))
+        nodes.keep(ok, lambda i: (".box", f"expected lo={tuple(want[0][i])} hi={tuple(want[1][i])}"
+                                          f", got lo={got[0][i]} hi={got[1][i]}"))
+
+    count = np.left_shift(1, (hi - lo >= 2).sum(axis=1))
+    leaf = ~_mask(map(contains, nodes["node"], repeat("children")))
+    branches = _Nodes(problems, nodes.rows[~leaf], node=list(compress(nodes["node"], ~leaf)))
+    leaves = _Nodes(problems, nodes.rows[leaf], node=list(compress(nodes["node"], leaf)))
+    branches.read("node", "children", {list})
+    branches.keep(count[branches.rows] != 1,
+                  lambda i: (".children", "a single-cell box cannot have children"))
+    sizes = np.array(list(map(len, branches["children"])), dtype=np.int64)
+    want_sizes = count[branches.rows]
+    branches.keep(sizes == want_sizes, lambda i: (
+        ".children", f"expected {want_sizes[i]} children for this box, got {sizes[i]}"))
+    leaves.floats("value", arity)
+    leaves.count("samples", 0)
+    leaves.floats("lo_seen", arity)
+    leaves.floats("hi_seen", arity)
+    for key in ("saturated", "degenerate"):
+        leaves.read("node", key, {bool}, default=False)
+    if problems:
+        node, path, reason = min(problems)
+        raise MeshFormatError(_node_path(levels, first + node) + path, reason)
+    columns = (leaf, sizes, leaves["value"], leaves["lo_seen"], leaves["hi_seen"],
+               leaves["samples"], *(np.array(leaves[key], dtype=bool)
+                                    for key in ("saturated", "degenerate")))
+    return columns, list(chain.from_iterable(branches["children"]))
 
 
 def _levels_from_doc(doc: dict, domain: GridDomain, arity: int) -> list[Level]:
-    """The levels of the tree that ``doc["root"]`` holds, read one depth at a time: a
-    depth's boxes must split the branches above, and its nodes are checked in order,
-    each box first.  Each node's document is freed once it is read."""
+    """The levels of the tree that ``doc["root"]`` holds, read one depth at a time, and
+    within a depth ``_READ_NODES`` nodes at a time: a depth's boxes must split the
+    branches above.  The documents of the nodes read are freed before the next ones."""
     docs, levels = [_expect(doc, "root", dict, "$")], []
     del doc["root"]
     lo, hi = np.zeros((1, domain.ndim), dtype=np.int64), np.array([domain.extents], dtype=np.int64)
     while docs:
-        count = np.left_shift(1, (hi - lo >= 2).sum(axis=1)).tolist()
-        leaf, bounds, children, below = np.ones(len(docs), dtype=bool), [], [], []
-        value, samples, lo_seen, hi_seen, saturated, degenerate = ([] for _ in range(6))
-        try:
-            for i, node in enumerate(docs):
-                box = _expect(node, "box", dict, "")
-                bounds += (_expect(box, "lo", list, ".box"), _expect(box, "hi", list, ".box"))
-                if "children" in node:
-                    kids = _expect(node, "children", list, "")
-                    if count[i] == 1:
-                        raise MeshFormatError(".children", "a single-cell box cannot have children")
-                    if len(kids) != count[i]:
-                        raise MeshFormatError(".children", f"expected {count[i]} children "
-                                                           f"for this box, got {len(kids)}")
-                    leaf[i] = False
-                    children.append(len(kids))
-                    below += kids
-                else:
-                    value += _floats(node, "value", arity, "")
-                    samples.append(_count(node, "samples", 0, ""))
-                    lo_seen += _floats(node, "lo_seen", arity, "")
-                    hi_seen += _floats(node, "hi_seen", arity, "")
-                    saturated.append(_flag(node, "saturated", ""))
-                    degenerate.append(_flag(node, "degenerate", ""))
-                docs[i] = None
-        except MeshFormatError as e:
-            _check_boxes(bounds, lo, hi, levels)
-            raise MeshFormatError(_node_path(levels, i) + e.path, e.reason) from None
-        _check_boxes(bounds, lo, hi, levels)
-        levels.append(Level(
-            lo, hi, leaf, np.array(children, dtype=np.int64),
-            *(np.array(c, dtype=np.float64).reshape(-1, arity) for c in (value, lo_seen, hi_seen)),
-            np.array(samples, dtype=np.int64), np.array(saturated, dtype=bool),
-            np.array(degenerate, dtype=bool)))
-        lo, hi, _ = _split_bounds(lo[~leaf], hi[~leaf])
+        parts, below = [], []
+        for a in range(0, len(docs), _READ_NODES):
+            chunk = docs[a:a + _READ_NODES]
+            docs[a:a + _READ_NODES] = repeat(None, len(chunk))
+            part, kids = _read_nodes(chunk, lo[a:a + len(chunk)], hi[a:a + len(chunk)], arity,
+                                     levels, a)
+            parts.append(part)
+            below += kids
+        level = Level(lo, hi, *map(np.concatenate, zip(*parts)))
+        levels.append(level)
+        lo, hi, _ = _split_bounds(lo[~level.leaf], hi[~level.leaf])
         docs = below
     return levels
 
@@ -531,17 +673,25 @@ def deserialize(text: str) -> Subdivision:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        doc = json.loads(text)
-    except (RecursionError, ValueError) as e:
-        # JSONDecodeError, an integer literal too long to convert, or nesting too deep.
-        raise MeshFormatError("$", f"invalid JSON: {e}") from None
+        try:
+            doc = json.loads(text)
+        except (RecursionError, ValueError) as e:
+            # JSONDecodeError, an integer literal too long to convert, or nesting too deep.
+            raise MeshFormatError("$", f"invalid JSON: {e}") from None
+        domain = _domain_from_doc(doc)
+        arity = _expect(doc, "value_arity", int, "$")
+        if type(arity) is not int or not 1 <= arity < 2**63:
+            raise MeshFormatError("$.value_arity",
+                                  f"expected an integer from 1 to 2**63 - 1, got {arity!r}")
+        if arity > len(text):
+            # Every mesh has a leaf, which spells each of its value's components.
+            raise MeshFormatError("$.value_arity", f"{arity} components cannot fit in "
+                                                   f"{len(text)} characters")
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise MeshFormatError("$.metadata", "expected object")
+        return Subdivision(domain, arity, metadata=metadata,
+                           levels=_levels_from_doc(doc, domain, arity))
     finally:
         if enabled:
             gc.enable()
-    domain = _domain_from_doc(doc)
-    arity = _count(doc, "value_arity", 1, "$")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise MeshFormatError("$.metadata", "expected object")
-    return Subdivision(domain, arity, metadata=metadata,
-                       levels=_levels_from_doc(doc, domain, arity))

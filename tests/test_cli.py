@@ -191,6 +191,14 @@ class TestEvalDiffAvg:
         err = capsys.readouterr()
         assert err.out == "" and err.err.startswith(f"meshprof: {path}: ")
 
+    def test_avg_of_a_one_leaf_mesh_over_2_to_the_40_cells_is_its_value(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        write_mesh(out, constant(GridDomain((2**40,)), (2.5,)))
+        capsys.readouterr()
+        assert run("eval", str(out), str(2**40 - 1)) == 0
+        assert run("avg", str(out)) == 0
+        assert capsys.readouterr().out == "2.5\n2.5\n"
+
     def test_mesh_that_is_not_utf8_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff{}")

@@ -26,6 +26,7 @@ from meshprof.mesh import (
     evaluate,
     leaf_arrays,
     serialize,
+    serialize_pieces,
     to_dense,
 )
 
@@ -187,6 +188,7 @@ class TestLevels:
             error_vs_oracle(read, profile)
             leaf_csv(read)
             evaluate(read, p)
+            assert "".join(serialize_pieces(read)) == serialize(read)
             assert len(table.depth) > 1
         select([sub, loaded], p)
         evaluate_view(sides, sides.domain.point((4, 2)), 30.0, 120.0)

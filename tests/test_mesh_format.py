@@ -14,6 +14,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ def test_golden_file_loads_and_writes_back(name):
     assert serialize(again) == text
 
 
+@pytest.mark.parametrize("name", sorted(set(corpus()) - set(UNLOADABLE)))
+def test_golden_file_loads_three_nodes_of_a_depth_at_a_time(name, monkeypatch):
+    text = golden(name)
+    whole = deserialize(text)
+    monkeypatch.setattr(mesh, "_READ_NODES", 3)
+    again = deserialize(text)
+    assert serialize(again) == text
+    for a, b in zip(again.levels, whole.levels, strict=True):
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype and x.shape == y.shape
+                   for x, y in zip(a, b))
+
+
 @pytest.mark.parametrize("name", sorted(UNLOADABLE))
 def test_golden_file_outside_the_reader_is_refused(name):
     with pytest.raises(MeshFormatError) as err:
@@ -177,6 +190,49 @@ def test_no_piece_passes_the_bound_by_more_than_one_node(bound, monkeypatch):
     assert all(len(piece) >= bound for piece in pieces[:-1])
 
 
+FLOATS = st.floats(width=64) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def level_made(draw):
+    """A subdivision made from levels: the shape of a ``random_subdivision`` tree in 1-3
+    dimensions, with arity 1-4 and drawn leaf fields."""
+    ndim = draw(st.integers(1, 3))
+    extents = tuple(draw(st.lists(st.integers(1, 40 if ndim == 1 else 9),
+                                  min_size=ndim, max_size=ndim)))
+    arity = draw(st.integers(1, 4))
+    shape = random_subdivision(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                               GridDomain(extents), arity, draw(st.floats(0.0, 1.0)),
+                               draw(st.integers(0, 6)))
+    levels = []
+    for level in shape.levels:
+        k = len(level.value)
+        rows = [np.array(draw(st.lists(FLOATS, min_size=k * arity, max_size=k * arity)),
+                         dtype=np.float64).reshape(k, arity) for _ in range(3)]
+        samples = np.array(draw(st.lists(st.integers(0, 2**63 - 1), min_size=k, max_size=k)),
+                           dtype=np.int64)
+        flags = [np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+                 for _ in range(2)]
+        levels.append(level._replace(value=rows[0], lo_seen=rows[1], hi_seen=rows[2],
+                                     samples=samples, saturated=flags[0], degenerate=flags[1]))
+    return Subdivision(shape.domain, arity, metadata={"drawn": True}, levels=levels)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(level_made(), st.integers(1, 3000))
+def test_levels_are_written_as_the_oracle_writes_their_tree(sub, bound):
+    text = serialize(sub)
+    assert "root" not in vars(sub)
+    assert text == json.dumps(oracle_doc(sub), indent=2)
+    longest = max(map(len, node_texts(text)))
+    with patch.object(mesh, "_PIECE_CHARS", bound):
+        pieces = list(serialize_pieces(sub))
+    assert "".join(pieces) == text
+    assert all(len(piece) < bound + longest for piece in pieces)
+    assert all(len(piece) >= bound for piece in pieces[:-1])
+
+
 # -- Malformed documents ------------------------------------------------------
 
 
@@ -236,6 +292,14 @@ def test_bad_leaf_field_is_named(key, value):
 def test_bad_value_arity_is_named(value):
     doc = document("line_ramp_1d.json")
     doc["value_arity"] = value
+    assert rejected(doc).path == "$.value_arity"
+
+
+@pytest.mark.parametrize("name", ["plane_arity4_2d.json", "constant_empty_metadata_2d.json"])
+def test_value_arity_past_the_text_is_named(name):
+    # No leaf could spell that many components; numpy could not hold one empty row of them.
+    doc = document(name)
+    doc["value_arity"] = 2**62
     assert rejected(doc).path == "$.value_arity"
 
 
@@ -340,6 +404,64 @@ def test_every_count_beyond_int64_is_a_format_error(name):
                 deserialize(json.dumps(replaced(doc, path, value)))
             key = path[-1]
             assert err.value.path.endswith(f"[{key}]" if isinstance(key, int) else f".{key}")
+
+
+REFUSALS = json.loads((CORPUS_DIR / "refusals" / "mutations.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("chunk", [None, 2], ids=["whole-depths", "two-nodes-at-a-time"])
+@pytest.mark.parametrize("name", LOADABLE)
+def test_every_mutation_is_refused_with_its_pinned_path_and_reason(name, chunk, monkeypatch):
+    """``refusals/mutations.json`` holds, per loadable file, the [path, reason] of each of
+    ``mutations()`` in order, as the per-node reader that the column reader replaced
+    refused them: a problem is named by the first node in level order, and within a
+    node by the first of its fields in the order box, children or value, samples,
+    lo_seen, hi_seen, saturated, degenerate."""
+    if chunk is not None:
+        monkeypatch.setattr(mesh, "_READ_NODES", chunk)
+    doc = document(name)
+    got = []
+    for what, path, value in mutations(doc):
+        with pytest.raises(MeshFormatError) as err:
+            deserialize(json.dumps(replaced(doc, path, value)))
+        got.append([err.value.path, err.value.reason])
+    assert got == REFUSALS[name]
+
+
+def test_integers_in_float_slots_load_as_float_of_the_integer():
+    doc = document("plane_arity4_2d.json")
+    leaves = list(leaf_docs(doc["root"]))
+    assert len(leaves) > 2
+    # Ints and floats mixed in one depth and one row, past 2**53 and past int64.
+    big = [2**53 + 1, 2**63 + 2**11 + 1, 2**70, -(2**64) - 1]
+    leaves[0]["value"] = big
+    leaves[0]["lo_seen"] = [min(big)] * 4
+    leaves[0]["hi_seen"] = [max(big)] * 4
+    leaves[1]["value"] = [3, 0.5, -7, 1e300]
+    leaves[1]["lo_seen"] = [-7] * 4
+    leaves[1]["hi_seen"] = [1e300] * 4
+    loaded = mesh.leaf_arrays(deserialize(json.dumps(doc)))
+    rows = {tuple(row) for row in loaded.value.tolist()}
+    assert tuple(map(float, big)) in rows and (3.0, 0.5, -7.0, 1e300) in rows
+    assert float(2**53 + 1) == 2.0**53 and float(2**70) == 2.0**70
+    assert all(type(v) is float for row in rows for v in row)
+
+
+@pytest.mark.parametrize("key, value, path, reason", [
+    ("value", 10**400, ".value[0]", "not a finite number"),
+    ("lo_seen", -(10**400), ".lo_seen[0]", "not a finite number"),
+    ("samples", 2**63, ".samples", "expected an integer from 0 to 2**63 - 1, got 9223372036854775808"),
+    ("samples", 2**63 - 1, None, None),
+], ids=["value-10**400", "lo_seen--10**400", "samples-2**63", "samples-2**63-1"])
+def test_integers_at_the_edges_of_their_slots(key, value, path, reason):
+    doc = document("line_ramp_1d.json")
+    first = next(leaf_docs(doc["root"]))
+    first[key] = [value] if key != "samples" else value
+    if path is None:
+        assert mesh.leaf_arrays(deserialize(json.dumps(doc))).samples[0] == value
+        return
+    err = rejected(doc)
+    assert (err.path, err.reason) == ("$.root.children[0].children[0]" + path, reason)
 
 
 def test_mutations_reach_every_kind_and_key():
