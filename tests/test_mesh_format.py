@@ -6,7 +6,8 @@ must reproduce every file byte for byte, and every file the reader accepts
 must load back to the same tree.  The files are fixed on purpose: a writer
 change that alters one of them changes the format.  To add a case, add it to
 ``corpus()`` and write only the new file, from the repository root, with
-``PYTHONPATH=src python tests/test_mesh_format.py NAME``.
+``PYTHONPATH=src python tests/test_mesh_format.py NAME``.  The file under
+``refusals/`` pins how the reader refuses each mutation of the loadable files.
 """
 
 import json
@@ -443,7 +444,6 @@ def test_integers_in_float_slots_load_as_float_of_the_integer():
     loaded = mesh.leaf_arrays(deserialize(json.dumps(doc)))
     rows = {tuple(row) for row in loaded.value.tolist()}
     assert tuple(map(float, big)) in rows and (3.0, 0.5, -7.0, 1e300) in rows
-    assert float(2**53 + 1) == 2.0**53 and float(2**70) == 2.0**70
     assert all(type(v) is float for row in rows for v in row)
 
 
