@@ -416,12 +416,26 @@ def _cmd_diff(args) -> int:
     return _EXIT_OK
 
 
+def _numbers(value, kinds: tuple, nested: bool = False) -> bool:
+    """Whether ``value`` is a JSON array of numbers of the exact types ``kinds``, or with
+    ``nested`` of such arrays too: a string or ``true`` is not one."""
+    return type(value) is list and all(
+        type(v) in kinds or nested and _numbers(v, kinds, nested) for v in value)
+
+
 def _load_distribution(source: str | None):
     if source is None or source == "uniform":
         return Uniform(), []
     text = _read_text(source)
     try:
         doc = json.loads(text)
+        if type(doc) is not dict:
+            raise ValueError(f"expected an object, got {type(doc).__name__}")
+        for key, kinds in (("extents", (int,)), ("origin", (int, float)),
+                           ("cell_size", (int, float)), ("weights", (int, float))):
+            if key in doc and not _numbers(doc[key], kinds, key == "weights"):
+                raise ValueError(f"{key} is not an array of "
+                                 f"{'integers' if kinds == (int,) else 'numbers'}")
         domain = GridDomain(
             tuple(doc["extents"]),
             tuple(doc["origin"]) if "origin" in doc else None,
@@ -429,7 +443,7 @@ def _load_distribution(source: str | None):
         )
         weights = np.asarray(doc["weights"], dtype=np.float64).reshape(domain.extents)
         table = WeightTable(domain, tuple(weights.reshape(-1)))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, RecursionError, TypeError, ValueError) as e:
         raise _CliError(f"bad weight table {source}: {e}") from e
     return table, [source]
 

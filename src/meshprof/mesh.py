@@ -4,10 +4,10 @@ A subdivision stores one piecewise-constant approximation of a profiled
 quantity.  Leaves tile the domain; every internal node's children are exactly
 the canonical split of its box, so lookup is a walk from the root choosing the
 one child that contains the query cell.  It is held as levels, columns per
-depth, which builds, the reader and the algebra make; its tree is assembled
-on first read of ``root`` and kept, and a subdivision made from a tree derives
-its levels on first read.  Nothing else changes; the first reads from several
-threads may each build the missing form, into equal copies.
+depth, in the manner of Gargantini's linear quadtree (CACM 1982): builds, the
+reader and the algebra make them, and a hand-built tree becomes levels when
+its subdivision is made.  The writer and ``==`` read the levels; the tree of
+``root`` is assembled only when it is read, and then kept.
 """
 
 from __future__ import annotations
@@ -69,49 +69,67 @@ class Subdivision:
     ``value_arity`` is the number of components each leaf value carries
     (1 for scalar profiles, 4 for per-side directional profiles in 2D).
     ``metadata`` echoes the build configuration and sample statistics.
-    Builds, the reader and the algebra pass ``levels`` in place of ``root``, which is
-    assembled on first read; ``from_tree`` tells a subdivision made from a tree.
+    Builds, the reader and the algebra pass ``levels``; a hand-built ``root`` tree is
+    turned into levels here.  ``root`` is assembled from the levels on first read.
     """
 
     def __init__(self, domain: GridDomain, value_arity: int, root: Node | None = None,
                  metadata: dict | None = None, *, levels: tuple[Level, ...] | None = None):
         if value_arity < 1:
             raise ValueError("value arity must be >= 1")
-        if levels is None and root.box != domain.root_cuboid():
-            raise ValueError("root box must cover the whole domain")
+        if levels is None:
+            if root.box != domain.root_cuboid():
+                raise ValueError("root box must cover the whole domain")
+            levels = _tree_levels(root, domain.ndim, value_arity)
         self.domain, self.value_arity, self.metadata = domain, value_arity, metadata or {}
-        self.from_tree = levels is None
-        self.__dict__.update({"root": root} if levels is None else {"levels": tuple(levels)})
+        self.levels = tuple(levels)
 
     @functools.cached_property
     def root(self) -> Node:
         return _assemble(self.levels)
 
-    @functools.cached_property
-    def levels(self) -> tuple[Level, ...]:
-        """One ``Level`` per depth, the root's first, from one breadth-first pass of the tree."""
-        def rows(items, name: str, dtype, width: int) -> np.ndarray:
-            flat = chain.from_iterable(map(attrgetter(name), items))
-            return np.fromiter(flat, dtype, len(items) * width).reshape(len(items), width)
-
-        nd, m = self.domain.ndim, self.value_arity
-        levels, nodes = [], [self.root]
-        while nodes:
-            leaf = np.array([isinstance(node, Leaf) for node in nodes], dtype=bool)
-            leaves, branches = (list(compress(nodes, mask)) for mask in (leaf, ~leaf))
-            boxes = [node.box for node in nodes]
-            levels.append(Level(
-                *(rows(boxes, name, np.int64, nd) for name in ("lo", "hi")), leaf,
-                np.array([len(branch.children) for branch in branches], dtype=np.int64),
-                *(rows(leaves, name, np.float64, m) for name in ("value", "lo_seen", "hi_seen")),
-                *(np.fromiter(map(attrgetter(name), leaves), t, len(leaves)) for name, t in
-                  (("samples", np.int64), ("saturated", bool), ("degenerate", bool)))))
-            nodes = [kid for branch in branches for kid in branch.children]
-        return tuple(levels)
-
     def __eq__(self, other):
-        fields = attrgetter("domain", "value_arity", "metadata", "root")
-        return isinstance(other, Subdivision) and fields(self) == fields(other)
+        """Equal domains, arities, metadata and levels, column by column: what equality of
+        the two trees means, read with no tree assembled."""
+        fields = attrgetter("domain", "value_arity", "metadata")
+        return (isinstance(other, Subdivision) and fields(self) == fields(other)
+                and len(self.levels) == len(other.levels)
+                and all(map(np.array_equal, chain(*self.levels), chain(*other.levels))))
+
+
+def _tree_levels(root: Node, nd: int, m: int) -> list[Level]:
+    """One ``Level`` per depth of the tree ``root``, the root's first, from one breadth-first
+    pass.  Raises ValueError for a leaf whose ``value``, ``lo_seen`` or ``hi_seen`` does not
+    hold ``m`` components, and TypeError for one that holds a number that is not an int or
+    a float."""
+    def boxes(items, name: str) -> np.ndarray:
+        flat = chain.from_iterable(map(attrgetter(name), items))
+        return np.fromiter(flat, np.int64, len(items) * nd).reshape(len(items), nd)
+
+    def rows(items, name: str) -> np.ndarray:
+        tuples = list(map(attrgetter(name), items))
+        wrong = set(map(len, tuples)) - {m}
+        if wrong:
+            raise ValueError(f"a leaf's {name} has {min(wrong)} components, expected {m}")
+        flat = list(chain.from_iterable(tuples))
+        for t in set(map(type, flat)):
+            if not issubclass(t, (int, float)):
+                raise TypeError(f"a leaf's {name} holds a {t.__name__}, not an int or a float")
+        return np.fromiter(flat, np.float64, len(flat)).reshape(len(tuples), m)
+
+    levels, nodes = [], [root]
+    while nodes:
+        leaf = np.array([isinstance(node, Leaf) for node in nodes], dtype=bool)
+        leaves, branches = (list(compress(nodes, mask)) for mask in (leaf, ~leaf))
+        box = [node.box for node in nodes]
+        levels.append(Level(
+            boxes(box, "lo"), boxes(box, "hi"), leaf,
+            np.array([len(branch.children) for branch in branches], dtype=np.int64),
+            *(rows(leaves, name) for name in ("value", "lo_seen", "hi_seen")),
+            *(np.fromiter(map(attrgetter(name), leaves), t, len(leaves)) for name, t in
+              (("samples", np.int64), ("saturated", bool), ("degenerate", bool)))))
+        nodes = [kid for branch in branches for kid in branch.children]
+    return levels
 
 
 def _assemble(levels: tuple[Level, ...]) -> Node:
@@ -281,29 +299,15 @@ def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
 #           "lo_seen": [...], "hi_seen": [...]}   (+ "saturated"/"degenerate": true)
 #
 # The text is exactly what ``json.dumps(doc, indent=2)`` makes of that layout
-# when box and leaf fields hold numbers.  The tree part is written directly:
+# from the levels' int64 and float64 columns.  The tree part is written directly:
 # json's indenting encoder is pure Python and several times slower.  Floats
 # use repr, which round-trips bit-exactly.  The reader checks the document a
 # depth at a time, each check over a whole column of the depth's nodes.
 
 
-def _number(v) -> str:
-    """One box or leaf component, spelled as ``json.dumps`` spells it."""
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v == math.inf:
-            return "Infinity"
-        if v == -math.inf:
-            return "-Infinity"
-        return float.__repr__(v)
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    raise TypeError(f"cannot write a {type(v).__name__} as a mesh number")
+def _number(v: float) -> str:
+    """A non-finite float, spelled as ``json.dumps`` spells it."""
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
 
 
 @functools.cache
@@ -331,35 +335,8 @@ class _Layout:
         self.field = ('[' + i2, ',' + i2, i1 + ']')
 
 
-def _array(values, start: str, sep: str, end: str) -> str:
-    if not values:
-        return "[]"
-    return start + sep.join(map(_number, values)) + end
-
-
 _PIECE_CHARS = 1 << 20  # characters per piece of ``serialize_pieces``
 _BLOCK = 64  # nodes of one depth spelled at a time
-
-
-def _tree_texts(root: Node) -> list:
-    """Per depth, each node of a hand-built tree as (its text, its number of children), in
-    index order, spelled node by node through ``_number``: a leaf or a childless branch
-    is whole, a branch's text ends where its first child's begins."""
-    def spell(node: Node, f: _Layout) -> tuple[str, int]:
-        box = f.open + _array(node.box.lo, *f.box) + f.hi + _array(node.box.hi, *f.box)
-        if type(node) is Branch:
-            return box + (f.children if node.children else f.no_children), len(node.children)
-        return "".join((box, f.value, _array(node.value, *f.field), f.samples,
-                        _number(node.samples), f.lo_seen, _array(node.lo_seen, *f.field),
-                        f.hi_seen, _array(node.hi_seen, *f.field),
-                        f.saturated if node.saturated else "",
-                        f.degenerate if node.degenerate else "", f.close)), 0
-
-    depths, nodes = [], [root]
-    while nodes:
-        depths.append(map(spell, nodes, repeat(_Layout(1 + 2 * len(depths)))))
-        nodes = [kid for node in nodes if type(node) is Branch for kid in node.children]
-    return depths
 
 
 def _slots(n: int, start: str, sep: str, end: str) -> str:
@@ -368,9 +345,11 @@ def _slots(n: int, start: str, sep: str, end: str) -> str:
 
 
 def _level_texts(level: Level, depth: int):
-    """Each node of one depth as ``_tree_texts`` gives it, spelled ``_BLOCK`` nodes at a
-    time: numbers as Python's ints and floats, which ``%s`` spells as ``json.dumps`` does,
-    except non-finite floats, which ``_number`` spells; one ``%`` template per node."""
+    """Each node of one depth as (its text, its number of children), in index order: a leaf
+    or a childless branch is whole, a branch's text ends where its first child's begins.
+    Spelled ``_BLOCK`` nodes at a time: numbers as Python's ints and floats, which ``%s``
+    spells as ``json.dumps`` does, except non-finite floats, which ``_number`` spells; one
+    ``%`` template per node."""
     f = _Layout(1 + 2 * depth)
     nd, m = level.lo.shape[1], level.value.shape[1]
     box, field = f.open + _slots(nd, *f.box) + f.hi + _slots(nd, *f.box), _slots(m, *f.field)
@@ -411,14 +390,12 @@ def serialize_pieces(sub: Subdivision):
     by more than one node's text, and the whole text is never held at once.
 
     The nodes are written in preorder, which meets each depth's nodes in index order, so
-    each depth is spelled in blocks as the walk reaches them: from the levels, or node by
-    node for a subdivision made from a tree, whose numbers need not be floats."""
+    each depth's level is spelled in blocks as the walk reaches them."""
     dom = sub.domain
     header = json.dumps({"domain": {"extents": list(dom.extents), "origin": list(dom.origin),
                                     "cell_size": list(dom.cell_size)},
                          "value_arity": sub.value_arity, "metadata": sub.metadata}, indent=2)
-    depths = (_tree_texts(sub.root) if sub.from_tree else
-              [_level_texts(level, depth) for depth, level in enumerate(sub.levels)])
+    depths = [_level_texts(level, depth) for depth, level in enumerate(sub.levels)]
     # Per open depth, its nodes left to write under the branch above; ``first`` is true
     # when the next node is its branch's first child, written with no separator.
     left, first = [1], True

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from meshprof.domain import GridCuboid, GridDomain
-from meshprof.mesh import Branch, Leaf, Subdivision
+from meshprof.mesh import Branch, Leaf, Node, Subdivision
 
 
-def random_subdivision(rng: np.random.Generator, domain: GridDomain,
-                       arity: int = 1, split_prob: float = 0.55,
-                       max_depth: int = 6, value_scale: float = 10.0) -> Subdivision:
+def random_tree(rng: np.random.Generator, domain: GridDomain,
+                arity: int = 1, split_prob: float = 0.55,
+                max_depth: int = 6, value_scale: float = 10.0) -> Node:
     """A structurally valid random tree with random constant leaf values."""
 
     def make(box: GridCuboid, depth: int):
@@ -20,7 +20,13 @@ def random_subdivision(rng: np.random.Generator, domain: GridDomain,
         value = tuple(float(v) for v in rng.normal(0.0, value_scale, size=arity))
         return Leaf(box, value, 1, value, value)
 
-    return Subdivision(domain, arity, make(domain.root_cuboid(), 0))
+    return make(domain.root_cuboid(), 0)
+
+
+def random_subdivision(rng: np.random.Generator, domain: GridDomain, arity: int = 1,
+                       *args, **kwargs) -> Subdivision:
+    """The subdivision of the ``random_tree`` of the same arguments."""
+    return Subdivision(domain, arity, random_tree(rng, domain, arity, *args, **kwargs))
 
 
 def walk_leaves(sub: Subdivision):

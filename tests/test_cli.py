@@ -165,6 +165,24 @@ class TestEvalDiffAvg:
         assert err.out == ""
         assert err.err.count(f"bad weight table {bad}") == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("extents", "22"), ("extents", [2.7, 2.2]), ("cell_size", "44"),
+        ("weights", [True, False, True, True]), ("weights", ["1", "2", "3", "4"]),
+        ("weights", [1, True, 1, 1])])
+    def test_avg_refuses_a_table_field_of_another_type(self, tmp_path, capsys, key, value):
+        # Each of these loaded as something else: a string character by character, 2.7 as
+        # 2, and JSON true and "1" as numbers.
+        out = build_fixture(tmp_path, "ramp.json", "ramp")
+        table = {"extents": [2, 2], "cell_size": [4, 4], "weights": [[1, 2], [3, 4.5]]}
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(table))
+        bad.write_text(json.dumps({**table, key: value}))
+        assert run("avg", str(out), "--dist", str(good)) == 0
+        capsys.readouterr()
+        assert run("avg", str(out), "--dist", str(bad)) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and f"bad weight table {bad}: {key} is not an array" in err.err
+
     def test_avg_names_a_truncated_table(self, tmp_path, capsys):
         out = build_fixture(tmp_path, "c.json", "const:5")
         bad = tmp_path / "t.json"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense_eval, random_subdivision, walk_leaves
+from helpers import dense_eval, random_subdivision, random_tree, walk_leaves
 from meshprof import mesh
 from meshprof.analysis import (CostModel, UnitCost, combine, cost_estimate, error_vs_oracle,
                                evaluate_view, select, selection_map, weighted_average)
@@ -176,12 +176,14 @@ class TestLevels:
         loaded = deserialize(serialize(build(profile, sub.domain, self.CONFIG)[0]))
         sides = deserialize((Path(__file__).parent / "data" / "mesh_v1" /
                              "plane_arity4_2d.json").read_text(encoding="utf-8"))
+        made, twin = (random_subdivision(np.random.default_rng(5), sub.domain, split_prob=0.9)
+                      for _ in range(2))
         calls.clear()
         p = sub.domain.point((3, 17))
         derived = [combine(sub, loaded, "ratio"), selection_map([loaded, sub]),
                    cost_estimate([sub, loaded], CostModel((UnitCost("a", 2.0),
                                                            UnitCost("b", 0.5))))]
-        for read in (sub, loaded, *derived):
+        for read in (sub, loaded, made, *derived):
             table = leaf_arrays(read)
             to_dense(read)
             weighted_average(read)
@@ -192,8 +194,11 @@ class TestLevels:
             assert len(table.depth) > 1
         select([sub, loaded], p)
         evaluate_view(sides, sides.domain.point((4, 2)), 30.0, 120.0)
+        assert loaded == sub
+        assert combine(loaded, sub, "ratio") == derived[0] != derived[1]
+        assert made == twin != sub
         assert calls == []
-        assert not any("root" in vars(read) for read in (sub, loaded, sides, *derived))
+        assert not any("root" in vars(read) for read in (sub, loaded, sides, made, *derived))
 
     def test_root_is_assembled_once_and_kept(self, built):
         sub, _, calls = built
@@ -218,8 +223,10 @@ class TestLevels:
     def test_assembled_tree_equals_the_tree_its_levels_came_from(self):
         rng = np.random.default_rng(41)
         for extents in ((16, 16), (9, 5, 3), (40,)):
-            sub = random_subdivision(rng, GridDomain(extents), arity=2)
-            assert mesh._assemble(sub.levels) == sub.root
+            tree = random_tree(rng, GridDomain(extents), arity=2)
+            sub = Subdivision(GridDomain(extents), 2, tree)
+            assert "root" not in vars(sub)
+            assert sub.root == tree and sub.root is not tree
 
     def test_leaf_arrays_of_a_childless_branch(self):
         dom = GridDomain((4,))
@@ -230,6 +237,19 @@ class TestLevels:
         table = leaf_arrays(sub)
         assert table.lo.tolist() == [[2]] and table.depth.tolist() == [1]
         assert [leaf.box for leaf, _ in walk_leaves(sub)] == [hi]
+
+    def test_a_leaf_of_another_arity_is_refused(self):
+        # Read as levels, the first two trees held the dense values [5, 5, 6, 6] and
+        # [1, 1, 1, 1], and each was written as a file that the reader refuses.
+        dom = GridDomain((4,))
+        box = dom.root_cuboid()
+        lo, hi = box.split()
+        two = (5.0, 6.0)
+        for root in (Branch(box, (Leaf(lo, (), 1, (), ()), Leaf(hi, two, 1, two, two))),
+                     Leaf(box, (1.0, 2.0), 1, (1.0, 2.0), (1.0, 2.0)),
+                     Leaf(box, (1.0,), 2, (1.0,), (1.0, 2.0))):
+            with pytest.raises(ValueError):
+                Subdivision(dom, 1, root)
 
     def test_extremes_share_the_value_only_when_bit_for_bit_equal(self):
         # A one-sample leaf of value -0.0 whose samples' maximum was written as 0.0,

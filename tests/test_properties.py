@@ -7,12 +7,14 @@ samples, that every leaf the builder chose to stop at passes its spread
 mode's test on its stored fields, and that serialization round-trips bit for
 bit and writes the same text as the v1 oracle encoder.  ``leaf_arrays`` must
 read, from a build's levels and from the levels derived from a tree alike,
-exactly what a recursive walk of the tree reads.  The runs are
+exactly what a recursive walk of the tree reads, and ``==``, which reads
+levels, must agree with equality of the assembled trees.  The runs are
 derandomized so that the suite is repeatable; the explicit examples are the
 cases where a leaf mean used to land an ulp outside its samples' range.
 """
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from meshprof.builder import (
 )
 from meshprof.domain import GridDomain
 from meshprof.fixtures import resolve_fixture
-from meshprof.mesh import deserialize, leaf_arrays, serialize
+from meshprof.mesh import Branch, Subdivision, deserialize, leaf_arrays, serialize
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -192,6 +194,32 @@ def test_leaf_arrays_of_tree_levels_are_the_tree_walk_bit_for_bit(pair, op):
         derived.append(selection_map([a, b], view=(30.0, 90.0) if arity == 4 else None))
     for sub in derived:
         assert table_rows(sub) == walked_rows(sub)
+
+
+def with_value(sub: Subdivision, index: int, value: tuple) -> Subdivision:
+    """``sub`` made again from its tree, with its ``index``-th leaf (depth first) holding
+    ``value``."""
+    leaves = itertools.count()
+
+    def walk(node):
+        if isinstance(node, Branch):
+            return Branch(node.box, tuple(map(walk, node.children)))
+        return dataclasses.replace(node, value=value) if next(leaves) == index else node
+
+    return Subdivision(sub.domain, sub.value_arity, walk(sub.root), sub.metadata)
+
+
+@PROPERTY_SETTINGS
+@given(trees(), st.integers(0, 2**16), st.floats(-1e3, 1e3))
+def test_equality_of_levels_is_equality_of_trees(pair, index, shift):
+    (a, b), arity = pair
+    index %= len(leaf_arrays(a).depth)
+    value = tuple(walk_leaves(a))[index][0].value
+    zeros = [with_value(a, index, (zero,) * arity) for zero in (0.0, -0.0)]
+    for x, y in ((a, b), (a, deserialize(serialize(a))), (a, with_value(a, index, value)),
+                 (a, with_value(a, index, tuple(v + shift for v in value))), zeros):
+        assert (x == y) == (x.root == y.root)
+    assert a == deserialize(serialize(a)) and zeros[0] == zeros[1]
 
 
 @PROPERTY_SETTINGS
