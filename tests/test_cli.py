@@ -183,6 +183,16 @@ class TestEvalDiffAvg:
         err = capsys.readouterr()
         assert err.out == "" and f"bad weight table {bad}: {key} is not an array" in err.err
 
+    @pytest.mark.parametrize("depth", [800, 5000])
+    def test_avg_refuses_weights_nested_too_deep(self, tmp_path, capsys, depth):
+        # json.loads refuses the deeper one, and the type check the other.
+        out = build_fixture(tmp_path, "c.json", "const:5")
+        bad = tmp_path / "t.json"
+        bad.write_text('{"extents": [2, 2], "weights": ' + "[" * depth + "1" + "]" * depth + "}")
+        assert run("avg", str(out), "--dist", str(bad)) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and f"bad weight table {bad}: " in err.err
+
     def test_avg_names_a_truncated_table(self, tmp_path, capsys):
         out = build_fixture(tmp_path, "c.json", "const:5")
         bad = tmp_path / "t.json"
