@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..builder import ProfileFunction
 from ..domain import GridDomain, GridPoint
 from .lipschitz import (
@@ -59,7 +61,10 @@ def _fit_to_domain(inner: ProfileFunction, world: tuple[float, float],
 
     The scene is fixed; the grid chooses the profiling resolution.  Cell
     (i, j) is observed from the world position at the center of the cell's
-    share of the scene, so any extents cover the whole world.
+    share of the scene, so any extents cover the whole world.  The ``batch``
+    recovers each row's cell index from its world coordinates and rescales as
+    ``query`` does; a row whose index is not recovered exactly is left
+    non-finite, for ``query``.
     """
     if domain.ndim < 2:
         raise ValueError("scene fixtures need at least 2 grid axes")
@@ -69,7 +74,33 @@ def _fit_to_domain(inner: ProfileFunction, world: tuple[float, float],
         scaled = tuple((i + 0.5) * s for i, s in zip(p.index[:2], scale))
         return inner.query(GridPoint(p.index, scaled + p.world[2:]))
 
-    return ProfileFunction(inner.arity, query, pure=inner.pure, name=inner.name)
+    def batch(rows: np.ndarray) -> np.ndarray:
+        rows = np.array(rows, dtype=np.float64)
+        exact = np.ones(len(rows), dtype=bool)
+        for a, s in enumerate(scale):
+            index = _cell_index(rows[:, a], domain, a)
+            exact &= index >= 0
+            rows[:, a] = (index + 0.5) * s
+        out = np.full((len(rows), inner.arity), np.nan)
+        out[exact] = np.asarray(inner.batch(rows[exact]), dtype=np.float64).reshape(
+            -1, inner.arity)
+        return out
+
+    return ProfileFunction(inner.arity, query, pure=inner.pure, name=inner.name,
+                           batch=batch if inner.batch is not None else None)
+
+
+@np.errstate(invalid="ignore")
+def _cell_index(world: np.ndarray, domain: GridDomain, axis: int) -> np.ndarray:
+    """The index along ``axis`` of the cell whose center is each world coordinate,
+    computed as ``GridDomain.world`` computes the center; -1 where no one cell's is."""
+    o, c, e = domain.origin[axis], domain.cell_size[axis], domain.extents[axis]
+    center = lambda i: o + (i + 0.5) * c
+    guess = np.clip(np.rint((world - o) / c - 0.5), 0, e - 1).astype(np.int64)
+    # Centers rise with the index, so the one cell is the guess when its neighbours differ.
+    exact = ((center(guess) == world) & ((guess == 0) | (center(guess - 1) != world))
+             & ((guess == e - 1) | (center(guess + 1) != world)))
+    return np.where(exact, guess, -1)
 
 
 def resolve_fixture(token: str, domain: GridDomain) -> ProfileFunction:

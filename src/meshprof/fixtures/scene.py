@@ -14,18 +14,26 @@ whatever the shared ray set can see, the renderer also classifies visible.
 
 Precomputed once per scene: its hash and its object and blocker rects as
 arrays; per (scene, depth): the quadtree in preorder, as one (N, 4) array of
-node boxes plus each node's objects and children as indices.  Per point, the
-shared rays' test of every node is one (rays x nodes) slab test, and every
-blocked node's fan is tested against its box and the blockers at once; only
-the check of a fan against the objects rendered so far depends on traversal
-order, so it runs when the traversal reaches the node.  All quantities are
-pure functions of (scene, config, point), memoized per point.
+node boxes plus each node's objects, children and polygon total.  Points are
+answered a chunk of a few at a time.  Seen from each point of a chunk, every
+node box and object spans an angle, and a shared ray is slab-tested against it
+(Kay and Kajiya, SIGGRAPH 1986) only if the rect contains the point or the
+ray's angle lies within one ray spacing of that span: any other ray passes the
+rect at a wide angle, so each pair left out is a certain miss and every count
+equals that of testing all rays against all rects.  Blockers meet every ray.
+The fans of the nodes that the shared rays leave blocked are tested against
+their boxes and the blockers at once; only the check of a fan against the
+objects rendered so far depends on traversal order, so it runs when the
+point's front-to-back traversal reaches the node.  All quantities are pure
+functions of (scene, config, point), kept in one bounded memo for culls and
+one for visibility, which single-point calls and a profile's batch share.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,8 +122,7 @@ def _ray_dirs(rays_per_side: int) -> np.ndarray:
     """4*R unit direction vectors; side k owns rows [k*R, (k+1)*R).
 
     Side sectors are centered on east, north, west, south; rays sit at the
-    centers of equal angular slots, so no ray ever lies on a sector boundary
-    or an axis.
+    centers of equal angular slots, so no ray lies on a sector boundary.
     """
     r = rays_per_side
     sector = 90.0 / r
@@ -128,7 +135,8 @@ def _entry_exit(rel: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     ``rel`` holds rects (..., 4) relative to the rays' origin, ``inv`` reciprocal
     ray directions (..., 2); ``inv[:, None]`` against (K, 4) pairs all with all.
-    Axis-parallel rays make inf * 0, so callers ignore invalid-value warnings."""
+    A ray parallel to an axis makes inf * 0, so callers ignore invalid-value
+    warnings."""
     tx_a = rel[..., 0] * inv[..., 0]
     tx_b = rel[..., 2] * inv[..., 0]
     ty_a = rel[..., 1] * inv[..., 1]
@@ -144,13 +152,43 @@ def _hit_distances(enter: np.ndarray, exit_: np.ndarray) -> np.ndarray:
     return np.where(hit, np.maximum(enter, 0.0), np.inf)
 
 
-def _require_inside(scene: Scene2D, pw: tuple[float, float]) -> None:
+def _checked_xy(scene: Scene2D, p: GridPoint) -> tuple[float, float]:
+    """``p``'s world x and y; raises OutOfDomainError if they lie outside the scene."""
+    pw = (float(p.world[0]), float(p.world[1]))
     if not (0 <= pw[0] <= scene.world[0] and 0 <= pw[1] <= scene.world[1]):
         raise OutOfDomainError(f"point {pw} lies outside the scene world {scene.world}")
+    return pw
 
 
-def _world_xy(p: GridPoint) -> tuple[float, float]:
-    return (float(p.world[0]), float(p.world[1]))
+# Points per chunk: a chunk's arrays grow with it, and 4 points keep peak memory flat.
+_CHUNK = 4
+_MEMO_SIZE = 300_000
+_VISIBILITY: OrderedDict = OrderedDict()
+_CULLS: OrderedDict = OrderedDict()
+
+
+def _memoized(memo: OrderedDict, head: tuple, points: list[tuple[float, float]],
+              compute) -> list:
+    """``compute(*head, chunk)`` for each point, kept in ``memo`` under ``head + (point,)``.
+
+    The points that ``memo`` lacks go to ``compute`` once each, ``_CHUNK`` at a time.
+    ``memo`` drops its least recently used entries beyond ``_MEMO_SIZE``.
+    """
+    keys = [head + (pw,) for pw in points]
+    found = {}
+    for key in keys:
+        if key in memo:
+            memo.move_to_end(key)
+            found[key] = memo[key]
+    todo = [key for key in dict.fromkeys(keys) if key not in found]
+    for a in range(0, len(todo), _CHUNK):
+        chunk = todo[a:a + _CHUNK]
+        found.update(zip(chunk, compute(*head, [key[-1] for key in chunk])))
+    for key in todo:
+        memo[key] = found[key]
+        if len(memo) > _MEMO_SIZE:
+            memo.popitem(last=False)
+    return [found[key] for key in keys]
 
 
 @lru_cache(maxsize=256)
@@ -160,33 +198,82 @@ def _rect_arrays(scene: Scene2D) -> tuple[np.ndarray, np.ndarray]:
             np.array(scene.blockers, dtype=np.float64).reshape(-1, 4))
 
 
-@lru_cache(maxsize=300_000)
+def _spans(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each rect's angular span seen from the rays' origin, as (n, 1) arrays ``lo`` and
+    ``hi`` in radians, for (n, 4) rects relative to it: the corners' angles, unwrapped
+    around the first corner so that a span never straddles the cut.  Meaningless for a
+    rect that contains the origin."""
+    angles = np.arctan2(rel[:, [1, 1, 3, 3]], rel[:, [0, 2, 0, 2]])
+    ref = angles[:, :1]
+    turn = (angles - ref + np.pi) % (2 * np.pi) - np.pi
+    return ref + turn.min(axis=1, keepdims=True), ref + turn.max(axis=1, keepdims=True)
+
+
+def _ray_pairs(rel: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               rays_per_side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shared rays that may hit each rect, as pairs: the rect's row and the ray.
+
+    ``rel`` holds (n, 4) rects relative to the rays' origin, ``lo`` and ``hi`` their
+    ``_spans``.  Ray ``r`` leaves at ``-45° + (r + 0.5)·90°/R``.  A rect that contains
+    the origin pairs with all 4*R rays.  Any other spans less than 180° and pairs with
+    the rays within one ray spacing of its span: a ray further off passes it at a wide
+    angle, so its slab test could only report a miss."""
+    n = 4 * rays_per_side
+    # Angles in ray slots, where ray r sits at slot r.
+    slot, shift = n / (2 * np.pi), rays_per_side / 2 - 0.5
+    first = np.ceil(lo[:, 0] * slot + (shift - 1.0))
+    last = np.floor(hi[:, 0] * slot + (shift + 1.0))
+    first = first.astype(np.int64)
+    count = np.where((rel * _INSIDE >= 0).all(axis=1), n, last - first + 1).astype(np.int64)
+    ends = np.cumsum(count)
+    row = np.repeat(np.arange(len(rel)), count)
+    ray = (np.arange(len(row)) - np.repeat(ends - count - first, count)) % n
+    return row, ray
+
+
+# A rect (x0, y0, x1, y1) relative to a point contains it where every signed entry is >= 0.
+_INSIDE = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def _blocker_distances(blk_rel: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """(P, rays): how far each ray travels from each of P points before a blocker,
+    for (P, B, 4) blocker rects relative to the points and (rays, 2) reciprocal directions."""
+    return _hit_distances(*_entry_exit(blk_rel[:, None], inv[:, None])).min(
+        axis=2, initial=np.inf)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
-def _visibility(scene: Scene2D, pw: tuple[float, float]) -> tuple[int, tuple[int, ...]]:
-    """(total ray-visible objects, per-side counts) from world point pw."""
-    origin = np.array(pw + pw)
-    obj_rects, blk_rects = _rect_arrays(scene)
-    inv = 1.0 / _ray_dirs(scene.rays_per_side)[:, None]
-    obj_t = _hit_distances(*_entry_exit(obj_rects - origin, inv))
-    blk_t = _hit_distances(*_entry_exit(blk_rects - origin, inv)).min(axis=1, initial=np.inf)
-    seen = obj_t < blk_t[:, None]
+def _visibility_chunk(scene: Scene2D, points: list[tuple[float, float]]
+                      ) -> list[tuple[int, tuple[int, ...]]]:
+    """(total ray-visible objects, per-side counts) from each world point."""
     r = scene.rays_per_side
-    sides = tuple(int(seen[k * r:(k + 1) * r].any(axis=0).sum()) for k in range(4))
-    return int(seen.any(axis=0).sum()), sides
+    origin = np.array([pw + pw for pw in points])
+    obj_rects, blk_rects = _rect_arrays(scene)
+    inv = 1.0 / _ray_dirs(r)
+    blk_t = _blocker_distances(blk_rects - origin[:, None], inv)
+    obj_rel = (obj_rects - origin[:, None]).reshape(-1, 4)
+    row, ray = _ray_pairs(obj_rel, *_spans(obj_rel), r)
+    point, obj = np.unravel_index(row, (len(points), len(obj_rects)))
+    seen = _hit_distances(*_entry_exit(obj_rel[row], inv[ray])) < blk_t[point, ray]
+    hit = np.zeros((len(points), 4, len(obj_rects)), dtype=bool)
+    hit[point[seen], ray[seen] // r, obj[seen]] = True
+    totals = hit.any(axis=1).sum(axis=1).tolist()
+    return list(zip(totals, map(tuple, hit.sum(axis=2).tolist())))
+
+
+def _visibility(scene: Scene2D, points: list[tuple[float, float]]
+                ) -> list[tuple[int, tuple[int, ...]]]:
+    return _memoized(_VISIBILITY, (scene,), points, _visibility_chunk)
 
 
 def num_visible(scene: Scene2D, p: GridPoint) -> int:
     """Objects reached by at least one of the 4*R rays before any blocker."""
-    pw = _world_xy(p)
-    _require_inside(scene, pw)
-    return _visibility(scene, pw)[0]
+    return _visibility(scene, [_checked_xy(scene, p)])[0][0]
 
 
 def visible_by_side(scene: Scene2D, p: GridPoint) -> tuple[int, ...]:
     """Ray-visible object count restricted to each side's R rays (E, N, W, S)."""
-    pw = _world_xy(p)
-    _require_inside(scene, pw)
-    return _visibility(scene, pw)[1]
+    return _visibility(scene, [_checked_xy(scene, p)])[0][1]
 
 
 # -- Quadtree culling -----------------------------------------------------
@@ -198,9 +285,10 @@ def _fits(rect: Rect, box: Rect) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _quadtree(scene: Scene2D, max_depth: int) -> tuple[np.ndarray, tuple, tuple]:
+def _quadtree(scene: Scene2D, max_depth: int) -> tuple[np.ndarray, tuple, tuple, tuple]:
     """The quadtree in preorder, so a node's index is its tie-break order:
-    node boxes as one (N, 4) array, then each node's objects and children."""
+    node boxes as one (N, 4) array, then each node's objects, children and
+    total polygon count of its objects."""
     rects = [o.box for o in scene.objects]
     boxes: list[Rect] = []
     direct: list[tuple[int, ...]] = []
@@ -231,25 +319,53 @@ def _quadtree(scene: Scene2D, max_depth: int) -> tuple[np.ndarray, tuple, tuple]
         return k
 
     add((0.0, 0.0, scene.world[0], scene.world[1]), list(range(len(rects))), max_depth)
-    return np.array(boxes, dtype=np.float64), tuple(direct), tuple(children)
+    polys = tuple(sum(scene.objects[i].polys for i in own) for own in direct)
+    return np.array(boxes, dtype=np.float64), tuple(direct), tuple(children), polys
 
 
-def _fan_dirs(px: float, py: float, boxes: np.ndarray, count: int) -> np.ndarray:
-    """``count`` directions from p spread evenly across each box's angular span,
-    for (n, 4) boxes: shape (n, count, 2)."""
-    angles = np.arctan2(boxes[:, [1, 1, 3, 3]] - py, boxes[:, [0, 2, 0, 2]] - px)
-    # Unwrap around the first corner so the span never straddles the cut.
-    ref = angles[:, :1]
-    rel = (angles - ref + np.pi) % (2 * np.pi) - np.pi
-    lo, hi = ref + rel.min(axis=1, keepdims=True), ref + rel.max(axis=1, keepdims=True)
+def _fan_dirs(lo: np.ndarray, hi: np.ndarray, count: int) -> np.ndarray:
+    """``count`` directions spread evenly across each of n ``_spans``: shape (n, count, 2)."""
     fan = lo + (np.arange(count) + 0.5) * (hi - lo) / count
     return np.stack([np.cos(fan), np.sin(fan)], axis=-1)
 
 
-@lru_cache(maxsize=300_000)
+@lru_cache(maxsize=1)
 @np.errstate(divide="ignore", invalid="ignore")
-def _cull(scene: Scene2D, max_depth: int, pw: tuple[float, float],
-          side: int | None) -> CullStats:
+def _shared_rays(scene: Scene2D, max_depth: int, points: tuple[tuple[float, float], ...]
+                 ) -> tuple[np.ndarray, ...]:
+    """What the culls of ``points`` share, whatever their side, kept for the next cull
+    of the same points: blockers (P, B, 4) and node boxes (P*N, 4) relative to the
+    points, the boxes' ``_spans``, each (row, ray) pair of a shared ray that may hit a
+    box with whether it reaches the box before any blocker, then per point its objects
+    (M, 4) relative to it, which of them hold it, and its distance to each node's
+    box."""
+    origin = np.array([pw + pw for pw in points])
+    obj_rects, blk_rects = _rect_arrays(scene)
+    boxes = _quadtree(scene, max_depth)[0]
+    inv = 1.0 / _ray_dirs(scene.rays_per_side)
+    blk_rel = blk_rects - origin[:, None]
+    min_blk = _blocker_distances(blk_rel, inv)
+    box_rel = (boxes - origin[:, None]).reshape(-1, 4)
+    lo, hi = _spans(box_rel)
+    row, ray = _ray_pairs(box_rel, lo, hi, scene.rays_per_side)
+    enter, exit_ = _entry_exit(box_rel[row], inv[ray])
+    # A blocker is reached at a distance >= 0, so a box entered no further is
+    # reached before it.
+    clear = (enter <= np.minimum(exit_, min_blk[row // len(boxes), ray])) & (exit_ > 0)
+    obj_rel = obj_rects - origin[:, None]
+    # A rendered object occludes later fan tests unless the viewpoint sits
+    # inside it; a box containing the camera would otherwise occlude the
+    # whole world at distance zero.
+    holds = [h.tolist() if h.any() else None for h in (obj_rel * _INSIDE >= 0).all(axis=2)]
+    xy = origin[:, None, :2]
+    gap = np.maximum(np.maximum(boxes[:, :2] - xy, 0.0), xy - boxes[:, 2:])
+    dist = [list(map(math.hypot, g[:, 0].tolist(), g[:, 1].tolist())) for g in gap]
+    return blk_rel, box_rel, lo, hi, row, ray, clear, obj_rel, holds, dist
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _cull_chunk(scene: Scene2D, max_depth: int, side: int | None,
+                points: list[tuple[float, float]]) -> list[CullStats]:
     # The occlusion test has two halves.  The shared ground-truth rays are
     # checked against blockers only: whenever one of them reaches an object
     # before any blocker, it also reaches every enclosing box unblocked, so
@@ -258,70 +374,78 @@ def _cull(scene: Scene2D, max_depth: int, pw: tuple[float, float],
     # spread over the box's whole projected span, checked against blockers
     # plus everything rendered so far — the analog of testing a bounding box
     # against the current depth buffer.  Only that last check depends on
-    # traversal order; all else runs for every node at once.
-    dirs = _ray_dirs(scene.rays_per_side)
+    # traversal order; all else runs for every node of every point at once.
+    r = scene.rays_per_side
+    boxes, direct, children, node_polys = _quadtree(scene, max_depth)
+    (blk_rel, box_rel, lo, hi, row, ray, clear, obj_rel, holds,
+     dists) = _shared_rays(scene, max_depth, tuple(points))
     if side is not None:
-        dirs = dirs.reshape(4, -1, 2)[side]
-    px, py = pw
-    origin = np.array(pw + pw)
-    obj_rects, blk_rects = _rect_arrays(scene)
-    boxes, direct, children = _quadtree(scene, max_depth)
-    blk_rel = blk_rects - origin
-    inv = 1.0 / dirs[:, None]
-    min_blk = _hit_distances(*_entry_exit(blk_rel, inv)).min(axis=1, initial=np.inf)
-    enter, exit_ = _entry_exit(boxes - origin, inv)
-    toward = (exit_ >= enter) & (exit_ > 0)
-    unblocked = (toward & (min_blk[:, None] >= np.maximum(enter, 0.0))).any(axis=0)
+        clear = clear & (ray // r == side)
+    unblocked = np.zeros(len(box_rel), dtype=bool)
+    unblocked[row[clear]] = True
 
-    # Fans of the nodes the shared rays leave blocked, (C, F, 2); the open
-    # rays go into one flat array, node by node, with spans[k] = (start, end).
+    # Fans of the (point, node) rows the shared rays leave blocked, (C, F, 2);
+    # the open rays go into one flat array, row by row, with spans[k] = (start, end).
     failed = np.flatnonzero(~unblocked)
-    fan_inv = 1.0 / _fan_dirs(px, py, boxes[failed], scene.rays_per_side)
-    enter, exit_ = _entry_exit((boxes[failed] - origin)[:, None], fan_inv)
+    at = failed // len(boxes)
+    fan_inv = 1.0 / _fan_dirs(lo[failed], hi[failed], r)
+    enter, exit_ = _entry_exit(box_rel[failed][:, None], fan_inv)
     fan_t = np.maximum(enter, 0.0)
-    fan_blk = _hit_distances(*_entry_exit(blk_rel, fan_inv[:, :, None])).min(
+    fan_blk = _hit_distances(*_entry_exit(blk_rel[at][:, None], fan_inv[:, :, None])).min(
         axis=2, initial=np.inf)
     is_open = (exit_ >= enter) & (exit_ > 0) & (fan_blk >= fan_t)
-    open_inv, open_t = fan_inv[is_open][:, None], fan_t[is_open][:, None]
+    # Per open ray, the largest float below its distance to its box.  An occluder
+    # never holds the viewpoint, so it is entered at a distance >= 0, and entered
+    # before the box exactly when no further than that.
+    open_inv = fan_inv[is_open][:, None]
+    open_t = np.nextafter(fan_t[is_open], -np.inf)[:, None]
     counts = is_open.sum(axis=1).tolist()
     ends = np.cumsum(counts).tolist()
     spans = {k: (e - c, e) for k, c, e in zip(failed.tolist(), counts, ends) if c}
 
-    obj_rel = obj_rects - origin
-    occluders = np.empty_like(obj_rel)   # rendered objects, rows [0, n)
-    n = 0
-    # Front-to-back: distance from p to each node's box, ties by preorder.
-    gap = np.maximum(np.maximum(boxes[:, :2] - pw, 0.0), pw - boxes[:, 2:])
-    dist = list(map(math.hypot, gap[:, 0].tolist(), gap[:, 1].tolist()))
-    unblocked = unblocked.tolist()
-    heap = [(dist[0], 0)]
-    tests = classified = polys = 0
-    while heap:
-        _, k = heapq.heappop(heap)
-        tests += 1
-        if not unblocked[k]:
-            span = spans.get(k)
-            if span is None:
-                continue
-            if n:
-                rays = slice(*span)
-                enter, exit_ = _entry_exit(occluders[:n], open_inv[rays])
-                blocked = (exit_ >= enter) & (exit_ > 0) & (np.maximum(enter, 0.0) < open_t[rays])
-                if np.logical_or.reduce(blocked, axis=1).all():
+    # Each point's traversal, front-to-back: by distance to the node's box, ties by preorder.
+    unblocked = unblocked.reshape(len(points), len(boxes)).tolist()
+    stats = []
+    for p, (clear, rel, held, dist) in enumerate(zip(unblocked, obj_rel, holds, dists)):
+        base = p * len(boxes)
+        occluders = np.empty_like(rel)   # rendered objects that occlude, rows [0, n)
+        n = 0
+        heap = [(dist[0], 0)]
+        tests = classified = polys = 0
+        while heap:
+            _, k = heapq.heappop(heap)
+            tests += 1
+            if not clear[k]:
+                span = spans.get(base + k)
+                if span is None:
                     continue
-        for i in direct[k]:
-            obj = scene.objects[i]
-            classified += 1
-            polys += obj.polys
-            # A rendered object occludes later fan tests unless the viewpoint
-            # sits inside it; a box containing the camera would otherwise
-            # occlude the whole world at distance zero.
-            if not (obj.box[0] <= px <= obj.box[2] and obj.box[1] <= py <= obj.box[3]):
-                occluders[n] = obj_rel[i]
-                n += 1
-        for c in children[k]:
-            heapq.heappush(heap, (dist[c], c))
-    return CullStats(classified, tests, polys)
+                if n:
+                    rays = slice(*span)
+                    enter, exit_ = _entry_exit(occluders[:n], open_inv[rays])
+                    blocked = (enter <= np.minimum(exit_, open_t[rays])) & (exit_ > 0)
+                    if blocked.any(axis=1).all():
+                        continue
+            own = direct[k]
+            if own:
+                classified += len(own)
+                polys += node_polys[k]
+                if held is not None:
+                    own = [i for i in own if not held[i]]
+                m = len(own)
+                if m == 1:
+                    occluders[n] = rel[own[0]]
+                elif m:
+                    occluders[n:n + m] = rel[list(own)]
+                n += m
+            for c in children[k]:
+                heapq.heappush(heap, (dist[c], c))
+        stats.append(CullStats(classified, tests, polys))
+    return stats
+
+
+def _cull(scene: Scene2D, max_depth: int, side: int | None,
+          points: list[tuple[float, float]]) -> list[CullStats]:
+    return _memoized(_CULLS, (scene, max_depth, side), points, _cull_chunk)
 
 
 def cull_render(scene: Scene2D, config: CullingConfig, p: GridPoint,
@@ -334,9 +458,7 @@ def cull_render(scene: Scene2D, config: CullingConfig, p: GridPoint,
     directly stored objects are then rendered.  ``side`` restricts the ray
     set to one side sector.
     """
-    pw = _world_xy(p)
-    _require_inside(scene, pw)
-    return _cull(scene, config.max_tree_depth, pw, side)
+    return _cull(scene, config.max_tree_depth, side, [_checked_xy(scene, p)])[0]
 
 
 # -- Simulated costs ------------------------------------------------------
@@ -354,8 +476,10 @@ def simulated_cost(scene: Scene2D, config: CullingConfig, p: GridPoint,
     The model's unit costs are applied positionally to (polygons rendered,
     occlusion tests).
     """
-    stats = cull_render(scene, config, p, side)
-    model = model or default_cost_model()
+    return _model_cost(model or default_cost_model(), cull_render(scene, config, p, side))
+
+
+def _model_cost(model: CostModel, stats: CullStats) -> float:
     return model.apply([stats.polygons_rendered, stats.occlusion_tests])
 
 
@@ -398,31 +522,52 @@ def scene_profile(scene: Scene2D, quantity: str,
 
     Scalar quantities: numvisible, polygons, occltests, cullcost, brutecost.
     Vector (arity 4, one component per side): sides, cullcost_sides.
-    Extra grid axes beyond x, y (for degenerate 3D grids) are ignored.
+    Extra grid axes beyond x, y (for degenerate 3D grids) are ignored.  The
+    ``batch`` answers many points through the same memo as ``query``, leaving
+    rows outside the scene's world non-finite, for ``query`` to refuse.
     """
     if quantity in _NEEDS_CONFIG:
         config = config or CullingConfig(4)
     name = f"scene:{quantity}"
     if config is not None:
         name += f":depth={config.max_tree_depth}"
+    arity = 4 if quantity in _VECTOR_QUANTITIES else 1
+    model = default_cost_model()
 
-    if quantity == "numvisible":
-        fn = lambda p: (float(num_visible(scene, p)),)
-    elif quantity == "brutecost":
+    def culls(points, side=None):
+        return _cull(scene, config.max_tree_depth, side, points)
+
+    if quantity == "brutecost":
         cost = brute_force_cost(scene)
-        fn = lambda p: (cost,)
+        return ProfileFunction(1, lambda p: (cost,), name=name,
+                               batch=lambda world: np.full(len(world), cost))
+    if quantity == "numvisible":
+        rows = lambda points: [(float(total),) for total, _ in _visibility(scene, points)]
+    elif quantity == "sides":
+        rows = lambda points: [tuple(map(float, by_side))
+                               for _, by_side in _visibility(scene, points)]
     elif quantity == "polygons":
-        fn = lambda p: (float(cull_render(scene, config, p).polygons_rendered),)
+        rows = lambda points: [(float(s.polygons_rendered),) for s in culls(points)]
     elif quantity == "occltests":
-        fn = lambda p: (float(cull_render(scene, config, p).occlusion_tests),)
+        rows = lambda points: [(float(s.occlusion_tests),) for s in culls(points)]
     elif quantity == "cullcost":
-        fn = lambda p: (simulated_cost(scene, config, p),)
-    elif quantity in _VECTOR_QUANTITIES:
-        return ProfileFunction(4, lambda p: directional_profile(scene, quantity, p, config),
-                               name=name)
+        rows = lambda points: [(_model_cost(model, s),) for s in culls(points)]
+    elif quantity == "cullcost_sides":
+        rows = lambda points: list(zip(*([_model_cost(model, s) for s in culls(points, k)]
+                                         for k in range(4))))
     else:
         raise ValueError(f"unknown scene quantity {quantity!r}")
-    return ProfileFunction(1, fn, name=name)
+
+    def batch(world: np.ndarray) -> np.ndarray:
+        xy = np.asarray(world, dtype=np.float64)[:, :2]
+        inside = ((xy >= 0) & (xy <= scene.world)).all(axis=1)
+        out = np.full((len(xy), arity), np.nan)
+        out[inside] = np.array(rows(list(map(tuple, xy[inside].tolist()))),
+                               dtype=np.float64).reshape(-1, arity)
+        return out
+
+    return ProfileFunction(arity, lambda p: rows([_checked_xy(scene, p)])[0], name=name,
+                           batch=batch)
 
 
 # -- Canonical scenes -----------------------------------------------------

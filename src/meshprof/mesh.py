@@ -99,9 +99,11 @@ class Subdivision:
 
 def _tree_levels(root: Node, nd: int, m: int) -> list[Level]:
     """One ``Level`` per depth of the tree ``root``, the root's first, from one breadth-first
-    pass.  Raises ValueError for a leaf whose ``value``, ``lo_seen`` or ``hi_seen`` does not
-    hold ``m`` components, and TypeError for one that holds a number that is not an int or
-    a float."""
+    pass.  Raises ValueError for a branch whose children are not the split of its box (a
+    childless branch and a branch on one cell included), for a leaf whose ``value``,
+    ``lo_seen`` or ``hi_seen`` does not hold ``m`` components or whose ``samples`` is
+    negative, and TypeError for a leaf that holds a number that is not an int or a float,
+    or a ``samples`` that is not an int."""
     def boxes(items, name: str) -> np.ndarray:
         flat = chain.from_iterable(map(attrgetter(name), items))
         return np.fromiter(flat, np.int64, len(items) * nd).reshape(len(items), nd)
@@ -117,17 +119,35 @@ def _tree_levels(root: Node, nd: int, m: int) -> list[Level]:
                 raise TypeError(f"a leaf's {name} holds a {t.__name__}, not an int or a float")
         return np.fromiter(flat, np.float64, len(flat)).reshape(len(tuples), m)
 
-    levels, nodes = [], [root]
+    def counts(items) -> np.ndarray:
+        samples = list(map(attrgetter("samples"), items))
+        for t in set(map(type, samples)) - {int}:
+            raise TypeError(f"a leaf's samples is a {t.__name__}, not an int")
+        if samples and min(samples) < 0:
+            raise ValueError(f"a leaf's samples is {min(samples)}, not >= 0")
+        return np.array(samples, dtype=np.int64)
+
+    levels, nodes, want = [], [root], None
     while nodes:
         leaf = np.array([isinstance(node, Leaf) for node in nodes], dtype=bool)
         leaves, branches = (list(compress(nodes, mask)) for mask in (leaf, ~leaf))
         box = [node.box for node in nodes]
+        lo, hi = boxes(box, "lo"), boxes(box, "hi")
+        if want is not None and not (np.array_equal(lo, want[0]) and np.array_equal(hi, want[1])):
+            raise ValueError(f"the boxes at depth {len(levels)} are not the split of the "
+                             f"branches above")
+        children = np.array([len(branch.children) for branch in branches], dtype=np.int64)
+        *want, split = _split_bounds(lo[~leaf], hi[~leaf])
+        if (split == 1).any():
+            raise ValueError(f"a branch at depth {len(levels)} is on one cell, which has no split")
+        if not np.array_equal(children, split):
+            raise ValueError(f"a branch at depth {len(levels)} does not have as many children "
+                             f"as the split of its box")
         levels.append(Level(
-            boxes(box, "lo"), boxes(box, "hi"), leaf,
-            np.array([len(branch.children) for branch in branches], dtype=np.int64),
-            *(rows(leaves, name) for name in ("value", "lo_seen", "hi_seen")),
-            *(np.fromiter(map(attrgetter(name), leaves), t, len(leaves)) for name, t in
-              (("samples", np.int64), ("saturated", bool), ("degenerate", bool)))))
+            lo, hi, leaf, children,
+            *(rows(leaves, name) for name in ("value", "lo_seen", "hi_seen")), counts(leaves),
+            *(np.fromiter(map(attrgetter(name), leaves), bool, len(leaves))
+              for name in ("saturated", "degenerate"))))
         nodes = [kid for branch in branches for kid in branch.children]
     return levels
 

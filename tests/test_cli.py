@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -96,6 +97,15 @@ class TestBuild:
             assert run("build", "--exec", "/bin/echo", "--domain", "8", "--threshold", "100",
                        "--repeat", repeat, "--out", str(tmp_path / "m.json")) == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_scene_build_writes_the_pinned_bytes(self, tmp_path):
+        # The SHA-256 of the mesh written when scene profiles answered one point at a
+        # time; batches of a level's cells must write the same bytes.
+        out = tmp_path / "m.json"
+        assert run("build", "--fixture", "scene:default:cullcost:depth=3", "--domain", "32x32",
+                   "--threshold", "0.2", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "900a761671c52c0fe46f8ad9c38b20232f040c15dc9901e15342e37e9356c75e")
 
     def test_vector_fixture_needs_matching_threshold(self, tmp_path):
         code = run("build", "--fixture", "scene:symmetric:sides", "--domain", "8x8",

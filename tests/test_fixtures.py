@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from meshprof.domain import GridDomain, GridPoint
+from meshprof.mesh import serialize
 from meshprof.fixtures import (
     constant,
     grid_moments,
@@ -229,3 +230,45 @@ def test_fixture_batches_match_point_queries_bit_for_bit():
         got = np.asarray(pf.batch(dom.world_from_linear(lins)), dtype=np.float64)
         want = np.array([pf.query(p)[0] for p in points])
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), fix.name
+
+
+@pytest.mark.parametrize("token", ["scene:default:numvisible", "scene:symmetric:sides",
+                                   "scene:variant77:cullcost:depth=5:rays=9",
+                                   "scene:default:cullcost_sides:depth=3:rays=8",
+                                   "scene:default:polygons:depth=2", "scene:default:occltests",
+                                   "scene:default:brutecost"])
+def test_scene_batches_match_point_queries_bit_for_bit(token):
+    # Non-zero origin, fractional cells and a degenerate third axis: the batch
+    # recovers each row's cell index from its world coordinates.
+    dom = GridDomain((12, 10, 1), origin=(-3.7, 41.2, 5.0), cell_size=(0.3, 1.1, 2.5))
+    lins = list(range(dom.cell_count))
+    pf = resolve_fixture(token, dom)
+    got = np.asarray(pf.batch(dom.world_from_linear(lins)), dtype=np.float64)
+    want = np.array([pf.query(p) for p in dom.points_from_linear(lins)])
+    assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+
+def test_scene_batch_leaves_rows_of_no_cell_to_the_query():
+    dom = GridDomain((8, 8), origin=(1.0, 2.0), cell_size=(0.5, 0.25))
+    pf = resolve_fixture("scene:default:numvisible", dom)
+    world = dom.world_from_linear([0, 9, 63, 63])
+    world[1, 0] += 0.1     # between cell centers
+    world[2, 1] = 99.0     # outside the grid
+    world[3, 0] = np.nan
+    got = pf.batch(world)
+    assert np.isfinite(got[0]).all() and np.isnan(got[1:]).all()
+    assert tuple(got[0]) == pf.query(dom.point((0, 0)))
+
+
+def test_scene_build_survives_purity_checks_of_every_hit():
+    from meshprof.builder import BuildConfig, DiameterSampling, build
+
+    dom = GridDomain((16, 16))
+    pf = resolve_fixture("scene:default:cullcost:depth=4", dom)
+    config = BuildConfig(threshold=(0.2,), policy=DiameterSampling(0.5), seed=3,
+                         purity_check_rate=1.0)
+    sub, report = build(pf, dom, config)
+    again, _ = build(pf, dom, BuildConfig(threshold=(0.2,), policy=DiameterSampling(0.5),
+                                          seed=3))
+    assert report.total_requests > report.distinct_queries > 0
+    assert serialize(sub) == serialize(again)

@@ -229,14 +229,34 @@ class TestLevels:
             assert sub.root == tree and sub.root is not tree
 
     def test_leaf_arrays_of_a_childless_branch(self):
+        # A branch whose children are not the split of its box is refused.  At the
+        # parent, the misordered branch read [2, 2, 1, 1] by to_dense and 1, 1, 2, 2 by
+        # evaluate, and each tree was written as a file that the reader refuses.
         dom = GridDomain((4,))
         box = dom.root_cuboid()
         lo, hi = box.split()
-        leaf = Leaf(hi, (3.0,), 1, (3.0,), (3.0,))
-        sub = Subdivision(dom, 1, Branch(box, (Branch(lo, ()), leaf)))
-        table = leaf_arrays(sub)
-        assert table.lo.tolist() == [[2]] and table.depth.tolist() == [1]
-        assert [leaf.box for leaf, _ in walk_leaves(sub)] == [hi]
+        one, two = Leaf(hi, (1.0,), 1, (1.0,), (1.0,)), Leaf(lo, (2.0,), 1, (2.0,), (2.0,))
+        cell = GridCuboid((0,), (1,))
+        for root in (Branch(box, (Branch(lo, ()), one)),
+                     Branch(box, (one, two)),
+                     Branch(box, (two,)),
+                     Branch(box, (Branch(lo, (Branch(cell, (Leaf(cell, (1.0,), 1, (1.0,),
+                                                                  (1.0,)),)),
+                                              Leaf(GridCuboid((1,), (2,)), (1.0,), 1, (1.0,),
+                                                   (1.0,)))), one))):
+            with pytest.raises(ValueError):
+                Subdivision(dom, 1, root)
+        assert leaf_arrays(Subdivision(dom, 1, Branch(box, (two, one)))).lo.tolist() == [[0], [2]]
+
+    def test_samples_of_a_hand_built_leaf_are_a_count(self):
+        # At the parent, samples=2.5 was kept as 2, and True as 1.
+        dom = GridDomain((4,))
+        for samples, error in ((2.5, TypeError), (True, TypeError), (np.int64(2), TypeError),
+                               (-1, ValueError)):
+            with pytest.raises(error):
+                Subdivision(dom, 1, Leaf(dom.root_cuboid(), (1.0,), samples, (1.0,), (1.0,)))
+        sub = Subdivision(dom, 1, Leaf(dom.root_cuboid(), (1.0,), 0, (1.0,), (1.0,)))
+        assert sub.levels[0].samples.tolist() == [0]
 
     def test_a_leaf_of_another_arity_is_refused(self):
         # Read as levels, the first two trees held the dense values [5, 5, 6, 6] and

@@ -139,10 +139,14 @@ def test_corpus_covers_its_cases():
                                    (), (2**70, False), (np.float64(1e-310), -0.0)])
 def test_serialize_spells_every_number_as_json_does(value):
     dom = GridDomain((4,))
+    lo, hi = dom.root_cuboid().split()
+    first, second = lo.split()
     for root in (Leaf(dom.root_cuboid(), value, 0, value, value),
-                 Branch(dom.root_cuboid(), (Leaf(GridDomain((2,)).root_cuboid(), value, True,
-                                                 value, value),)),
-                 Branch(dom.root_cuboid(), ())):
+                 Branch(dom.root_cuboid(), (Leaf(lo, value, 1, value, value),
+                                            Leaf(hi, value, 2, value, value))),
+                 Branch(dom.root_cuboid(), (Branch(lo, (Leaf(first, value, 3, value, value),
+                                                        Leaf(second, value, 1, value, value))),
+                                            Leaf(hi, value, 0, value, value)))):
         if not value:
             with pytest.raises(ValueError):
                 Subdivision(dom, len(value), root)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import dense_cull, dense_visibility
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshprof.domain import GridDomain, GridPoint
 from meshprof.errors import OutOfDomainError
@@ -26,6 +29,7 @@ from meshprof.fixtures import (
     visible_by_side,
 )
 from meshprof.analysis import CostModel, UnitCost
+from meshprof.fixtures.scene import _cull, _cull_chunk, _quadtree, _visibility_chunk
 
 
 def P(x, y):
@@ -396,3 +400,57 @@ class TestGoldenResults:
     @pytest.mark.parametrize("scene_name", sorted(_GOLDEN_SCENES))
     def test_visibility(self, scene_name):
         assert visibility_digest(scene_name) == self.VISIBILITY[scene_name]
+
+
+def _observers_of(scene, depth):
+    """World points anywhere, on the world's rim, and on or inside the scene's rects:
+    objects, blockers and the depth's quadtree boxes, at their corners, edges, centers
+    and interiors."""
+    w, h = scene.world
+    rects = ([o.box for o in scene.objects] + list(scene.blockers)
+             + _quadtree(scene, depth)[0].tolist())
+
+    def along(lo, hi):
+        return st.sampled_from([lo, hi, (lo + hi) / 2]) | st.floats(lo, hi)
+
+    on_rect = st.sampled_from(rects).flatmap(
+        lambda r: st.tuples(along(r[0], r[2]), along(r[1], r[3])))
+    rim = (st.tuples(st.sampled_from([0.0, w]), st.floats(0.0, h))
+           | st.tuples(st.floats(0.0, w), st.sampled_from([0.0, h])))
+    return st.tuples(st.floats(0.0, w), st.floats(0.0, h)) | rim | on_rect
+
+
+_CHUNK_SCENES = {(name, rays): make(rays) for rays in (8, 9, 16) for name, make in (
+    ("default", default_scene), ("symmetric", symmetric_scene),
+    ("variant77", lambda r: scene_variant(77, r)))}
+
+
+class TestChunks:
+    """Ray tests paired by angle, over chunks of points, count what dense slab tests
+    of every ray against every rect count, whatever the chunking and order."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.sampled_from(sorted(_CHUNK_SCENES)), st.integers(1, 6),
+           st.sampled_from([None, 0, 1, 2, 3]), st.integers(1, 6))
+    def test_chunks_equal_the_dense_reference(self, data, key, depth, side, chunk):
+        scene = _CHUNK_SCENES[key]
+        points = data.draw(st.lists(_observers_of(scene, depth), min_size=1, max_size=8))
+        points = data.draw(st.permutations(points))
+        # A cull of a chunk after one of another side reuses its shared-ray tests.
+        sides = (side, data.draw(st.sampled_from([s for s in (None, 0, 1, 2, 3) if s != side])))
+        culls, seen = {s: [] for s in sides}, []
+        for a in range(0, len(points), chunk):
+            for s in sides:
+                culls[s] += _cull_chunk(scene, depth, s, points[a:a + chunk])
+            seen += _visibility_chunk(scene, points[a:a + chunk])
+        for s in sides:
+            assert culls[s] == [dense_cull(scene, depth, pw, s) for pw in points]
+        assert seen == [dense_visibility(scene, pw) for pw in points]
+
+    def test_single_point_calls_share_the_memo_of_a_batch(self):
+        scene = scene_variant(5, rays_per_side=13)
+        points = [(float(x), float(y)) for x in (0.0, 37.5, 128.0) for y in (3.25, 200.0)]
+        batch = _cull(scene, 4, 2, points)
+        assert batch == [dense_cull(scene, 4, pw, 2) for pw in points]
+        for pw, stats in zip(points, batch):
+            assert cull_render(scene, CullingConfig(4), P(*pw), 2) is stats
