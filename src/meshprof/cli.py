@@ -63,7 +63,7 @@ from .errors import MeshprofError, NonDeterministicProfileError, ProfileQueryErr
 from .export import write_files, write_heatmap, write_leaf_csv
 from .fixtures import FIXTURE_HELP, resolve_fixture
 from .fixtures.scene import DEFAULT_POLY_COST_MS, DEFAULT_TEST_COST_MS
-from .mesh import constant, deserialize, evaluate, serialize_pieces
+from .mesh import _leaf_rows, constant, deserialize, serialize_pieces
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -400,9 +400,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_eval(args) -> int:
     sub = _load_mesh(args.mesh)
-    for text in args.cells:
-        p = sub.domain.point(_parse_cell(text, sub.domain.ndim))
-        print(_format_value(evaluate(sub, p)))
+    # Every cell is checked before any value is printed.
+    cells = [sub.domain.point(_parse_cell(text, sub.domain.ndim)).index for text in args.cells]
+    values = np.concatenate([level.value for level in sub.levels])
+    rows = _leaf_rows(sub, np.array(cells, dtype=np.int64))
+    print("\n".join(map(_format_value, values[rows].tolist())))
     return _EXIT_OK
 
 
@@ -596,9 +598,12 @@ def _cmd_render(args) -> int:
     for item in args.slice:
         axis_text, _, index_text = item.partition("=")
         try:
-            fixed[int(axis_text)] = int(index_text)
+            axis, index = int(axis_text), int(index_text)
         except ValueError as e:
             raise _CliError(f"bad --slice {item!r}; expected AXIS=CELL") from e
+        if axis in fixed:
+            raise _CliError(f"--slice fixes axis {axis} twice")
+        fixed[axis] = index
     outputs = [args.out, f"{args.out}.json", _manifest_path(args.out)]
     if args.leaf_csv:
         outputs.append(args.leaf_csv)

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Subdivision, leaf_arrays, to_dense
+from .mesh import Subdivision, _box_values, leaf_arrays
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,8 @@ def slice_grid(sub: Subdivision, fixed: dict[int, int] | None = None) -> np.ndar
 
     ``fixed`` pins axes to cell indices until at most two stay free; a
     single free axis renders as a one-pixel-tall strip.  Scalar
-    subdivisions only.
+    subdivisions only.  Only the slice's cells are read, so the dense guard
+    counts its pixels, not the domain's cells.
     """
     if sub.value_arity != 1:
         raise ValueError(
@@ -60,13 +62,12 @@ def slice_grid(sub: Subdivision, fixed: dict[int, int] | None = None) -> np.ndar
     if len(free) > 2:
         raise ValueError(
             f"{len(free)} axes left free; fix {len(free) - 2} more with slices")
-    dense = to_dense(sub)
-    indexer = tuple(
-        fixed[a] if a in fixed else slice(None) for a in range(sub.domain.ndim))
-    grid = dense[indexer]
-    if grid.ndim < 2:
-        grid = grid.reshape(-1, 1)
-    return grid
+    lo = [fixed.get(a, 0) for a in range(sub.domain.ndim)]
+    hi = [fixed[a] + 1 if a in fixed else e for a, e in enumerate(sub.domain.extents)]
+    shape = [sub.domain.extents[a] for a in free] + [1] * (2 - len(free))
+    if math.prod(shape) > 10**6:
+        raise ValueError(f"slice has {math.prod(shape)} pixels, dense guard is {10**6}")
+    return _box_values(sub, lo, hi).reshape(shape)
 
 
 def _gray_bytes(grid: np.ndarray, vmin: float, vmax: float) -> bytes:

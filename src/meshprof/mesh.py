@@ -210,20 +210,36 @@ def _derived(domain: GridDomain, shape: list[tuple], value: np.ndarray,
 
 
 def evaluate(sub: Subdivision, p: GridPoint) -> tuple[float, ...]:
-    """Constant value of the leaf whose box contains ``p``, found depth by depth: the
-    child of a branch that holds ``p`` is its rank in ``GridCuboid.split`` order."""
+    """Constant value of the leaf whose box contains ``p``."""
     if not sub.domain.contains_index(p.index):
         raise OutOfDomainError(f"point {p.index} outside domain {sub.domain.extents}")
-    node = 0
+    row = _leaf_rows(sub, np.array([p.index], dtype=np.int64))[0]
+    return tuple(np.concatenate([level.value for level in sub.levels])[row].tolist())
+
+
+def _leaf_rows(sub: Subdivision, cells: np.ndarray) -> np.ndarray:
+    """The level-order row (that of the levels' ``value`` rows concatenated) of the leaf that
+    holds each of the ``(k, ndim)`` in-domain ``cells``: point location in a linear quadtree
+    (Gargantini, CACM 1982), depth by depth.  A cell's child counts in binary over its
+    branch's cut axes, the first most significant, as in ``_split_bounds``."""
+    rows = np.empty(len(cells), dtype=np.int64)
+    # The cells still in branches, their node numbers, and the leaves at the depths above.
+    ask, node, above = np.arange(len(cells)), np.zeros(len(cells), dtype=np.int64), 0
     for level in sub.levels:
-        leaves = int(np.count_nonzero(level.leaf[:node]))
-        if level.leaf[node]:
-            return tuple(level.value[leaves].tolist())
-        child = 0
-        for i, l, h in zip(p.index, level.lo[node].tolist(), level.hi[node].tolist()):
-            if h - l >= 2:
-                child = 2 * child + (i >= l + (h - l) // 2)
-        node = int(level.children[:node - leaves].sum()) + child
+        leaf = level.leaf[node]
+        rank = np.cumsum(level.leaf[:node.max(initial=0) + 1])[node] - leaf  # leaves before
+        rows[ask[leaf]] = above + rank[leaf]
+        above += len(level.value)
+        go = ~leaf
+        ask, node, branch = ask[go], node[go], (node - rank)[go]
+        if not len(ask):
+            break
+        lo, extent = level.lo[node], level.hi[node] - level.lo[node]
+        can = extent >= 2
+        later = can.sum(axis=1, keepdims=True) - np.cumsum(can, axis=1)  # cut axes after each
+        child = np.left_shift(can & (cells[ask] >= lo + extent // 2), later).sum(axis=1)
+        node = np.cumsum(level.children[:branch.max() + 1])[branch] - level.children[branch] + child
+    return rows
 
 
 def _split_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,19 +311,26 @@ def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
     n = sub.domain.cell_count
     if n > max_cells:
         raise ValueError(f"domain has {n} cells, dense guard is {max_cells}")
-    table = leaf_arrays(sub)
-    widths = table.hi - table.lo
+    return _box_values(sub, (0,) * sub.domain.ndim, sub.domain.extents)
+
+
+def _box_values(sub: Subdivision, lo, hi) -> np.ndarray:
+    """``to_dense`` of the box of cells from ``lo`` to ``hi``: every leaf clipped to it, each
+    clipped leaf's cells unravelled from its low corner, last axis fastest."""
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    leaf = np.concatenate([level.leaf for level in sub.levels])
+    low = np.maximum(np.concatenate([level.lo for level in sub.levels])[leaf], lo)
+    high = np.minimum(np.concatenate([level.hi for level in sub.levels])[leaf], hi)
+    widths = np.maximum(high - low, 0)  # 0 on some axis for a leaf outside the box
     sizes = widths.prod(axis=1)
-    # Every cell once: the leaf that holds it, and its rank in that leaf's box
-    # unravelled into an offset from the box's low corner, last axis fastest.
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    rank = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     index = []
-    for a in reversed(range(sub.domain.ndim)):
+    for a in reversed(range(len(lo))):
         rank, offset = np.divmod(rank, widths[owner, a])
-        index.insert(0, table.lo[owner, a] + offset)
-    out = np.empty(sub.domain.extents + (sub.value_arity,), dtype=np.float64)
-    out[tuple(index)] = table.value[owner]
+        index.insert(0, low[owner, a] - lo[a] + offset)
+    out = np.empty(tuple((hi - lo).tolist()) + (sub.value_arity,), dtype=np.float64)
+    out[tuple(index)] = np.concatenate([level.value for level in sub.levels])[owner]
     return out[..., 0] if sub.value_arity == 1 else out
 
 

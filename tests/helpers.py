@@ -10,7 +10,7 @@ import numpy as np
 
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.fixtures.scene import CullStats, _hit_distances, _quadtree, _ray_dirs, _rect_arrays
-from meshprof.mesh import Branch, Leaf, Node, Subdivision
+from meshprof.mesh import Branch, Leaf, Node, Subdivision, leaf_arrays
 
 
 def random_tree(rng: np.random.Generator, domain: GridDomain,
@@ -54,6 +54,25 @@ def dense_eval(sub: Subdivision) -> np.ndarray:
     for leaf, _ in walk_leaves(sub):
         block = tuple(slice(l, h) for l, h in zip(leaf.box.lo, leaf.box.hi))
         out[block] = leaf.value if sub.value_arity > 1 else leaf.value[0]
+    return out
+
+
+def dense_reference(sub: Subdivision) -> np.ndarray:
+    """Every cell's value, of shape ``extents + (arity,)``, from the leaves of
+    ``leaf_arrays``: each leaf's cells unravelled from its box's low corner, last
+    axis fastest.  The reference for the cell lookup and the box read, which
+    read the levels instead."""
+    table = leaf_arrays(sub)
+    widths = table.hi - table.lo
+    sizes = widths.prod(axis=1)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    rank = np.arange(sub.domain.cell_count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    index = []
+    for a in reversed(range(sub.domain.ndim)):
+        rank, offset = np.divmod(rank, widths[owner, a])
+        index.insert(0, table.lo[owner, a] + offset)
+    out = np.empty(sub.domain.extents + (sub.value_arity,), dtype=np.float64)
+    out[tuple(index)] = table.value[owner]
     return out
 
 

@@ -125,6 +125,14 @@ class TestEvalDiffAvg:
         assert run("eval", str(out), "1,2,3") == 2
         assert run("eval", str(out), "a,b") == 2
 
+    def test_eval_checks_every_cell_before_it_prints(self, tmp_path, capsys):
+        out = build_fixture(tmp_path, "ramp.json", "ramp")
+        capsys.readouterr()
+        assert run("eval", str(out), "0,0", "3,4", "90,0", "1,1") == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == "meshprof: cell index (90, 0) outside extents (8, 8)\n"
+
     def test_eval_rejects_corrupt_mesh(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"not\": \"a mesh\"}")
@@ -406,6 +414,31 @@ class TestRender:
         img = tmp_path / "diff.ppm"
         assert run("render", str(d), "--out", str(img), "--palette", "diverging") == 0
         assert img.read_bytes().startswith(b"P6\n8 8\n255\n")
+
+    def test_slice_of_a_mesh_over_the_dense_guard(self, tmp_path):
+        # 128**3 cells are past the guard of a million; the slice's 128x128 pixels are not.
+        mesh, img = tmp_path / "cube.json", tmp_path / "z0.pgm"
+        write_mesh(mesh, constant(GridDomain((128, 128, 128)), (3.0,)))
+        assert run("render", str(mesh), "--out", str(img), "--slice", "2=0") == 0
+        assert img.read_bytes() == b"P5\n128 128\n255\n" + bytes([128] * 128 * 128)
+
+    def test_image_over_the_dense_guard_is_refused(self, tmp_path, capsys):
+        mesh, img = tmp_path / "wide.json", tmp_path / "wide.pgm"
+        write_mesh(mesh, constant(GridDomain((1001, 1000)), (3.0,)))
+        capsys.readouterr()
+        assert run("render", str(mesh), "--out", str(img)) == 2
+        assert capsys.readouterr().err == (
+            "meshprof: slice has 1001000 pixels, dense guard is 1000000\n")
+        assert not img.exists()
+
+    def test_repeated_slice_axis_is_refused(self, tmp_path, capsys):
+        mesh = build_fixture(tmp_path, "r3.json", "ramp", domain="4x4x8")
+        img = tmp_path / "m.pgm"
+        capsys.readouterr()
+        assert run("render", str(mesh), "--out", str(img), "--slice", "2=0",
+                   "--slice", "2=5") == 2
+        assert capsys.readouterr().err == "meshprof: --slice fixes axis 2 twice\n"
+        assert list(tmp_path.glob("m.pgm*")) == []
 
     def test_bad_slice_syntax(self, tmp_path):
         mesh = build_fixture(tmp_path, "ramp.json", "ramp")

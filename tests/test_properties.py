@@ -8,7 +8,10 @@ mode's test on its stored fields, and that serialization round-trips bit for
 bit and writes the same text as the v1 oracle encoder.  ``leaf_arrays`` must
 read, from a build's levels and from the levels derived from a tree alike,
 exactly what a recursive walk of the tree reads, and ``==``, which reads
-levels, must agree with equality of the assembled trees.  The runs are
+levels, must agree with equality of the assembled trees.  The cell lookup,
+``evaluate``, ``to_dense`` and ``slice_grid`` must read what the leaves of
+``leaf_arrays`` unravel to, on builds, loaded meshes, algebra results and
+one-leaf meshes.  The runs are
 derandomized so that the suite is repeatable; the explicit examples are the
 cases where a leaf mean used to land an ulp outside its samples' range.
 """
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import oracle_doc, random_subdivision, walk_leaves
+from helpers import dense_reference, oracle_doc, random_subdivision, walk_leaves
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +38,9 @@ from meshprof.builder import (
 )
 from meshprof.domain import GridDomain
 from meshprof.fixtures import resolve_fixture
-from meshprof.mesh import Branch, Subdivision, deserialize, leaf_arrays, serialize
+from meshprof.export import slice_grid
+from meshprof.mesh import (Branch, Subdivision, _leaf_rows, constant, deserialize, evaluate,
+                           leaf_arrays, serialize, to_dense)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -242,3 +247,67 @@ def test_serialization_round_trips_bit_exactly(case):
 def test_serialize_matches_the_v1_oracle_encoder(case):
     sub = build_case(case)
     assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
+
+
+@st.composite
+def meshes(draw):
+    """A mesh of a kind that lookups meet, in 1-D, 2-D or 3-D with axes of extent 1 among
+    them: a build of a ramp or a step, the same read back from its text, a ``combine`` or
+    ``selection_map`` result of two random trees, or a one-leaf mesh.  Thresholds and
+    split chances are drawn so that most meshes have many leaves."""
+    kind = draw(st.sampled_from(["build", "loaded", "combine", "selection", "constant"]))
+    ndim = draw(st.integers(1, 3))
+    extents = tuple(draw(st.lists(st.integers(1, 40 if ndim == 1 else 12),
+                                  min_size=ndim, max_size=ndim)))
+    domain = GridDomain(extents)
+    if kind == "constant":
+        value = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+        return constant(domain, tuple(value))
+    if kind in ("build", "loaded"):
+        token = draw(st.sampled_from(["ramp", f"step:10:{draw(st.integers(0, extents[0]))}"]))
+        config = BuildConfig(threshold=(draw(st.floats(0.5, 8.0)),),
+                             policy=FixedSampling(draw(st.integers(2, 16))),
+                             seed=draw(st.integers(0, 2**32 - 1)))
+        sub = build(resolve_fixture(token, domain), domain, config)[0]
+        return deserialize(serialize(sub)) if kind == "loaded" else sub
+    arity = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    split, depth = draw(st.floats(0.3, 1.0)), draw(st.integers(1, 7))
+    a, b = (random_subdivision(rng, domain, arity, split, depth) for _ in range(2))
+    if kind == "combine" or arity == 2:
+        return combine(a, b, draw(st.sampled_from(["subtract", "ratio", "max"])))
+    return selection_map([a, b], view=(30.0, 90.0) if arity == 4 else None)
+
+
+def flat_map():
+    """A selection map of two trees with many leaves over an axis of extent 1."""
+    rng = np.random.default_rng(3)
+    return selection_map([random_subdivision(rng, GridDomain((1, 9, 4)), 1, 0.9, 6)
+                          for _ in range(2)])
+
+
+FLAT_BUILD = build_case(("ramp", (6, 1, 5), FixedSampling(4), 0, "range", 0.5))
+
+
+@PROPERTY_SETTINGS
+@given(meshes(), st.integers(0, 2**32 - 1))
+@example(FLAT_BUILD, 0)
+@example(flat_map(), 1)
+def test_lookups_and_box_reads_are_the_dense_reference(sub, seed):
+    """Every cell's lookup, ``to_dense``, ``evaluate`` at a few cells and ``slice_grid`` of a
+    random slice equal the reference bit for bit."""
+    rng = np.random.default_rng(seed)
+    nd, m, extents = sub.domain.ndim, sub.value_arity, sub.domain.extents
+    ref = dense_reference(sub)
+    cells = np.indices(extents).reshape(nd, -1).T
+    values = np.concatenate([level.value for level in sub.levels])
+    assert values[_leaf_rows(sub, cells)].tobytes() == ref.reshape(-1, m).tobytes()
+    assert to_dense(sub).tobytes() == (ref[..., 0] if m == 1 else ref).tobytes()
+    for cell in map(tuple, rng.integers(0, extents, size=(3, nd)).tolist()):
+        assert np.array(evaluate(sub, sub.domain.point(cell))).tobytes() == ref[cell].tobytes()
+    if m == 1:
+        fixed = {int(a): int(rng.integers(0, extents[a]))
+                 for a in rng.permutation(nd)[:rng.integers(max(nd - 2, 0), nd + 1)]}
+        want = ref[tuple(fixed.get(a, slice(None)) for a in range(nd))][..., 0]
+        grid = slice_grid(sub, fixed)
+        assert grid.tobytes() == (want if want.ndim == 2 else want.reshape(-1, 1)).tobytes()
