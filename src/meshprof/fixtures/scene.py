@@ -14,28 +14,34 @@ whatever the shared ray set can see, the renderer also classifies visible.
 
 Precomputed once per scene: its hash and its object and blocker rects as
 arrays; per (scene, depth): the quadtree in preorder, as one (N, 4) array of
-node boxes plus each node's objects, children and polygon total.  Points are
-answered a chunk of a few at a time.  Seen from each point of a chunk, every
-node box and object spans an angle, and a shared ray is slab-tested against it
-(Kay and Kajiya, SIGGRAPH 1986) only if the rect contains the point or the
-ray's angle lies within one ray spacing of that span: any other ray passes the
-rect at a wide angle, so each pair left out is a certain miss and every count
-equals that of testing all rays against all rects.  Blockers meet every ray.
-The fans of the nodes that the shared rays leave blocked are tested against
-their boxes and the blockers at once; only the check of a fan against the
-objects rendered so far depends on traversal order, so it runs when the
-point's front-to-back traversal reaches the node.  All quantities are pure
-functions of (scene, config, point), kept in one bounded memo for culls and
-one for visibility, which single-point calls and a profile's batch share.
+node boxes plus each node's parent, level, subtree size and polygon total and
+each object's owner.  Points are answered a chunk of a few at a time.  Seen
+from each point of a chunk, every node box and object spans an angle, and a
+shared ray is slab-tested against it (Kay and Kajiya, SIGGRAPH 1986) only if
+the rect contains the point or the ray's angle lies within one ray spacing of
+that span: any other ray passes the rect at a wide angle, so each pair left out
+is a certain miss and every count equals that of testing all rays against all
+rects.  Blockers meet every ray.  A chunk's culls reach the quadtree level by
+level, for all its points at once, and build the fan of a reached node only if
+the shared rays leave it blocked; a cull of the same points on another side
+reuses those fans.  Only the check of a fan against the objects rendered so far
+depends on traversal order.  No node lies nearer a point than its parent, so a
+front-to-back heap pops nodes in the sorted order of (distance, preorder)
+(Hjaltason and Samet, ACM TODS 1999): the Python loop runs over just the nodes
+that need that check, in that order, and a node that fails it drops its
+subtree.  All quantities are pure functions of (scene, config, point), kept in
+one bounded memo for culls and one for visibility, which single-point calls and
+a profile's batch share.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -160,8 +166,8 @@ def _checked_xy(scene: Scene2D, p: GridPoint) -> tuple[float, float]:
     return pw
 
 
-# Points per chunk: a chunk's arrays grow with it, and 4 points keep peak memory flat.
-_CHUNK = 4
+# Points per chunk: a chunk's arrays grow with it, and 8 points keep peak memory flat.
+_CHUNK = 8
 _MEMO_SIZE = 300_000
 _VISIBILITY: OrderedDict = OrderedDict()
 _CULLS: OrderedDict = OrderedDict()
@@ -285,42 +291,50 @@ def _fits(rect: Rect, box: Rect) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _quadtree(scene: Scene2D, max_depth: int) -> tuple[np.ndarray, tuple, tuple, tuple]:
-    """The quadtree in preorder, so a node's index is its tie-break order:
-    node boxes as one (N, 4) array, then each node's objects, children and
-    total polygon count of its objects."""
+def _quadtree(scene: Scene2D, max_depth: int) -> tuple:
+    """The quadtree in preorder, so a node's index is its tie-break order: node boxes
+    as one (N, 4) array, each node's parent (the root's is 0), the nodes of each
+    level, each node's subtree size, which makes its subtree the index range
+    [k, k + size), each object's owner (the node that stores it), and per node its
+    number of objects, of children and of polygons, as one (N, 3) array."""
     rects = [o.box for o in scene.objects]
     boxes: list[Rect] = []
-    direct: list[tuple[int, ...]] = []
-    children: list[tuple[int, ...]] = []
+    parent: list[int] = []
+    level: list[int] = []
+    size: list[int] = []
+    owner = [0] * len(rects)
 
-    def add(box: Rect, items: list[int], levels_left: int) -> int:
+    def add(box: Rect, items: list[int], up: int, depth: int) -> None:
         k = len(boxes)
         boxes.append(box)
-        direct.append(tuple(items))
-        children.append(())
-        if levels_left <= 1:
-            return k
+        parent.append(up)
+        level.append(depth)
+        size.append(1)
         x0, y0, x1, y1 = box
         mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
         quads = ((x0, y0, mx, my), (mx, y0, x1, my), (x0, my, mx, y1), (mx, my, x1, y1))
-        own: list[int] = []
         per_quad: list[list[int]] = [[], [], [], []]
         for i in items:
-            for q, quad in enumerate(quads):
-                if _fits(rects[i], quad):
-                    per_quad[q].append(i)
-                    break
-            else:
-                own.append(i)
-        direct[k] = tuple(own)
-        children[k] = tuple(add(quad, bucket, levels_left - 1)
-                            for quad, bucket in zip(quads, per_quad) if bucket)
-        return k
+            owner[i] = k
+            if depth + 1 < max_depth:
+                for q, quad in enumerate(quads):
+                    if _fits(rects[i], quad):
+                        per_quad[q].append(i)
+                        break
+        for quad, bucket in zip(quads, per_quad):
+            if bucket:
+                add(quad, bucket, k, depth + 1)
+        size[k] = len(boxes) - k
 
-    add((0.0, 0.0, scene.world[0], scene.world[1]), list(range(len(rects))), max_depth)
-    polys = tuple(sum(scene.objects[i].polys for i in own) for own in direct)
-    return np.array(boxes, dtype=np.float64), tuple(direct), tuple(children), polys
+    add((0.0, 0.0, scene.world[0], scene.world[1]), list(range(len(rects))), 0, 0)
+    parent, level, owner = np.array(parent), np.array(level), np.array(owner, dtype=np.int64)
+    counts = np.zeros((len(boxes), 3), dtype=np.int64)
+    np.add.at(counts, (owner, 0), 1)
+    np.add.at(counts, (parent[1:], 1), 1)
+    np.add.at(counts, (owner, 2), [o.polys for o in scene.objects])
+    return (np.array(boxes, dtype=np.float64), parent,
+            tuple(np.flatnonzero(level == d) for d in range(level.max() + 1)), tuple(size),
+            owner, counts)
 
 
 def _fan_dirs(lo: np.ndarray, hi: np.ndarray, count: int) -> np.ndarray:
@@ -332,35 +346,43 @@ def _fan_dirs(lo: np.ndarray, hi: np.ndarray, count: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 @np.errstate(divide="ignore", invalid="ignore")
 def _shared_rays(scene: Scene2D, max_depth: int, points: tuple[tuple[float, float], ...]
-                 ) -> tuple[np.ndarray, ...]:
+                 ) -> tuple:
     """What the culls of ``points`` share, whatever their side, kept for the next cull
-    of the same points: blockers (P, B, 4) and node boxes (P*N, 4) relative to the
-    points, the boxes' ``_spans``, each (row, ray) pair of a shared ray that may hit a
-    box with whether it reaches the box before any blocker, then per point its objects
-    (M, 4) relative to it, which of them hold it, and its distance to each node's
-    box."""
+    of the same points, with rows for (point, node) pairs: blockers (P, B, 4) and node
+    boxes (P*N, 4) relative to the points; the boxes' ``_spans``; the row and side of
+    each shared ray that may hit a box, with whether it reaches the box before any
+    blocker; each point's distance to each node's box (P, N), its nodes in walk order
+    (by that distance, ties by preorder, as a stable sort leaves them) and each node's
+    rank in that order; the objects (P, M, 4) relative to the points and which of them
+    hold their point; and the fans, filled as culls reach their rows: per row its
+    number of open rays (-1 until filled), which of its R rays are open, and per ray
+    its reciprocal direction and the largest float below its distance to the box."""
     origin = np.array([pw + pw for pw in points])
     obj_rects, blk_rects = _rect_arrays(scene)
     boxes = _quadtree(scene, max_depth)[0]
-    inv = 1.0 / _ray_dirs(scene.rays_per_side)
+    r = scene.rays_per_side
+    inv = 1.0 / _ray_dirs(r)
     blk_rel = blk_rects - origin[:, None]
     min_blk = _blocker_distances(blk_rel, inv)
     box_rel = (boxes - origin[:, None]).reshape(-1, 4)
     lo, hi = _spans(box_rel)
-    row, ray = _ray_pairs(box_rel, lo, hi, scene.rays_per_side)
+    row, ray = _ray_pairs(box_rel, lo, hi, r)
     enter, exit_ = _entry_exit(box_rel[row], inv[ray])
     # A blocker is reached at a distance >= 0, so a box entered no further is
     # reached before it.
     clear = (enter <= np.minimum(exit_, min_blk[row // len(boxes), ray])) & (exit_ > 0)
-    obj_rel = obj_rects - origin[:, None]
-    # A rendered object occludes later fan tests unless the viewpoint sits
-    # inside it; a box containing the camera would otherwise occlude the
-    # whole world at distance zero.
-    holds = [h.tolist() if h.any() else None for h in (obj_rel * _INSIDE >= 0).all(axis=2)]
     xy = origin[:, None, :2]
-    gap = np.maximum(np.maximum(boxes[:, :2] - xy, 0.0), xy - boxes[:, 2:])
-    dist = [list(map(math.hypot, g[:, 0].tolist(), g[:, 1].tolist())) for g in gap]
-    return blk_rel, box_rel, lo, hi, row, ray, clear, obj_rel, holds, dist
+    gap = np.maximum(np.maximum(boxes[:, :2] - xy, 0.0), xy - boxes[:, 2:]).reshape(-1, 2)
+    dist = np.array(list(map(math.hypot, gap[:, 0].tolist(), gap[:, 1].tolist())),
+                    dtype=np.float64).reshape(len(points), len(boxes))
+    walk = np.argsort(dist, axis=1, kind="stable")
+    rank = np.empty_like(walk)
+    rank[np.arange(len(points))[:, None], walk] = np.arange(len(boxes))
+    obj_rel = obj_rects - origin[:, None]
+    fans = (np.full(len(box_rel), -1), np.zeros((len(box_rel), r), dtype=bool),
+            np.empty((len(box_rel), r, 3)))
+    return (blk_rel, box_rel, lo, hi, row, ray // r, clear, dist, walk, rank, obj_rel,
+            (obj_rel * _INSIDE >= 0).all(axis=2), fans)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -374,73 +396,93 @@ def _cull_chunk(scene: Scene2D, max_depth: int, side: int | None,
     # spread over the box's whole projected span, checked against blockers
     # plus everything rendered so far — the analog of testing a bounding box
     # against the current depth buffer.  Only that last check depends on
-    # traversal order; all else runs for every node of every point at once.
+    # traversal order, so only it runs point by point, in a Python loop.
     r = scene.rays_per_side
-    boxes, direct, children, node_polys = _quadtree(scene, max_depth)
-    (blk_rel, box_rel, lo, hi, row, ray, clear, obj_rel, holds,
-     dists) = _shared_rays(scene, max_depth, tuple(points))
+    _, parent, levels, size, owner, counts = _quadtree(scene, max_depth)
+    (blk_rel, box_rel, lo, hi, row, sector, clear, _, walk, rank, obj_rel, held,
+     (n_open, is_open, fans)) = _shared_rays(scene, max_depth, tuple(points))
+    n = len(parent)
     if side is not None:
-        clear = clear & (ray // r == side)
-    unblocked = np.zeros(len(box_rel), dtype=bool)
-    unblocked[row[clear]] = True
+        clear = clear & (sector == side)
+    passes = np.zeros(len(box_rel), dtype=bool)
+    passes[row[clear]] = True
+    blocked = ~passes.reshape(-1, n)
 
-    # Fans of the (point, node) rows the shared rays leave blocked, (C, F, 2);
-    # the open rays go into one flat array, row by row, with spans[k] = (start, end).
-    failed = np.flatnonzero(~unblocked)
-    at = failed // len(boxes)
-    fan_inv = 1.0 / _fan_dirs(lo[failed], hi[failed], r)
-    enter, exit_ = _entry_exit(box_rel[failed][:, None], fan_inv)
-    fan_t = np.maximum(enter, 0.0)
-    fan_blk = _hit_distances(*_entry_exit(blk_rel[at][:, None], fan_inv[:, :, None])).min(
-        axis=2, initial=np.inf)
-    is_open = (exit_ >= enter) & (exit_ > 0) & (fan_blk >= fan_t)
-    # Per open ray, the largest float below its distance to its box.  An occluder
-    # never holds the viewpoint, so it is entered at a distance >= 0, and entered
-    # before the box exactly when no further than that.
-    open_inv = fan_inv[is_open][:, None]
-    open_t = np.nextafter(fan_t[is_open], -np.inf)[:, None]
-    counts = is_open.sum(axis=1).tolist()
-    ends = np.cumsum(counts).tolist()
-    spans = {k: (e - c, e) for k, c, e in zip(failed.tolist(), counts, ends) if c}
+    # 1. Reach the tree level by level: a node is reached if its parent is live, and
+    # a reached node is live if it passes.  A row passes if a shared ray reaches its
+    # box, or else if its fan has an open ray, one that meets the box before any
+    # blocker.  A fan is built for a blocked row once it is reached, and kept for the
+    # other sides' culls of the same points.
+    live = np.zeros(blocked.shape, dtype=bool)
+    reached = np.ones((len(points), 1), dtype=bool)
+    for nodes in levels:
+        if nodes[0]:    # below the root
+            reached = live[:, parent[nodes]]
+            if not reached.any():
+                break
+        at, j = np.nonzero(reached & blocked[:, nodes])
+        rows = at * n + nodes[j]
+        new = rows[n_open[rows] < 0] if len(rows) else rows
+        if len(new):
+            inv = 1.0 / _fan_dirs(lo[new], hi[new], r)
+            enter, exit_ = _entry_exit(box_rel[new][:, None], inv)
+            t = np.maximum(enter, 0.0)
+            blk_t = _hit_distances(*_entry_exit(blk_rel[new // n][:, None],
+                                                inv[:, :, None])).min(axis=2, initial=np.inf)
+            is_open[new] = opened = (exit_ >= enter) & (exit_ > 0) & (blk_t >= t)
+            fans[new, :, :2] = inv
+            # An occluder never holds the viewpoint, so it is entered at a distance
+            # >= 0, and entered before the box exactly when no further than this.
+            fans[new, :, 2] = np.nextafter(t, -np.inf)
+            n_open[new] = opened.sum(axis=1)    # last: it marks the rows filled
+        if len(rows):
+            passes[rows] = n_open[rows] > 0
+        live[:, nodes] = reached & passes.reshape(-1, n)[:, nodes]
 
-    # Each point's traversal, front-to-back: by distance to the node's box, ties by preorder.
-    unblocked = unblocked.reshape(len(points), len(boxes)).tolist()
-    stats = []
-    for p, (clear, rel, held, dist) in enumerate(zip(unblocked, obj_rel, holds, dists)):
-        base = p * len(boxes)
-        occluders = np.empty_like(rel)   # rendered objects that occlude, rows [0, n)
-        n = 0
-        heap = [(dist[0], 0)]
-        tests = classified = polys = 0
-        while heap:
-            _, k = heapq.heappop(heap)
-            tests += 1
-            if not clear[k]:
-                span = spans.get(base + k)
-                if span is None:
-                    continue
-                if n:
-                    rays = slice(*span)
-                    enter, exit_ = _entry_exit(occluders[:n], open_inv[rays])
-                    blocked = (enter <= np.minimum(exit_, open_t[rays])) & (exit_ > 0)
-                    if blocked.any(axis=1).all():
-                        continue
-            own = direct[k]
-            if own:
-                classified += len(own)
-                polys += node_polys[k]
-                if held is not None:
-                    own = [i for i in own if not held[i]]
-                m = len(own)
-                if m == 1:
-                    occluders[n] = rel[own[0]]
-                elif m:
-                    occluders[n:n + m] = rel[list(own)]
-                n += m
-            for c in children[k]:
-                heapq.heappush(heap, (dist[c], c))
-        stats.append(CullStats(classified, tests, polys))
-    return stats
+    # 2. The order-dependent checks: each point's live rows that pass by their fan
+    # alone, in walk order.  Each is tested against the occluders of the live nodes
+    # ranked before it; if they block every open ray, the row fails, and with it its
+    # subtree, which the walk ranks after it, and the subtree's objects occlude no
+    # later check.
+    each = np.arange(len(points))[:, None]
+    at, place = np.nonzero((live & blocked)[each, walk])
+    if len(at):
+        nodes = walk[at, place]
+        rows = at * n + nodes
+        rays = fans[rows][is_open[rows]]
+        open_inv, open_t = rays[:, None, :2], rays[:, 2:]
+        opens = n_open[rows]
+        # Each point's objects of live nodes in the walk order of their owners, so
+        # that a check's occluders are a prefix; other objects rank last, at n.  So
+        # do objects that hold their point: a box containing the camera would
+        # otherwise occlude the whole world at distance zero.
+        ranks = np.where(live[:, owner] & ~held, rank[:, owner], n)
+        by_rank = np.argsort(ranks, axis=1, kind="stable")
+        occ_rel, occ_owner = obj_rel[each, by_rank], owner[by_rank]
+        occ_rank = ranks[each, by_rank]
+        p = -1
+        for a, i, k, end, count in zip(at.tolist(), place.tolist(), nodes.tolist(),
+                                       np.cumsum(opens).tolist(), opens.tolist()):
+            if a != p:
+                p, occluders, owners = a, occ_rel[a], occ_owner[a]
+                before = occ_rank[a].tolist()
+            if not live[p, k]:
+                continue
+            upto = bisect_left(before, i)
+            if upto:
+                span = slice(end - count, end)
+                enter, exit_ = _entry_exit(occluders[:upto], open_inv[span])
+                hidden = (enter <= np.minimum(exit_, open_t[span])) & (exit_ > 0)
+                if hidden.any(axis=1).all():
+                    live[p, k:k + size[k]] = False
+                    kept = (owners < k) | (owners >= k + size[k])
+                    occluders, owners = occluders[kept], owners[kept]
+                    before = list(compress(before, kept.tolist()))
+
+    # 3. Count: a test for every reached node, the root and each live node's
+    # children, and the objects of every live node.
+    return [CullStats(shown, 1 + tests, polys)
+            for shown, tests, polys in (live @ counts).tolist()]
 
 
 def _cull(scene: Scene2D, max_depth: int, side: int | None,

@@ -164,7 +164,11 @@ def dense_cull(scene, max_depth: int, pw: tuple[float, float], side):
     px, py = pw
     origin = np.array(pw + pw)
     obj_rects, blk_rects = _rect_arrays(scene)
-    boxes, direct, children, _ = _quadtree(scene, max_depth)
+    boxes, parent, _, _, owner, _ = _quadtree(scene, max_depth)
+    children = [[] for _ in boxes]
+    for c in range(1, len(boxes)):
+        children[parent[c]].append(c)
+    direct = [np.flatnonzero(owner == k).tolist() for k in range(len(boxes))]
     blk_rel = blk_rects - origin
     inv = 1.0 / dirs[:, None]
     min_blk = _hit_distances(*_dense_entry_exit(blk_rel, inv)).min(axis=1, initial=np.inf)

@@ -1,6 +1,7 @@
 """The 2D visibility world: ray ground truth, quadtree culling, cost model."""
 
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -29,7 +30,13 @@ from meshprof.fixtures import (
     visible_by_side,
 )
 from meshprof.analysis import CostModel, UnitCost
-from meshprof.fixtures.scene import _cull, _cull_chunk, _quadtree, _visibility_chunk
+from meshprof.fixtures.scene import (
+    _cull,
+    _cull_chunk,
+    _quadtree,
+    _shared_rays,
+    _visibility_chunk,
+)
 
 
 def P(x, y):
@@ -402,10 +409,20 @@ class TestGoldenResults:
         assert visibility_digest(scene_name) == self.VISIBILITY[scene_name]
 
 
-def _observers_of(scene, depth):
+# Per scene layout, observers that cover every (rays, depth, side) case of the chunk
+# scenes in which some point of a 12-unit grid sees a failed fan check drop a
+# subtree that holds later order-dependent checks.
+_DROPPING = {
+    "default": [(232.0, 232.0), (244.0, 244.0)],
+    "symmetric": [(232.0, 208.0), (4.0, 28.0)],
+    "variant77": [(196.0, 4.0), (136.0, 232.0), (232.0, 232.0), (220.0, 220.0)],
+}
+
+
+def _observers_of(scene, depth, name):
     """World points anywhere, on the world's rim, and on or inside the scene's rects:
     objects, blockers and the depth's quadtree boxes, at their corners, edges, centers
-    and interiors."""
+    and interiors; and the ``_DROPPING`` observers of the scene layout ``name``."""
     w, h = scene.world
     rects = ([o.box for o in scene.objects] + list(scene.blockers)
              + _quadtree(scene, depth)[0].tolist())
@@ -417,7 +434,8 @@ def _observers_of(scene, depth):
         lambda r: st.tuples(along(r[0], r[2]), along(r[1], r[3])))
     rim = (st.tuples(st.sampled_from([0.0, w]), st.floats(0.0, h))
            | st.tuples(st.floats(0.0, w), st.sampled_from([0.0, h])))
-    return st.tuples(st.floats(0.0, w), st.floats(0.0, h)) | rim | on_rect
+    return (st.tuples(st.floats(0.0, w), st.floats(0.0, h)) | rim | on_rect
+            | st.sampled_from(_DROPPING[name]))
 
 
 _CHUNK_SCENES = {(name, rays): make(rays) for rays in (8, 9, 16) for name, make in (
@@ -430,13 +448,16 @@ class TestChunks:
     of every ray against every rect count, whatever the chunking and order."""
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
-    @given(st.data(), st.sampled_from(sorted(_CHUNK_SCENES)), st.integers(1, 6),
-           st.sampled_from([None, 0, 1, 2, 3]), st.integers(1, 6))
+    @given(st.data(), st.sampled_from(sorted(_CHUNK_SCENES)), st.integers(1, 7),
+           st.sampled_from([None, 0, 1, 2, 3]), st.integers(1, 10))
     def test_chunks_equal_the_dense_reference(self, data, key, depth, side, chunk):
+        # Chunks of 1 to 10 points straddle _CHUNK, the chunk size of a profile's batch.
         scene = _CHUNK_SCENES[key]
-        points = data.draw(st.lists(_observers_of(scene, depth), min_size=1, max_size=8))
+        points = data.draw(st.lists(_observers_of(scene, depth, key[0]), min_size=1,
+                                    max_size=10))
         points = data.draw(st.permutations(points))
-        # A cull of a chunk after one of another side reuses its shared-ray tests.
+        # A cull of a chunk after one of another side reuses its shared-ray tests
+        # and the fans that the first cull built.
         sides = (side, data.draw(st.sampled_from([s for s in (None, 0, 1, 2, 3) if s != side])))
         culls, seen = {s: [] for s in sides}, []
         for a in range(0, len(points), chunk):
@@ -446,6 +467,36 @@ class TestChunks:
         for s in sides:
             assert culls[s] == [dense_cull(scene, depth, pw, s) for pw in points]
         assert seen == [dense_visibility(scene, pw) for pw in points]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.sampled_from(sorted(_CHUNK_SCENES)), st.integers(1, 7))
+    def test_the_walk_order_is_the_heap_order(self, data, key, depth):
+        """No node lies nearer a point than its parent and each follows its parent in
+        preorder, so a heap of (distance, preorder) keys pops every node in the sorted
+        order of those keys, which is the order the culls walk.  The distances are the
+        exact math.hypot floats."""
+        scene = _CHUNK_SCENES[key]
+        points = tuple(data.draw(st.lists(_observers_of(scene, depth, key[0]), min_size=1,
+                                          max_size=8)))
+        boxes, parent, *_ = _quadtree(scene, depth)
+        dist, walk = _shared_rays(scene, depth, points)[7:9]
+        assert dist.dtype == np.float64 and dist.shape == (len(points), len(parent))
+        child = np.arange(1, len(parent))
+        assert (parent[child] < child).all()
+        assert (dist[:, child] >= dist[:, parent[child]]).all()
+        children = [[] for _ in parent]
+        for k in child.tolist():
+            children[parent[k]].append(k)
+        for (px, py), row, order in zip(points, dist.tolist(), walk.tolist()):
+            assert row == [math.hypot(max(x0 - px, 0.0, px - x1), max(y0 - py, 0.0, py - y1))
+                           for x0, y0, x1, y1 in boxes.tolist()]
+            heap, popped = [(row[0], 0)], []
+            while heap:
+                _, k = heapq.heappop(heap)
+                popped.append(k)
+                for c in children[k]:
+                    heapq.heappush(heap, (row[c], c))
+            assert popped == order == sorted(range(len(row)), key=lambda k: (row[k], k))
 
     def test_single_point_calls_share_the_memo_of_a_batch(self):
         scene = scene_variant(5, rays_per_side=13)
