@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .builder import ProfileFunction, _batch_rows
+from .builder import ProfileFunction, _answer_cells
 from .domain import GridDomain, GridPoint
 from .mesh import Subdivision, _derived, _split_bounds, evaluate, leaf_arrays, to_dense
 
@@ -438,11 +438,11 @@ def error_vs_oracle(sub: Subdivision, f: ProfileFunction,
                     max_cells: int = 10 ** 6) -> ErrorStats:
     """Exhaustive |subdivision - f| statistics over every grid cell.
 
-    Asks ``f`` for every cell, so the domain is guarded to ``max_cells``: in
-    one ``batch`` call where ``f`` has one, and by ``query`` for each cell
-    that the batch leaves non-finite, or for every cell if it raises.  For
-    vector values the absolute error is taken per component and pooled; the
-    cells' errors are added in row-major order, from +0.0.
+    Asks ``f`` for every cell as a build does (``_answer_cells``), so the
+    domain is guarded to ``max_cells``, and an answer that fails, has the
+    wrong arity or is not finite raises ProfileQueryError naming its point.
+    For vector values the absolute error is taken per component and pooled;
+    the cells' errors are added in row-major order, from +0.0.
     """
     domain = sub.domain
     if domain.cell_count > max_cells:
@@ -451,13 +451,8 @@ def error_vs_oracle(sub: Subdivision, f: ProfileFunction,
     if f.arity != sub.value_arity:
         raise ValueError(f"oracle arity {f.arity} != subdivision arity {sub.value_arity}")
     n, arity = domain.cell_count, sub.value_arity
-    lins = np.arange(n)
-    truth = None if f.batch is None else _batch_rows(f, domain.world_from_linear(lins))
-    if truth is None:
-        truth = np.full((n, arity), np.nan)
-    unanswered = np.flatnonzero(~np.isfinite(truth).all(axis=1))
-    for i, point in zip(unanswered.tolist(), domain.points_from_linear(unanswered)):
-        truth[i] = f.query(point)
+    truth = np.empty((n, arity))
+    _answer_cells(f, domain, np.arange(n), truth, np.ones(n, dtype=bool))
     err = np.abs(to_dense(sub, max_cells).reshape(n, arity) - truth)
     total = np.add.accumulate(np.concatenate([[0.0], err.sum(axis=1)]))[-1]
     return ErrorStats(n, float(total) / (n * arity), max(0.0, float(err.max())))

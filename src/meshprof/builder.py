@@ -57,22 +57,56 @@ class ProfileFunction:
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _batch_rows(f: ProfileFunction, world: np.ndarray) -> np.ndarray | None:
-    """``f.batch(world)`` as a ``(len(world), arity)`` float array.
+def _answer_cells(f: ProfileFunction, domain: GridDomain, lins: np.ndarray, rows: np.ndarray,
+                  todo: np.ndarray, check: np.ndarray | None = None) -> None:
+    """Ask ``f`` for ``rows[i]``, the value at cell ``lins[i]``, where ``todo[i]`` is set.
 
-    None if the call raises or returns an array of another shape.
+    ``todo`` is cleared as each row is answered.  The rows go to ``f.batch`` in
+    one call where ``f`` has one, and every finite row it returns answers its
+    cell; if the call raises or returns another shape, nothing is answered.  The
+    rows left, and the rows marked in ``check`` (answered already, and asked
+    again to compare), are then asked of ``f.query`` one by one, in order.  A
+    query that raises, or answers with anything but ``f.arity`` finite numbers,
+    raises ProfileQueryError naming its point.
     """
-    k = len(world)
-    try:
-        values = np.asarray(f.batch(world), dtype=np.float64)
-    except Exception:
-        return None
-    if not (values.shape == (k, f.arity) or (f.arity == 1 and values.shape == (k,))):
-        return None
-    return values.reshape(k, f.arity)
+    ask = np.flatnonzero(todo)
+    if f.batch is not None and len(ask):
+        try:
+            values = np.asarray(f.batch(domain.world_from_linear(lins[ask])), dtype=np.float64)
+        except Exception:
+            values = np.empty(0)
+        if values.shape == (len(ask), f.arity) or (f.arity == 1 and values.shape == ask.shape):
+            values = values.reshape(len(ask), f.arity)
+            finite = np.isfinite(values).all(axis=1)
+            rows[ask[finite]] = values[finite]
+            todo[ask[finite]] = False
+    order = np.flatnonzero(todo if check is None else todo | check).tolist()
+    for i, point in zip(order, domain.points_from_linear(lins[order])):
+        try:
+            value = tuple(map(float, f.query(point)))
+        except ProfileQueryError:
+            raise
+        except Exception as e:
+            raise ProfileQueryError(point, str(e)) from e
+        if len(value) != f.arity:
+            raise ProfileQueryError(point, f"expected {f.arity} components, got {len(value)}")
+        if not all(map(math.isfinite, value)):
+            raise ProfileQueryError(point, f"non-finite value {value}")
+        if todo[i]:
+            rows[i] = value
+            todo[i] = False
+        elif value != tuple(rows[i].tolist()):
+            raise NonDeterministicProfileError(
+                f"profile declared pure but point {point.index} "
+                f"returned {value} after {tuple(rows[i].tolist())}")
 
 
 # -- Sample-size policies -------------------------------------------------
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +114,9 @@ class DiameterSampling:
     """k proportional to the cuboid's diameter in grid cells."""
 
     factor: float = 0.5
+
+    def __post_init__(self):
+        _check_nonnegative("factor", self.factor)
 
     def token(self) -> str:
         return f"diam:{self.factor:g}"
@@ -95,6 +132,9 @@ class SupNormSampling:
 
     c: float
 
+    def __post_init__(self):
+        _check_nonnegative("c", self.c)
+
     def token(self) -> str:
         return f"sup:c={self.c:g}"
 
@@ -104,6 +144,9 @@ class RmsSampling:
     """Diameter-proportional k with log^2 oversampling; targets RMS error."""
 
     c: float
+
+    def __post_init__(self):
+        _check_nonnegative("c", self.c)
 
     def token(self) -> str:
         return f"rms:c={self.c:g}"
@@ -132,8 +175,8 @@ class BuildConfig:
     becomes a leaf only if every component's spread stays within it.
     ``spread_mode`` selects the leaf test: ``"range"`` compares max - min
     against the threshold, ``"mean_dev"`` compares each sample's deviation
-    from the componentwise mean.  ``oversample_exponent`` is the power on the
-    log factor of the sup-norm/RMS policies.
+    from the componentwise mean.  ``oversample_exponent`` is the (finite) power
+    on the log factor of the sup-norm/RMS policies.
     """
 
     threshold: tuple[float, ...]
@@ -146,8 +189,10 @@ class BuildConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "threshold", tuple(float(t) for t in self.threshold))
-        if not self.threshold or any(t <= 0 for t in self.threshold):
+        if not self.threshold or not all(t > 0 for t in self.threshold):
             raise ValueError(f"thresholds must be > 0, got {self.threshold}")
+        if not math.isfinite(self.oversample_exponent):
+            raise ValueError(f"oversample_exponent must be finite, got {self.oversample_exponent}")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
         if self.spread_mode not in ("range", "mean_dev"):
@@ -228,30 +273,13 @@ class QueryCache:
     def distinct_queries(self) -> int:
         return len(self._keys)
 
-    def _run_query(self, point: GridPoint) -> tuple[float, ...]:
-        try:
-            raw = self._f.query(point)
-        except ProfileQueryError:
-            raise
-        except Exception as e:
-            raise ProfileQueryError(point, str(e)) from e
-        value = tuple(map(float, raw))
-        if len(value) != self._f.arity:
-            raise ProfileQueryError(
-                point, f"expected {self._f.arity} components, got {len(value)}")
-        if not all(map(math.isfinite, value)):
-            raise ProfileQueryError(point, f"non-finite value {value}")
-        return value
-
     def query_many(self, lins: np.ndarray) -> np.ndarray:
         """Values at distinct cells, in order, as a ``(len(lins), arity)`` array.
 
         Each cell counts one request.  Hits are read from the store, and a
         purity spot-check is drawn for each hit, in order; only misses and
-        checked hits then reach the profile.  Misses go to the profile's
-        ``batch`` in one call where it has one.  The misses it leaves
-        unanswered and the checked hits are then queried one by one, in order.
-        New answers join the store when the call ends, also when it fails.
+        checked hits then reach the profile, through ``_answer_cells``.  New
+        answers join the store when the call ends, also when it fails.
         """
         lins = np.asarray(lins, dtype=np.int64)
         self.total_requests += len(lins)
@@ -260,44 +288,16 @@ class QueryCache:
         hit[hit] = self._keys[at[hit]] == lins[hit]
         rows = np.empty((len(lins), self._f.arity))
         rows[hit] = self._values[at[hit]]
-        hits = np.flatnonzero(hit)
-        checked = (hits[self._check_rng.random(len(hits)) < self._check_rate]
-                   if self._check_rate > 0 else hits[:0])
-        answered = np.zeros(len(lins), dtype=bool)
+        check = np.zeros_like(hit)
+        if self._check_rate > 0:
+            check[hit] = self._check_rng.random(np.count_nonzero(hit)) < self._check_rate
+        todo = ~hit
         try:
-            misses = np.flatnonzero(~hit)
-            if len(misses) and self._f.batch is not None:
-                misses = self._answer_batch(lins, rows, misses, answered)
-            todo = np.sort(np.concatenate([misses, checked])).tolist()
-            for i, point in zip(todo, self._domain.points_from_linear(lins[todo])):
-                value = self._run_query(point)
-                if not hit[i]:
-                    rows[i] = value
-                    answered[i] = True
-                elif value != tuple(rows[i].tolist()):
-                    raise NonDeterministicProfileError(
-                        f"profile declared pure but point {point.index} "
-                        f"returned {value} after {tuple(rows[i].tolist())}")
+            _answer_cells(self._f, self._domain, lins, rows, todo, check)
         finally:
+            answered = ~(hit | todo)
             self._merge(lins[answered], rows[answered])
         return rows
-
-    def _answer_batch(self, lins: np.ndarray, rows: np.ndarray, misses: np.ndarray,
-                      answered: np.ndarray) -> np.ndarray:
-        """Answer ``misses`` in one batch call; return the ones left unanswered.
-
-        Every finite row answers its cell.  A row with a non-finite value is
-        left to a point query, so that an error names its point.  If the call
-        raises, or returns an array of the wrong shape, nothing is answered.
-        """
-        values = _batch_rows(self._f, self._domain.world_from_linear(lins[misses]))
-        if values is None:
-            return misses
-        finite = np.isfinite(values).all(axis=1)
-        done = misses[finite]
-        rows[done] = values[finite]
-        answered[done] = True
-        return misses[~finite]
 
     def _merge(self, keys: np.ndarray, values: np.ndarray) -> None:
         if len(keys):

@@ -91,11 +91,8 @@ def _parse_domain(text: str) -> GridDomain:
 
 
 def _parse_threshold(text: str) -> tuple[float, ...]:
-    try:
-        parts = tuple(float(part) for part in text.split(","))
-    except ValueError as e:
-        raise _CliError(f"bad --threshold {text!r}: {e}") from e
-    if not parts or any(not np.isfinite(p) or p <= 0 for p in parts):
+    parts = _parse_floats(text, "--threshold")
+    if any(not np.isfinite(p) or p <= 0 for p in parts):
         raise _CliError(f"--threshold components must be finite and > 0, got {text!r}")
     return parts
 
@@ -498,8 +495,6 @@ def _cmd_select(args) -> int:
         view = (pair[0], pair[1])
 
     if args.cell is not None:
-        if not candidates:
-            raise _CliError("need at least one candidate")
         p = candidates[0].domain.point(_parse_cell(args.cell, candidates[0].domain.ndim))
         if view is not None and len(candidates) == 1:
             print(repr(evaluate_view(candidates[0], p, view[0], view[1])))

@@ -77,17 +77,6 @@ class GridDomain:
             raise OutOfDomainError(f"cell index {index} outside extents {self.extents}")
         return GridPoint(index, self.world(index))
 
-    def point_from_linear(self, lin: int) -> GridPoint:
-        """The cell of row-major linear index ``lin``, which lies in ``[0, cell_count)``."""
-        if not 0 <= lin < self.cell_count:
-            raise OutOfDomainError(f"linear index {lin} outside the {self.cell_count} cells "
-                                   f"of extents {self.extents}")
-        index = []
-        for e in reversed(self.extents):
-            index.append(lin % e)
-            lin //= e
-        return self.point(tuple(reversed(index)))
-
     def world_from_linear(self, lins: list[int]) -> np.ndarray:
         """World coordinates of many cells' centers, as a ``(len(lins), ndim)`` array.
 
@@ -97,7 +86,7 @@ class GridDomain:
         return np.stack(self._unravel_world(lins)[1], axis=-1).reshape(len(lins), self.ndim)
 
     def points_from_linear(self, lins: list[int]) -> list[GridPoint]:
-        """``point_from_linear`` for many linear indices, computed as arrays.
+        """The cells of many row-major linear indices, computed as arrays.
 
         Raises ValueError if an index lies outside ``[0, cell_count)``.
         """
@@ -136,9 +125,6 @@ class GridCuboid:
     @property
     def ndim(self) -> int:
         return len(self.lo)
-
-    def extents(self) -> tuple[int, ...]:
-        return tuple(map(operator.sub, self.hi, self.lo))
 
     @property
     def cell_count(self) -> int:

@@ -539,23 +539,11 @@ _NEEDS_CONFIG = ("polygons", "occltests", "cullcost", "cullcost_sides")
 
 def directional_profile(scene: Scene2D, quantity: str, p: GridPoint,
                         config: CullingConfig | None = None) -> tuple[float, ...]:
-    """The chosen quantity measured per side sector (east, north, west, south).
-
-    ``numvisible`` restricts the ground-truth rays to one side at a time;
-    cull quantities run one independent single-side traversal per side.
-    """
-    if quantity == "numvisible" or quantity == "sides":
-        return tuple(float(v) for v in visible_by_side(scene, p))
-    config = config or CullingConfig(4)
-    if quantity == "cullcost" or quantity == "cullcost_sides":
-        return tuple(simulated_cost(scene, config, p, side=k) for k in range(4))
-    if quantity == "polygons":
-        return tuple(float(cull_render(scene, config, p, side=k).polygons_rendered)
-                     for k in range(4))
-    if quantity == "occltests":
-        return tuple(float(cull_render(scene, config, p, side=k).occlusion_tests)
-                     for k in range(4))
-    raise ValueError(f"unknown directional quantity {quantity!r}")
+    """``sides`` or ``cullcost_sides`` at ``p``: one component per side sector (east,
+    north, west, south), as ``scene_profile`` answers it."""
+    if quantity not in _VECTOR_QUANTITIES:
+        raise ValueError(f"unknown directional quantity {quantity!r}")
+    return scene_profile(scene, quantity, config).query(p)
 
 
 def scene_profile(scene: Scene2D, quantity: str,

@@ -439,33 +439,28 @@ def serialize_pieces(sub: Subdivision):
                                     "cell_size": list(dom.cell_size)},
                          "value_arity": sub.value_arity, "metadata": sub.metadata}, indent=2)
     depths = [_level_texts(level, depth) for depth, level in enumerate(sub.levels)]
-    # Per open depth, its nodes left to write under the branch above; ``first`` is true
-    # when the next node is its branch's first child, written with no separator.
-    left, first = [1], True
+
+    def nodes(depth: int, count: int):
+        # The next ``count`` nodes of one depth, each followed by its subtree.
+        for i in range(count):
+            text, kids = next(depths[depth])
+            yield text if i == 0 else _Layout(2 * depth - 1).child_sep + text
+            if kids:
+                yield from nodes(depth + 1, kids)
+                yield _Layout(2 * depth + 1).children_end
+
     # The header ends in "\n}"; the root goes in as its last key.
-    item, out, size = header[:-2] + ',\n  "root": ', [], 0
-    while True:
+    out, size = [], 0
+    for item in chain([header[:-2] + ',\n  "root": '], nodes(0, 1), ["\n}"]):
         out.append(item)
         size += len(item)
-        if size >= _PIECE_CHARS or not left:
+        if size >= _PIECE_CHARS:
             # Neither the piece nor its parts stay referenced here once it is out.
             piece, out, size = "".join(out), [], 0
             yield piece
             del piece
-        if not left:
-            return
-        if left[-1]:
-            left[-1] -= 1
-            depth = len(left) - 1
-            text, kids = next(depths[depth])
-            item = text if first else _Layout(2 * depth - 1).child_sep + text
-            first = kids > 0
-            if first:
-                left.append(kids)
-        else:
-            left.pop()
-            item = _Layout(2 * len(left) - 1).children_end if left else "\n}"
-            first = False
+    if out:
+        yield "".join(out)
 
 
 def serialize(sub: Subdivision) -> str:

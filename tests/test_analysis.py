@@ -28,6 +28,7 @@ from meshprof.analysis import (
 )
 from meshprof.builder import BuildConfig, FixedSampling, ProfileFunction, build
 from meshprof.domain import GridDomain
+from meshprof.errors import ProfileQueryError
 from meshprof.fixtures import resolve_fixture
 from meshprof.mesh import Branch, Leaf, Subdivision, constant, evaluate, leaf_arrays
 
@@ -531,3 +532,35 @@ class TestErrorVsOracle:
         dom = GridDomain((4, 4))
         with pytest.raises(ValueError):
             error_vs_oracle(constant(dom, (1.0, 2.0)), ProfileFunction(1, lambda p: (0.0,)))
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["query", "batch-then-query"])
+    @pytest.mark.parametrize("bad, reason", [
+        ((1.0,), "expected 2 components, got 1"),
+        ((math.nan, 2.0), "non-finite value (nan, 2.0)"),
+        (RuntimeError("oracle down"), "oracle down"),
+        (5.0, "'float' object is not iterable"),
+    ], ids=["one-component", "nan", "raises", "bare-float"])
+    def test_a_bad_answer_fails_naming_the_first_bad_point(self, bad, reason, batched):
+        """As a build refuses it: the oracle is asked cell by cell in row-major order,
+        after a batch that answers every other cell and leaves the bad ones to ``query``."""
+        dom = GridDomain((4, 4))
+        bad_cells = [(1, 3), (2, 0), (3, 3)]
+
+        def query(p):
+            if p.index not in bad_cells:
+                return (1.0, 2.0)
+            if isinstance(bad, Exception):
+                raise bad
+            return bad
+
+        def batch(world):
+            out = np.tile([1.0, 2.0], (len(world), 1))
+            for cell in bad_cells:
+                out[(world == dom.world(cell)).all(axis=1)] = np.nan
+            return out
+
+        oracle = ProfileFunction(2, query, batch=batch if batched else None)
+        with pytest.raises(ProfileQueryError) as err:
+            error_vs_oracle(constant(dom, (0.5, 0.5)), oracle)
+        assert err.value.point.index == (1, 3)
+        assert str(err.value) == f"query at (1, 3) failed: {reason}"

@@ -98,6 +98,27 @@ class TestSampleSize:
         with pytest.raises(ValueError):
             FixedSampling(1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -3.0, -1e-300])
+    def test_policies_refuse_a_non_finite_or_negative_constant(self, bad):
+        for policy, name in ((DiameterSampling, "factor"), (SupNormSampling, "c"),
+                             (RmsSampling, "c")):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+                policy(bad)
+        assert (DiameterSampling(0.0).factor, SupNormSampling(0.0).c, RmsSampling(0.0).c) == (
+            0.0, 0.0, 0.0)
+
+    def test_config_refuses_a_nan_threshold_and_a_non_finite_exponent(self):
+        for threshold in ((math.nan,), (1.0, math.nan), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="thresholds must be > 0"):
+                BuildConfig(threshold=threshold)
+        for exponent in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="oversample_exponent must be finite"):
+                BuildConfig(threshold=(1.0,), oversample_exponent=exponent)
+        # An infinite threshold stays a valid library value: one leaf, as wide as it gets.
+        sub, report = build(RAMP, GridDomain((16, 16)),
+                            BuildConfig(threshold=(math.inf,), oversample_exponent=-1.0))
+        assert report.leaf_count == 1 and report.distinct_queries < 256
+
 
 class TestSpreadTest:
     """The leaf test as a build decides it, on 1-D domains sampled exhaustively."""

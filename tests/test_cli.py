@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from meshprof import cli
-from meshprof.builder import BuildConfig, SupNormSampling, build
+from meshprof.builder import BuildConfig, BuildReport, ProfileFunction, SupNormSampling, build
 from meshprof.cli import main
 from meshprof.domain import GridDomain
 from meshprof.fixtures import resolve_fixture
@@ -84,6 +84,23 @@ class TestBuild:
         assert run(*base, "--domain", "8x8", "--threshold", "-1") == 2
         assert run(*base, "--domain", "8x8", "--threshold", "0.5",
                    "--policy", "psychic") == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--oversample", "nan"), "oversample_exponent must be finite"),
+        (("--oversample", "inf", "--policy", "sup"), "oversample_exponent must be finite"),
+        (("--policy", "sup:c=-1"), "bad --policy 'sup:c=-1': c must be finite and >= 0"),
+        (("--policy", "rms:c=inf"), "bad --policy 'rms:c=inf': c must be finite and >= 0"),
+        (("--policy", "diam:-3"), "bad --policy 'diam:-3': factor must be finite and >= 0"),
+        (("--policy", "diam:nan"), "bad --policy 'diam:nan': factor must be finite"),
+        (("--policy", "sup:c=nan"), "bad --policy 'sup:c=nan': c must be finite"),
+    ], ids=["oversample-nan", "oversample-inf", "sup-negative", "rms-inf", "diam-negative",
+            "diam-nan", "sup-nan"])
+    def test_non_finite_or_negative_sampling_is_refused(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "m.json"
+        assert run("build", "--fixture", "ramp", "--domain", "8x8", "--threshold", "1",
+                   *flags, "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_jobs_below_one_rejected(self, tmp_path):
         for jobs in ("0", "-2"):
@@ -386,6 +403,27 @@ class TestQuality:
         assert distinct == sorted(distinct, reverse=True)
         assert distinct[0] > distinct[-1]
         assert errors == sorted(errors)
+
+    def test_nan_threshold_is_refused(self, capsys):
+        assert run("quality", "--fixture", "ramp", "--domain", "8x8",
+                   "--thresholds", "2,nan") == 2
+        got = capsys.readouterr()
+        assert got.out == "" and "thresholds must be > 0, got (nan,)" in got.err
+
+    def test_a_bad_oracle_answer_exits_3_naming_its_point(self, monkeypatch, capsys):
+        # Only the oracle check asks the profile here: the build is a constant.
+        def query(p):
+            if p.index == (2, 1):
+                raise RuntimeError("oracle down")
+            return (float(sum(p.index)),)
+
+        monkeypatch.setattr(cli, "resolve_fixture", lambda token, dom: ProfileFunction(1, query))
+        monkeypatch.setattr(cli, "build", lambda f, dom, config: (
+            constant(dom, (0.0,)), BuildReport(0, 0, 1, 0, 0, 0.0)))
+        assert run("quality", "--fixture", "ramp", "--domain", "4x4", "--thresholds", "2") == 3
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert "profile failure: query at (2, 1) failed: oracle down" in got.err
 
 
 class TestRender:

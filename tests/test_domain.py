@@ -51,21 +51,25 @@ class TestGridDomain:
         for index in np.ndindex(*dom.extents):
             lin = int(np.ravel_multi_index(index, dom.extents))
             seen.add(lin)
-            assert dom.point_from_linear(lin).index == index
+            assert dom.points_from_linear([lin])[0].index == index
         assert seen == set(range(30))
 
-    def test_point_from_linear_rejects_indices_outside_the_domain(self):
+    def test_points_from_linear_rejects_indices_outside_the_domain(self):
         dom = GridDomain((4, 4))
         for lin in (-1, 16, 17, -16):
-            with pytest.raises(OutOfDomainError):
-                dom.point_from_linear(lin)
+            with pytest.raises(ValueError):
+                dom.points_from_linear([lin])
+            with pytest.raises(ValueError):
+                dom.points_from_linear([0, lin, 5])
 
-    def test_points_from_linear_match_point_from_linear(self):
+    def test_points_from_linear_match_point(self):
         dom = GridDomain((3, 5, 2), origin=(0.1, -2.0, 7.0), cell_size=(0.3, 1.5, 0.7))
         lins = [29, 0, 17, 4, 11]
         batch = dom.points_from_linear(lins)
-        assert [(p.index, p.world) for p in batch] == [
-            (p.index, p.world) for p in map(dom.point_from_linear, lins)]
+        expected = [dom.point(np.unravel_index(lin, dom.extents)) for lin in lins]
+        assert [(p.index, p.world) for p in batch] == [(p.index, p.world) for p in expected]
+        assert all(type(i) is int for p in batch for i in p.index)
+        assert all(type(w) is float for p in batch for w in p.world)
         with pytest.raises(ValueError):
             dom.points_from_linear([30])
 
@@ -75,7 +79,7 @@ class TestGridDomain:
         world = dom.world_from_linear(lins)
         assert world.shape == (5, 3)
         assert [tuple(row) for row in world.tolist()] == [
-            dom.world(dom.point_from_linear(lin).index) for lin in lins]
+            dom.world(p.index) for p in dom.points_from_linear(lins)]
         with pytest.raises(ValueError):
             dom.world_from_linear([30])
 
@@ -121,7 +125,7 @@ class TestSplit:
                 assert not (union & cs), "children overlap"
                 union |= cs
             assert union == cells_of(box)
-            assert len(children) == 2 ** sum(e >= 2 for e in box.extents())
+            assert len(children) == 2 ** sum(e >= 2 for e in ext)
 
     def test_grid_diameter(self):
         assert GridCuboid((0, 0), (256, 256)).grid_diameter == pytest.approx(256 * np.sqrt(2))

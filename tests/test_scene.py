@@ -253,7 +253,7 @@ class TestDirectionalProfiles:
     def test_sides_quantity_equals_ground_truth_split(self):
         scene = default_scene()
         p = P(70.0, 180.0)
-        assert directional_profile(scene, "numvisible", p) == \
+        assert directional_profile(scene, "sides", p) == \
             tuple(float(v) for v in visible_by_side(scene, p))
 
     def test_cost_components_come_from_single_side_runs(self):
@@ -266,6 +266,9 @@ class TestDirectionalProfiles:
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):
             directional_profile(default_scene(), "sparkle", P(10.0, 10.0))
+        for scalar in ("numvisible", "cullcost", "polygons", "occltests", "brutecost"):
+            with pytest.raises(ValueError, match="directional"):
+                directional_profile(default_scene(), scalar, P(10.0, 10.0))
         with pytest.raises(ValueError):
             scene_profile(default_scene(), "sparkle")
 
