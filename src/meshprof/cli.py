@@ -90,10 +90,10 @@ def _parse_domain(text: str) -> GridDomain:
         raise _CliError(f"bad --domain {text!r}: {e}") from e
 
 
-def _parse_threshold(text: str) -> tuple[float, ...]:
-    parts = _parse_floats(text, "--threshold")
+def _parse_threshold(text: str, flag: str = "--threshold") -> tuple[float, ...]:
+    parts = _parse_floats(text, flag)
     if any(not np.isfinite(p) or p <= 0 for p in parts):
-        raise _CliError(f"--threshold components must be finite and > 0, got {text!r}")
+        raise _CliError(f"{flag} components must be finite and > 0, got {text!r}")
     return parts
 
 
@@ -562,7 +562,7 @@ def _cmd_quality(args) -> int:
         profile = resolve_fixture(args.fixture, domain)
     except ValueError as e:
         raise _CliError(str(e)) from e
-    thresholds = _parse_floats(args.thresholds, "--thresholds")
+    thresholds = _parse_threshold(args.thresholds, "--thresholds")
     policy = _parse_policy(args.policy)
 
     lines = ["threshold,distinct_queries,total_requests,leaf_count,depth,"

@@ -31,7 +31,10 @@ front-to-back heap pops nodes in the sorted order of (distance, preorder)
 that need that check, in that order, and a node that fails it drops its
 subtree.  All quantities are pure functions of (scene, config, point), kept in
 one bounded memo for culls and one for visibility, which single-point calls and
-a profile's batch share.
+a profile's batch share.  Equal scenes share them too, whatever instance they
+come from: every cache holds one instance per scene value, so ``numvisible``
+and ``sides`` read one visibility memo, and ``cullcost``, ``polygons`` and
+``occltests`` at one depth one cull memo, and a hit compares no objects.
 """
 
 from __future__ import annotations
@@ -173,13 +176,22 @@ _VISIBILITY: OrderedDict = OrderedDict()
 _CULLS: OrderedDict = OrderedDict()
 
 
+@lru_cache(maxsize=256)
+def _canonical(scene: Scene2D) -> Scene2D:
+    """The first scene equal to ``scene`` to come here, among the 256 used most recently."""
+    return scene
+
+
 def _memoized(memo: OrderedDict, head: tuple, points: list[tuple[float, float]],
               compute) -> list:
     """``compute(*head, chunk)`` for each point, kept in ``memo`` under ``head + (point,)``.
 
-    The points that ``memo`` lacks go to ``compute`` once each, ``_CHUNK`` at a time.
-    ``memo`` drops its least recently used entries beyond ``_MEMO_SIZE``.
+    The head's scene is replaced by its ``_canonical`` instance, so the keys of equal
+    scenes hold one instance and compare by identity, not object by object.  The points
+    that ``memo`` lacks go to ``compute`` once each, ``_CHUNK`` at a time.  ``memo``
+    drops its least recently used entries beyond ``_MEMO_SIZE``.
     """
+    head = (_canonical(head[0]),) + head[1:]
     keys = [head + (pw,) for pw in points]
     found = {}
     for key in keys:

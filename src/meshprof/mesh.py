@@ -16,6 +16,7 @@ import functools
 import gc
 import json
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -95,6 +96,22 @@ class Subdivision:
         return (isinstance(other, Subdivision) and fields(self) == fields(other)
                 and len(self.levels) == len(other.levels)
                 and all(map(np.array_equal, chain(*self.levels), chain(*other.levels))))
+
+    @functools.cached_property
+    def _lookup(self) -> tuple[list[tuple[np.ndarray, ...]], list[int]]:
+        """``_leaf_rows``'s tables, made on first use: per level, each node's number of
+        leaves before it, and per branch its first child's node number a level down, its
+        cut (``lo + extent // 2``) and the weight of each cut axis in its child's number
+        (0 for an axis not cut); and each level's first level-order row."""
+        tables = []
+        for level in self.levels:
+            lo, hi = level.lo[~level.leaf], level.hi[~level.leaf]
+            can = hi - lo >= 2
+            later = can.sum(axis=1, keepdims=True) - np.cumsum(can, axis=1)  # cut axes after
+            tables.append((np.cumsum(level.leaf) - level.leaf,
+                           np.cumsum(level.children) - level.children,
+                           lo + (hi - lo) // 2, np.left_shift(can, later)))
+        return tables, np.cumsum([0] + [len(level.value) for level in self.levels]).tolist()
 
 
 def _tree_levels(root: Node, nd: int, m: int) -> list[Level]:
@@ -213,8 +230,10 @@ def evaluate(sub: Subdivision, p: GridPoint) -> tuple[float, ...]:
     """Constant value of the leaf whose box contains ``p``."""
     if not sub.domain.contains_index(p.index):
         raise OutOfDomainError(f"point {p.index} outside domain {sub.domain.extents}")
-    row = _leaf_rows(sub, np.array([p.index], dtype=np.int64))[0]
-    return tuple(np.concatenate([level.value for level in sub.levels])[row].tolist())
+    row = int(_leaf_rows(sub, np.array([p.index], dtype=np.int64))[0])
+    starts = sub._lookup[1]
+    depth = bisect_right(starts, row) - 1
+    return tuple(sub.levels[depth].value[row - starts[depth]].tolist())
 
 
 def _leaf_rows(sub: Subdivision, cells: np.ndarray) -> np.ndarray:
@@ -223,22 +242,16 @@ def _leaf_rows(sub: Subdivision, cells: np.ndarray) -> np.ndarray:
     (Gargantini, CACM 1982), depth by depth.  A cell's child counts in binary over its
     branch's cut axes, the first most significant, as in ``_split_bounds``."""
     rows = np.empty(len(cells), dtype=np.int64)
-    # The cells still in branches, their node numbers, and the leaves at the depths above.
-    ask, node, above = np.arange(len(cells)), np.zeros(len(cells), dtype=np.int64), 0
-    for level in sub.levels:
-        leaf = level.leaf[node]
-        rank = np.cumsum(level.leaf[:node.max(initial=0) + 1])[node] - leaf  # leaves before
+    # The cells still in branches and their node numbers.
+    ask, node = np.arange(len(cells)), np.zeros(len(cells), dtype=np.int64)
+    for level, (before, first, cut, weight), above in zip(sub.levels, *sub._lookup):
+        leaf, rank = level.leaf[node], before[node]
         rows[ask[leaf]] = above + rank[leaf]
-        above += len(level.value)
         go = ~leaf
-        ask, node, branch = ask[go], node[go], (node - rank)[go]
+        ask, branch = ask[go], (node - rank)[go]
         if not len(ask):
             break
-        lo, extent = level.lo[node], level.hi[node] - level.lo[node]
-        can = extent >= 2
-        later = can.sum(axis=1, keepdims=True) - np.cumsum(can, axis=1)  # cut axes after each
-        child = np.left_shift(can & (cells[ask] >= lo + extent // 2), later).sum(axis=1)
-        node = np.cumsum(level.children[:branch.max() + 1])[branch] - level.children[branch] + child
+        node = first[branch] + ((cells[ask] >= cut[branch]) * weight[branch]).sum(axis=1)
     return rows
 
 

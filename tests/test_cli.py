@@ -408,7 +408,17 @@ class TestQuality:
         assert run("quality", "--fixture", "ramp", "--domain", "8x8",
                    "--thresholds", "2,nan") == 2
         got = capsys.readouterr()
-        assert got.out == "" and "thresholds must be > 0, got (nan,)" in got.err
+        assert got.out == "" and (
+            "--thresholds components must be finite and > 0, got '2,nan'" in got.err)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-1"])
+    def test_a_non_finite_or_non_positive_threshold_is_refused(self, tmp_path, capsys, bad):
+        out = tmp_path / "q.csv"
+        assert run("quality", "--fixture", "ramp", "--domain", "16x16",
+                   "--thresholds", f"2,{bad}", "--out", str(out)) == 2
+        got = capsys.readouterr()
+        assert got.out == "" and not out.exists()
+        assert f"--thresholds components must be finite and > 0, got '2,{bad}'" in got.err
 
     def test_a_bad_oracle_answer_exits_3_naming_its_point(self, monkeypatch, capsys):
         # Only the oracle check asks the profile here: the build is a constant.

@@ -23,6 +23,7 @@ from meshprof.fixtures import (
     directional_profile,
     named_scene,
     num_visible,
+    resolve_fixture,
     scene_profile,
     scene_variant,
     simulated_cost,
@@ -30,7 +31,9 @@ from meshprof.fixtures import (
     visible_by_side,
 )
 from meshprof.analysis import CostModel, UnitCost
+from meshprof.fixtures import scene as scene_module
 from meshprof.fixtures.scene import (
+    _canonical,
     _cull,
     _cull_chunk,
     _quadtree,
@@ -508,3 +511,68 @@ class TestChunks:
         assert batch == [dense_cull(scene, 4, pw, 2) for pw in points]
         for pw, stats in zip(points, batch):
             assert cull_render(scene, CullingConfig(4), P(*pw), 2) is stats
+
+
+class TestSharedMemo:
+    """Profiles of equal scenes share one memo whatever instance they come from, and a
+    batch that hits it compares its scene with the memo's once, not once per point."""
+
+    @staticmethod
+    def _count(monkeypatch, chunk_name):
+        counts = {"eq": 0, "chunks": 0}
+        eq, chunk = SceneObject.__eq__, getattr(scene_module, chunk_name)
+
+        def counted_eq(a, b):
+            counts["eq"] += 1
+            return eq(a, b)
+
+        def counted_chunk(*args):
+            counts["chunks"] += 1
+            return chunk(*args)
+
+        monkeypatch.setattr(SceneObject, "__eq__", counted_eq)
+        monkeypatch.setattr(scene_module, chunk_name, counted_chunk)
+        return counts
+
+    def test_sides_reads_the_visibility_that_numvisible_stored(self, monkeypatch):
+        dom = GridDomain((24, 24))
+        first = resolve_fixture("scene:default:numvisible", dom)
+        second = resolve_fixture("scene:default:sides", dom)
+        world = dom.world_from_linear(list(range(0, dom.cell_count, 3)))
+        first.batch(world)
+        counts = self._count(monkeypatch, "_visibility_chunk")
+        per_batch = []
+        for rows in (world[:16], world):
+            before = counts["eq"]
+            got = second.batch(rows)
+            per_batch.append(counts["eq"] - before)
+        assert counts["chunks"] == 0
+        # At most one comparison of two equal scenes, whatever the number of points.
+        assert per_batch[0] == per_batch[1] <= len(default_scene().objects)
+        monkeypatch.undo()
+        scale = default_scene().world[0] / 24
+        fresh = scene_module._visibility_chunk(
+            default_scene(), [(x * scale, y * scale) for x, y in world.tolist()])
+        assert got.tolist() == [list(map(float, by_side)) for _, by_side in fresh]
+
+    def test_cull_render_reads_the_culls_of_an_equal_scene(self, monkeypatch):
+        one, other = default_scene(), default_scene()
+        assert one == other and one is not other
+        points = [(float(x), float(y)) for x in range(5, 256, 25) for y in (7.0, 131.0, 250.0)]
+        world = np.array(points)
+        scene_profile(one, "cullcost", CullingConfig(3)).batch(world)
+        counts = self._count(monkeypatch, "_cull_chunk")
+        polygons = scene_profile(other, "polygons", CullingConfig(3)).batch(world)
+        assert counts["chunks"] == 0
+        assert counts["eq"] <= len(one.objects)
+        before = counts["eq"]
+        stats = [cull_render(other, CullingConfig(3), P(*pw)) for pw in points]
+        assert counts["chunks"] == 0
+        assert counts["eq"] - before <= len(one.objects) * len(points)
+        monkeypatch.undo()
+        fresh = _cull_chunk(default_scene(), 3, None, points)
+        assert stats == fresh
+        assert polygons[:, 0].tolist() == [float(s.polygons_rendered) for s in fresh]
+
+    def test_the_registry_is_bounded(self):
+        assert _canonical.cache_info().maxsize is not None
