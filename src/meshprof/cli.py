@@ -311,9 +311,11 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
         return answered[lin]
 
     def batch(world: np.ndarray) -> np.ndarray:
-        cells = np.rint((world - domain.origin) / domain.cell_size - 0.5).astype(np.int64)
-        lins = np.ravel_multi_index(tuple(cells.T), domain.extents).tolist()
-        todo = [(lin, w) for lin, w in zip(lins, world.tolist()) if lin not in answered]
+        # A row that is no cell's center is left NaN, for ``query``.
+        cells = domain.index_from_world(world)
+        exact = (cells >= 0).all(axis=1)
+        lins = np.ravel_multi_index(tuple(cells[exact].T), domain.extents).tolist()
+        todo = [(lin, w) for lin, w in zip(lins, world[exact].tolist()) if lin not in answered]
         stop = threading.Event()
 
         def attempt(lin: int, w) -> None:
@@ -332,7 +334,10 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
             for lin, w in todo:
                 attempt(lin, w)
         failed = (math.nan,) * arity
-        return np.array([v if type(v) is tuple else failed for v in map(answered.get, lins)])
+        out = np.full((len(world), arity), math.nan)
+        out[exact] = np.reshape([v if type(v) is tuple else failed
+                                 for v in map(answered.get, lins)], (-1, arity))
+        return out
 
     name = f"exec:{argv[0]}"
     return ProfileFunction(arity, query, pure=False,

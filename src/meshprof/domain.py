@@ -85,6 +85,20 @@ class GridDomain:
         """
         return np.stack(self._unravel_world(lins)[1], axis=-1).reshape(len(lins), self.ndim)
 
+    @np.errstate(invalid="ignore")
+    def index_from_world(self, world: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`world_from_linear`, axis by axis: for each coordinate of the
+        ``(k, ndim)`` ``world``, the index along its axis of the cell whose center it is,
+        computed as :meth:`world` computes centers, and -1 where no one cell's is."""
+        world = np.asarray(world, dtype=np.float64)
+        o, c, e = np.array(self.origin), np.array(self.cell_size), np.array(self.extents)
+        center = lambda i: o + (i + 0.5) * c
+        guess = np.clip(np.rint((world - o) / c - 0.5), 0, e - 1).astype(np.int64)
+        # Centers rise with the index, so the one cell is the guess when its neighbours differ.
+        exact = ((center(guess) == world) & ((guess == 0) | (center(guess - 1) != world))
+                 & ((guess == e - 1) | (center(guess + 1) != world)))
+        return np.where(exact, guess, -1)
+
     def points_from_linear(self, lins: list[int]) -> list[GridPoint]:
         """The cells of many row-major linear indices, computed as arrays.
 

@@ -76,11 +76,9 @@ def _fit_to_domain(inner: ProfileFunction, world: tuple[float, float],
 
     def batch(rows: np.ndarray) -> np.ndarray:
         rows = np.array(rows, dtype=np.float64)
-        exact = np.ones(len(rows), dtype=bool)
-        for a, s in enumerate(scale):
-            index = _cell_index(rows[:, a], domain, a)
-            exact &= index >= 0
-            rows[:, a] = (index + 0.5) * s
+        index = domain.index_from_world(rows)[:, :2]
+        exact = (index >= 0).all(axis=1)
+        rows[:, :2] = (index + 0.5) * scale
         out = np.full((len(rows), inner.arity), np.nan)
         out[exact] = np.asarray(inner.batch(rows[exact]), dtype=np.float64).reshape(
             -1, inner.arity)
@@ -88,19 +86,6 @@ def _fit_to_domain(inner: ProfileFunction, world: tuple[float, float],
 
     return ProfileFunction(inner.arity, query, pure=inner.pure, name=inner.name,
                            batch=batch if inner.batch is not None else None)
-
-
-@np.errstate(invalid="ignore")
-def _cell_index(world: np.ndarray, domain: GridDomain, axis: int) -> np.ndarray:
-    """The index along ``axis`` of the cell whose center is each world coordinate,
-    computed as ``GridDomain.world`` computes the center; -1 where no one cell's is."""
-    o, c, e = domain.origin[axis], domain.cell_size[axis], domain.extents[axis]
-    center = lambda i: o + (i + 0.5) * c
-    guess = np.clip(np.rint((world - o) / c - 0.5), 0, e - 1).astype(np.int64)
-    # Centers rise with the index, so the one cell is the guess when its neighbours differ.
-    exact = ((center(guess) == world) & ((guess == 0) | (center(guess - 1) != world))
-             & ((guess == e - 1) | (center(guess + 1) != world)))
-    return np.where(exact, guess, -1)
 
 
 def resolve_fixture(token: str, domain: GridDomain) -> ProfileFunction:

@@ -24,7 +24,8 @@ is a certain miss and every count equals that of testing all rays against all
 rects.  Blockers meet every ray.  A chunk's culls reach the quadtree level by
 level, for all its points at once, and build the fan of a reached node only if
 the shared rays leave it blocked; a cull of the same points on another side
-reuses those fans.  Only the check of a fan against the objects rendered so far
+reuses those fans, so ``cullcost_sides`` asks all four sides of a chunk before
+the next chunk.  Only the check of a fan against the objects rendered so far
 depends on traversal order.  No node lies nearer a point than its parent, so a
 front-to-back heap pops nodes in the sorted order of (distance, preorder)
 (Hjaltason and Samet, ACM TODS 1999): the Python loop runs over just the nodes
@@ -595,8 +596,9 @@ def scene_profile(scene: Scene2D, quantity: str,
     elif quantity == "cullcost":
         rows = lambda points: [(_model_cost(model, s),) for s in culls(points)]
     elif quantity == "cullcost_sides":
-        rows = lambda points: list(zip(*([_model_cost(model, s) for s in culls(points, k)]
-                                         for k in range(4))))
+        # All four sides of a chunk of points before the next chunk: they share its rays.
+        rows = lambda points: [row for a in range(0, len(points), _CHUNK) for row in zip(*(
+            [_model_cost(model, s) for s in culls(points[a:a + _CHUNK], k)] for k in range(4)))]
     else:
         raise ValueError(f"unknown scene quantity {quantity!r}")
 

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import attrgetter, contains, eq, gt, is_, le
+from operator import attrgetter, contains
 from typing import Union
 
 import numpy as np
@@ -358,7 +358,9 @@ def _box_values(sub: Subdivision, lo, hi) -> np.ndarray:
 # from the levels' int64 and float64 columns.  The tree part is written directly:
 # json's indenting encoder is pure Python and several times slower.  Floats
 # use repr, which round-trips bit-exactly.  The reader checks the document a
-# depth at a time, each check over a whole column of the depth's nodes.
+# depth at a time, ``_READ_NODES`` nodes at a time: checks over whole columns of
+# the nodes accept them, and only if one refuses are the nodes checked one by
+# one, to name the first problem.
 
 
 def _number(v: float) -> str:
@@ -518,78 +520,6 @@ def _float_array(values: list) -> np.ndarray:
     return np.fromiter(map(_as_float, values), np.float64, len(values))
 
 
-def _mask(ok) -> np.ndarray:
-    return np.array(list(ok), dtype=bool)
-
-
-class _Nodes:
-    """Some nodes of one depth as aligned columns, one entry per node: ``rows`` holds their
-    numbers in the depth, ascending.  A check tests a whole column at once; only when that
-    fails does it find which nodes fail, and ``keep`` drops those after noting the first
-    in ``problems``.  A dropped node is checked no further, so with checks run in the order
-    of one node's fields, each failing node is named by its first problem."""
-
-    def __init__(self, problems: list, rows: np.ndarray, **columns):
-        self.problems, self.rows, self.columns = problems, rows, columns
-
-    def __getitem__(self, name: str):
-        return self.columns[name]
-
-    def keep(self, ok: np.ndarray, explain) -> None:
-        """Drop the nodes whose ``ok`` is false; ``explain(i)`` gives the path below the
-        ``i``-th node and the reason."""
-        if ok.all():
-            return
-        i = int(np.argmin(ok))
-        self.problems.append((int(self.rows[i]), *explain(i)))
-        self.rows = self.rows[ok]
-        self.columns = {name: c[ok] if isinstance(c, np.ndarray) else list(compress(c, ok))
-                        for name, c in self.columns.items()}
-
-    def read(self, source: str, key: str, kinds: set, where: str = "",
-             default=None) -> None:
-        """Add column ``key``: each ``source`` object's entry ``key``, of a type in ``kinds``;
-        ``default`` where it is absent, unless that is None."""
-        values = self.columns[key] = list(map(dict.get, self[source], repeat(key),
-                                              repeat(default)))
-        if kinds >= set(map(type, values)):
-            return
-        at = f"{where}.{key}"
-        if default is None:
-            self.keep(_mask(map(contains, self[source], repeat(key))), lambda i: (at, "missing"))
-        values = self[key]
-        self.keep(_mask(map(kinds.__contains__, map(type, values))), lambda i: (
-            at, f"unexpected type {type(values[i]).__name__}" if default is None else
-            f"expected true or false, got {type(values[i]).__name__}"))
-
-    def floats(self, key: str, arity: int) -> None:
-        """Add column ``key``: each node's list of ``arity`` finite numbers, as float64 rows."""
-        self.read("node", key, {list})
-        if {arity} != set(map(len, self[key])):
-            lengths = np.array(list(map(len, self[key])))
-            self.keep(lengths == arity,
-                      lambda i: (f".{key}", f"expected {arity} components, got {lengths[i]}"))
-        values = self.columns[key] = _float_array(
-            list(chain.from_iterable(self[key]))).reshape(-1, arity)
-        finite = np.isfinite(values)
-        self.keep(finite.all(axis=1),
-                  lambda i: (f".{key}[{np.argmin(finite[i])}]", "not a finite number"))
-
-    def count(self, key: str, minimum: int) -> None:
-        """Add column ``key``: each node's integer from ``minimum`` to 2**63 - 1, as int64."""
-        self.read("node", key, {int, bool})
-        values = self[key]
-        if not values or ({int} >= set(map(type, values))
-                          and minimum <= min(values) and max(values) < 2**63):
-            self.columns[key] = np.array(values, dtype=np.int64)
-            return
-        self.keep(_mask(map(is_, map(type, values), repeat(int)))
-                  & _mask(map(le, repeat(minimum), values))
-                  & _mask(map(gt, repeat(2**63), values)),
-                  lambda i: (f".{key}", f"expected an integer from {minimum} to 2**63 - 1, "
-                                        f"got {values[i]!r}"))
-
-
 def _domain_from_doc(doc) -> GridDomain:
     dom_doc = _expect(doc, "domain", dict, "$")
     extents = _expect(dom_doc, "extents", list, "$.domain")
@@ -619,52 +549,99 @@ def _node_path(levels: list[Level], i: int) -> str:
     return "$.root" + "".join(reversed(steps))
 
 
+def _read_columns(docs: list, lo: np.ndarray, hi: np.ndarray,
+                  arity: int) -> tuple[tuple, list] | None:
+    """The ``Level`` columns after ``lo``/``hi`` of node documents of one depth, whose boxes
+    must be ``lo``/``hi``, and the documents of their children; None if any node breaks a
+    rule of ``_node_problem``.  Each check is one pass over a whole column of the nodes."""
+    if {dict} != set(map(type, docs)):
+        return None
+    boxes = list(map(dict.get, docs, repeat("box")))
+    if {dict} != set(map(type, boxes)):
+        return None
+    got = [list(map(dict.get, boxes, repeat(key))) for key in ("lo", "hi")]
+    # Equal in value, and exact ints: JSON 1.0 and true also equal 1.
+    if got != [lo.tolist(), hi.tolist()] or {int} != set(map(type, chain(*got[0], *got[1]))):
+        return None
+    branch = list(map(contains, docs, repeat("children")))
+    leaf = ~np.array(branch, dtype=bool)
+    kids = [node["children"] for node in compress(docs, branch)]
+    if not {list} >= set(map(type, kids)):
+        return None
+    sizes = np.array(list(map(len, kids)), dtype=np.int64)
+    want = np.left_shift(1, (hi[~leaf] - lo[~leaf] >= 2).sum(axis=1))
+    if not np.array_equal(sizes, want) or (want == 1).any():
+        return None
+    leaves = list(compress(docs, leaf.tolist()))
+    samples = list(map(dict.get, leaves, repeat("samples")))
+    if samples and not ({int} >= set(map(type, samples))
+                        and 0 <= min(samples) and max(samples) < 2**63):
+        return None
+    flags = [list(map(dict.get, leaves, repeat(key), repeat(False)))
+             for key in ("saturated", "degenerate")]
+    if not {bool} >= set(map(type, chain(*flags))):
+        return None
+    floats = []
+    for key in ("value", "lo_seen", "hi_seen"):
+        rows = list(map(dict.get, leaves, repeat(key)))
+        if not ({list} >= set(map(type, rows)) and {arity} >= set(map(len, rows))):
+            return None
+        floats.append(_float_array(list(chain.from_iterable(rows))).reshape(-1, arity))
+        if not np.isfinite(floats[-1]).all():
+            return None
+    return ((leaf, sizes, *floats, np.array(samples, dtype=np.int64),
+             *(np.array(flag, dtype=bool) for flag in flags)),
+            list(chain.from_iterable(kids)))
+
+
+def _node_problem(node, lo: list, hi: list, arity: int) -> tuple[str, str] | None:
+    """The first problem of one node document whose box must be ``lo``/``hi``, as (its path
+    below the node, the reason), or None.  The fields are checked in the order box, then
+    children or value, samples, lo_seen, hi_seen, saturated, degenerate."""
+    try:
+        box = _expect(node, "box", dict, "")
+        got = [_expect(box, key, list, ".box") for key in ("lo", "hi")]
+        if got != [lo, hi] or {int} != set(map(type, got[0] + got[1])):
+            return ".box", f"expected lo={tuple(lo)} hi={tuple(hi)}, got lo={got[0]} hi={got[1]}"
+        if "children" in node:
+            size = len(_expect(node, "children", list, ""))
+            count = 1 << sum(h - l >= 2 for l, h in zip(lo, hi))
+            if count == 1:
+                return ".children", "a single-cell box cannot have children"
+            if size != count:
+                return ".children", f"expected {count} children for this box, got {size}"
+            return None
+        for key in ("value", "samples", "lo_seen", "hi_seen"):
+            got = _expect(node, key, int if key == "samples" else list, "")
+            if key == "samples":
+                if type(got) is not int or not 0 <= got < 2**63:
+                    return ".samples", f"expected an integer from 0 to 2**63 - 1, got {got!r}"
+            elif len(got) != arity:
+                return f".{key}", f"expected {arity} components, got {len(got)}"
+            elif not (finite := np.isfinite(_float_array(got))).all():
+                return f".{key}[{np.argmin(finite)}]", "not a finite number"
+    except MeshFormatError as e:  # from ``_expect``: a field missing or of the wrong type
+        return e.path, e.reason
+    for key in ("saturated", "degenerate"):
+        flag = node.get(key, False)
+        if type(flag) is not bool:
+            return f".{key}", f"expected true or false, got {type(flag).__name__}"
+    return None
+
+
 def _read_nodes(docs: list, lo: np.ndarray, hi: np.ndarray, arity: int,
                 levels: list[Level], first: int) -> tuple[tuple, list]:
-    """The ``Level`` columns after ``lo``/``hi`` of node documents of one depth, from its
-    node ``first`` on, whose boxes must be ``lo``/``hi``, below ``levels``, and the
-    documents of their children.  Each check runs over a whole column of the nodes; on
-    problems, raises naming the first in level order."""
-    problems: list = []
-    nodes = _Nodes(problems, np.arange(len(docs)), node=docs)
-    if {dict} != set(map(type, docs)):
-        nodes.keep(_mask(map(is_, map(type, docs), repeat(dict))),
-                   lambda i: ("", f"expected object, got {type(docs[i]).__name__}"))
-    nodes.read("node", "box", {dict})
-    nodes.read("box", "lo", {list}, ".box")
-    nodes.read("box", "hi", {list}, ".box")
-    got, want = (nodes["lo"], nodes["hi"]), (lo[nodes.rows].tolist(), hi[nodes.rows].tolist())
-    # Equal in value, and exact ints: JSON 1.0 and true also equal 1.
-    if got != want or {int} != set(map(type, chain.from_iterable(chain(*got)))):
-        ok = (_mask(map(eq, got[0], want[0])) & _mask(map(eq, got[1], want[1]))
-              & _mask({int} == set(map(type, l + h)) for l, h in zip(*got)))
-        nodes.keep(ok, lambda i: (".box", f"expected lo={tuple(want[0][i])} hi={tuple(want[1][i])}"
-                                          f", got lo={got[0][i]} hi={got[1][i]}"))
-
-    count = np.left_shift(1, (hi - lo >= 2).sum(axis=1))
-    leaf = ~_mask(map(contains, nodes["node"], repeat("children")))
-    branches = _Nodes(problems, nodes.rows[~leaf], node=list(compress(nodes["node"], ~leaf)))
-    leaves = _Nodes(problems, nodes.rows[leaf], node=list(compress(nodes["node"], leaf)))
-    branches.read("node", "children", {list})
-    branches.keep(count[branches.rows] != 1,
-                  lambda i: (".children", "a single-cell box cannot have children"))
-    sizes = np.array(list(map(len, branches["children"])), dtype=np.int64)
-    want_sizes = count[branches.rows]
-    branches.keep(sizes == want_sizes, lambda i: (
-        ".children", f"expected {want_sizes[i]} children for this box, got {sizes[i]}"))
-    leaves.floats("value", arity)
-    leaves.count("samples", 0)
-    leaves.floats("lo_seen", arity)
-    leaves.floats("hi_seen", arity)
-    for key in ("saturated", "degenerate"):
-        leaves.read("node", key, {bool}, default=False)
-    if problems:
-        node, path, reason = min(problems)
-        raise MeshFormatError(_node_path(levels, first + node) + path, reason)
-    columns = (leaf, sizes, leaves["value"], leaves["lo_seen"], leaves["hi_seen"],
-               leaves["samples"], *(np.array(leaves[key], dtype=bool)
-                                    for key in ("saturated", "degenerate")))
-    return columns, list(chain.from_iterable(branches["children"]))
+    """``_read_columns`` of node documents of one depth, from its node ``first`` on, below
+    ``levels``.  If the column checks refuse them, ``_node_problem`` checks the nodes one by
+    one, to raise naming the first problem in level order."""
+    read = _read_columns(docs, lo, hi, arity)
+    if read is not None:
+        return read
+    for i, (node, l, h) in enumerate(zip(docs, lo.tolist(), hi.tolist())):
+        problem = _node_problem(node, l, h, arity)
+        if problem is not None:
+            raise MeshFormatError(_node_path(levels, first + i) + problem[0], problem[1])
+    raise AssertionError("the column checks refused nodes that the per-node check accepts")
 
 
 def _levels_from_doc(doc: dict, domain: GridDomain, arity: int) -> list[Level]:

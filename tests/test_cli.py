@@ -832,6 +832,18 @@ class TestExec:
         assert not out.exists()
         assert len(log.read_text().splitlines()) == calls
 
+    def test_a_batch_row_off_every_center_runs_nothing(self, monkeypatch):
+        """A row that is no cell's center is left NaN and stores nothing, so that a later
+        query of the cell runs the command at its center."""
+        monkeypatch.setattr(subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(
+            argv, 0, stdout=f"{argv[-1]}\n", stderr=""))
+        domain, answered = GridDomain((4,)), {}
+        profile = cli._exec_profile("probe", domain, 1, 1, 1, answered)
+        rows = profile.batch(np.array([[0.7], [1.5]]))
+        assert np.isnan(rows[0, 0]) and rows[1, 0] == 1.5
+        assert answered == {1: (1.5,)}
+        assert profile.query(domain.point((0,))) == (0.5,)
+
     def test_parallel_runs_store_every_point(self, monkeypatch):
         """Eight workers on a shortened switch interval lose no stored point."""
         monkeypatch.setattr(subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(

@@ -1,6 +1,7 @@
 """Grid domain, cuboid splitting, and seeded point sampling."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ class TestGridDomain:
             dom.world(p.index) for p in dom.points_from_linear(lins)]
         with pytest.raises(ValueError):
             dom.world_from_linear([30])
+
+    # The domains of the build-matrix digest in test_builder.py.
+    @pytest.mark.parametrize("dom", [
+        GridDomain((12, 10), (0.1, -0.2), (0.3, 0.7)),
+        GridDomain((16, 12), (0.1, -0.2), (0.3, 0.7)),
+        GridDomain((5, 6, 7), (0.1,) * 3, (0.3,) * 3), GridDomain((64,)), GridDomain((12, 12)),
+    ], ids=["12x10", "16x12", "5x6x7", "64", "12x12"])
+    def test_index_from_world_inverts_world_from_linear(self, dom):
+        lins = np.arange(dom.cell_count)
+        index = dom.index_from_world(dom.world_from_linear(lins))
+        assert index.dtype == np.int64
+        assert index.tolist() == np.stack(np.unravel_index(lins, dom.extents), axis=-1).tolist()
+
+    def test_index_from_world_is_minus_one_off_every_center(self):
+        dom = GridDomain((4, 3), origin=(0.1, -0.2), cell_size=(0.3, 0.7))
+        x, y = dom.world((1, 2))
+        off = [x + 0.1, math.nextafter(x, math.inf), (x + dom.world((2, 2))[0]) / 2,
+               dom.world((-1, 2))[0], dom.world((4, 2))[0], math.nan, math.inf, -math.inf]
+        index = dom.index_from_world(np.array([[v, y] for v in off]))
+        assert index.tolist() == [[-1, 2]] * len(off)
 
 
 class TestSplit:

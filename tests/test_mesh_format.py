@@ -445,14 +445,16 @@ def test_every_count_beyond_int64_is_a_format_error(name):
 REFUSALS = json.loads((CORPUS_DIR / "refusals" / "mutations.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("chunk", [None, 2], ids=["whole-depths", "two-nodes-at-a-time"])
+@pytest.mark.parametrize("chunk", [None, 1, 2],
+                         ids=["whole-depths", "one-node-at-a-time", "two-nodes-at-a-time"])
 @pytest.mark.parametrize("name", LOADABLE)
 def test_every_mutation_is_refused_with_its_pinned_path_and_reason(name, chunk, monkeypatch):
     """``refusals/mutations.json`` holds, per loadable file, the [path, reason] of each of
-    ``mutations()`` in order, as the per-node reader that the column reader replaced
-    refused them: a problem is named by the first node in level order, and within a
-    node by the first of its fields in the order box, children or value, samples,
-    lo_seen, hi_seen, saturated, degenerate."""
+    ``mutations()`` in order: a problem is named by the first node in level order, and
+    within a node by the first of its fields in the order box, children or value,
+    samples, lo_seen, hi_seen, saturated, degenerate, as the per-node check names it
+    once the column checks refuse a chunk.  One-node chunks name a node from every
+    offset of its depth."""
     if chunk is not None:
         monkeypatch.setattr(mesh, "_READ_NODES", chunk)
     doc = document(name)
@@ -462,6 +464,94 @@ def test_every_mutation_is_refused_with_its_pinned_path_and_reason(name, chunk, 
             deserialize(json.dumps(replaced(doc, path, value)))
         got.append([err.value.path, err.value.reason])
     assert got == REFUSALS[name]
+
+
+def node_paths(node, path=("root",)):
+    yield path
+    for i, child in enumerate(node.get("children", ())):
+        yield from node_paths(child, path + ("children", i))
+
+
+def spelled(path) -> str:
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+NODES = [(name, path) for name in LOADABLE for path in node_paths(document(name)["root"])]
+# Nodes on one cell, drawn as often again: a box that has no split.
+ONE_CELL = [(name, path) for name, path in NODES
+            if all(h - l == 1 for l, h in zip(*node_at(document(name), path)["box"].values()))]
+NODE_KEYS = ("box", "children", "value", "samples", "lo_seen", "hi_seen", "saturated",
+             "degenerate")
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=2) | st.integers(-3, 40) | st.integers()
+    | st.sampled_from([2**63 - 1, 2**63, -2**63 - 1, 2**64, 10**400])
+    | st.floats(-50, 50) | st.sampled_from([math.nan, math.inf, -math.inf, 1.0, 2.0]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["lo", "hi", "x"]), inner, max_size=2),
+    max_leaves=8)
+
+
+def node_sites(node):
+    """Paths in one node document to replace or delete: the node, its fields, their
+    entries, and the node fields it lacks, but nothing inside its children."""
+    own = [path for path, _ in sites(node) if path[:1] != ("children",) or len(path) == 1]
+    return own + [(key,) for key in NODE_KEYS if key not in node]
+
+
+def nearby(value) -> list:
+    """Values a little off ``value``: an integer moved by one, past int64, or spelled as a
+    float or a bool, and a list one entry shorter or longer."""
+    if type(value) is int:
+        return [value - 1, value + 1, -1, 2**63, float(value), value == 1]
+    if isinstance(value, list) and value:
+        return [value[:-1], value + value[:1]]
+    return [value]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_column_checks_refuse_exactly_what_the_per_node_check_names(data):
+    """A golden node with one field replaced by a drawn JSON value, or deleted, read as a
+    one-node chunk with its true box: the column checks refuse it exactly when the
+    per-node check names a problem, and reading the whole document raises nothing but
+    that problem as a MeshFormatError."""
+    name, at = data.draw(st.sampled_from(NODES) | st.sampled_from(ONE_CELL))
+    doc = document(name)
+    node = node_at(doc, at)
+    lo, hi = (np.array([node["box"][key]], dtype=np.int64) for key in ("lo", "hi"))
+    paths = node_sites(node)
+    if at == ("root",):
+        paths.remove(())  # the header checks name a root that is no object `$.root`
+    path = data.draw(st.sampled_from(paths))
+    # A field the node lacks is drawn near a list of two objects, as children might be.
+    values = JSON_VALUES | st.sampled_from(nearby(dict(sites(node)).get(path, [{}, {}])))
+    value = data.draw((st.just(DELETE) | values) if path else values)
+    if value is DELETE:
+        mutated = json.loads(json.dumps(node))
+        target = node_at(mutated, path[:-1])
+        if isinstance(target, list):
+            del target[path[-1]]
+        else:
+            target.pop(path[-1], None)
+    else:
+        mutated = replaced(node, path, value)
+    arity = doc["value_arity"]
+    problem = mesh._node_problem(mutated, lo[0].tolist(), hi[0].tolist(), arity)
+    assert (mesh._read_columns([mutated], lo, hi, arity) is None) == (problem is not None)
+    try:
+        deserialize(json.dumps(replaced(doc, at, mutated)))
+    except MeshFormatError as err:
+        if problem is not None:
+            assert (err.path, err.reason) == (spelled(at) + problem[0], problem[1])
+    else:
+        assert problem is None
 
 
 def test_integers_in_float_slots_load_as_float_of_the_integer():

@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -503,6 +504,19 @@ class TestChunks:
                 for c in children[k]:
                     heapq.heappush(heap, (row[c], c))
             assert popped == order == sorted(range(len(row)), key=lambda k: (row[k], k))
+
+    def test_the_four_sides_of_a_batch_share_each_chunks_rays(self, monkeypatch):
+        scene, config = scene_variant(31), CullingConfig(4)
+        world = GridDomain((32, 32), cell_size=(8.0, 8.0)).world_from_linear(
+            list(range(0, 1024, 16)))
+        monkeypatch.setattr(scene_module, "_CULLS", OrderedDict())
+        _shared_rays.cache_clear()
+        rows = scene_profile(scene, "cullcost_sides", config).batch(world)
+        chunks = len(world) // scene_module._CHUNK
+        assert _shared_rays.cache_info()[:2] == (3 * chunks, chunks)  # hits, misses
+        monkeypatch.setattr(scene_module, "_CULLS", OrderedDict())
+        assert rows.tolist() == [[simulated_cost(scene, config, P(*pw), side=k)
+                                  for k in range(4)] for pw in world.tolist()]
 
     def test_single_point_calls_share_the_memo_of_a_batch(self):
         scene = scene_variant(5, rays_per_side=13)
