@@ -22,7 +22,8 @@ import numpy as np
 
 from .builder import ProfileFunction, _answer_cells
 from .domain import GridDomain, GridPoint
-from .mesh import Subdivision, _derived, _split_bounds, evaluate, leaf_arrays, to_dense
+from .mesh import (DENSE_GUARD, Subdivision, _derived, _split_bounds, evaluate, leaf_arrays,
+                   to_dense)
 
 _SIDE_COUNT = 4           # value components of a directional subdivision
 _SECTOR_DEG = 90.0        # angular width of one side's sector
@@ -363,7 +364,7 @@ def parameter_sweep(builds: Sequence[tuple[float, Subdivision]],
 
 
 def parameter_profile(sub: Subdivision, parameter_axis: int,
-                      max_cells: int = 10 ** 6) -> np.ndarray:
+                      max_cells: int = DENSE_GUARD) -> np.ndarray:
     """Best parameter cell index per input cell, from a scalar subdivision.
 
     The domain is read as (input axes x parameter axis); for every
@@ -435,7 +436,7 @@ class ErrorStats:
 
 
 def error_vs_oracle(sub: Subdivision, f: ProfileFunction,
-                    max_cells: int = 10 ** 6) -> ErrorStats:
+                    max_cells: int = DENSE_GUARD) -> ErrorStats:
     """Exhaustive |subdivision - f| statistics over every grid cell.
 
     Asks ``f`` for every cell as a build does (``_answer_cells``), so the

@@ -212,9 +212,14 @@ def _write_output(args, pieces, config: dict, inputs, report: dict | None = None
 
 
 def _exec_cache_file(command: str, domain: GridDomain, repeat: int) -> str | None:
+    """The ``--exec`` cache file in ``MESHPROF_CACHE_DIR``, made before any command runs."""
     cache_dir = os.environ.get("MESHPROF_CACHE_DIR")
     if not cache_dir:
         return None
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as e:
+        raise _CliError(f"cannot make the exec cache directory {cache_dir}: {e}") from e
     key = json.dumps({
         "command": command,
         "extents": list(domain.extents),
@@ -254,7 +259,6 @@ def _flush_exec_cache(path: str | None, answered: dict) -> None:
     """Write the answers of ``answered`` to ``path``; its failures stay out."""
     if path is None:
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     entries = {str(lin): list(v) for lin, v in sorted(answered.items()) if type(v) is tuple}
     _write_atomic(path, [json.dumps({"entries": entries}, sort_keys=True) + "\n"])
 
@@ -387,9 +391,15 @@ def _cmd_build(args) -> int:
     try:
         # The exec profile fills ``answered`` as its commands complete.
         sub, report = build(profile, domain, config)
-    finally:
-        # Keep what was answered, however the build ends, so a rerun resumes from it.
-        _flush_exec_cache(cache_file, answered)
+    except BaseException:
+        # Keep what was answered, however the build ends, so a rerun resumes from it.  The
+        # build's own error decides the exit status; a failed write is reported before it.
+        try:
+            _flush_exec_cache(cache_file, answered)
+        except (_CliError, OSError) as e:
+            print(f"meshprof: {e}", file=sys.stderr)
+        raise
+    _flush_exec_cache(cache_file, answered)
 
     echo = dict(config.echo())
     echo.update(source)
@@ -447,7 +457,7 @@ def _load_distribution(source: str | None):
         )
         weights = np.asarray(doc["weights"], dtype=np.float64).reshape(domain.extents)
         table = WeightTable(domain, tuple(weights.reshape(-1)))
-    except (KeyError, RecursionError, TypeError, ValueError) as e:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as e:
         raise _CliError(f"bad weight table {source}: {e}") from e
     return table, [source]
 
@@ -460,8 +470,7 @@ def _cmd_avg(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    literals = []
-    paths = []
+    literals, paths = [], []
     for item in args.counts:
         try:
             literals.append(float(item))
@@ -478,10 +487,8 @@ def _cmd_cost(args) -> int:
         counts = [_load_mesh(p) for p in paths]
 
     units = _parse_floats(args.unit_costs, "--unit-costs")
-    model = CostModel(
-        tuple(UnitCost(f"count{i}", u) for i, u in enumerate(units)),
-        combinator=args.model,
-    )
+    model = CostModel(tuple(UnitCost(f"count{i}", u) for i, u in enumerate(units)),
+                      combinator=args.model)
     result = cost_estimate(counts, model)
     print(_format_value(weighted_average(result, Uniform())))
     if args.out:
@@ -524,8 +531,7 @@ def _cmd_optimize(args) -> int:
         raise _CliError("exactly one of --sweep or --param-axis is required")
 
     if args.sweep is not None:
-        builds = []
-        paths = []
+        builds, paths = [], []
         for item in args.sweep:
             param_text, _, path = item.partition("=")
             if not path:
@@ -540,8 +546,7 @@ def _cmd_optimize(args) -> int:
         best, table = parameter_sweep(builds, dist)
         print(repr(best))
         if args.out:
-            lines = ["param," + ",".join(
-                f"avg_{i}" for i in range(len(table[0][1])))]
+            lines = ["param," + ",".join(f"avg_{i}" for i in range(len(table[0][1])))]
             for param, avg in sorted(table, key=lambda row: row[0]):
                 lines.append(",".join([repr(param)] + [repr(v) for v in avg]))
             _write_output(args, ["\n".join(lines) + "\n"],

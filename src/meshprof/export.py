@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Subdivision, _box_values, leaf_arrays
+from .mesh import DENSE_GUARD, Subdivision, _box_values, leaf_arrays
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def slice_grid(sub: Subdivision, fixed: dict[int, int] | None = None) -> np.ndar
     lo = [fixed.get(a, 0) for a in range(sub.domain.ndim)]
     hi = [fixed[a] + 1 if a in fixed else e for a, e in enumerate(sub.domain.extents)]
     shape = [sub.domain.extents[a] for a in free] + [1] * (2 - len(free))
-    if math.prod(shape) > 10**6:
-        raise ValueError(f"slice has {math.prod(shape)} pixels, dense guard is {10**6}")
+    if math.prod(shape) > DENSE_GUARD:
+        raise ValueError(f"slice has {math.prod(shape)} pixels, dense guard is {DENSE_GUARD}")
     return _box_values(sub, lo, hi).reshape(shape)
 
 

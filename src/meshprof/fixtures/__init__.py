@@ -27,7 +27,6 @@ from .scene import (
     cull_render,
     default_cost_model,
     default_scene,
-    directional_profile,
     named_scene,
     num_visible,
     scene_profile,

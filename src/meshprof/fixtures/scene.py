@@ -543,20 +543,11 @@ def brute_force_cost(scene: Scene2D, poly_cost: float = DEFAULT_POLY_COST_MS) ->
     return poly_cost * scene.total_polys
 
 
-# -- Directional profiles and profile functions ----------------------------
+# -- Profile functions ----------------------------------------------------
 
 
 _VECTOR_QUANTITIES = ("sides", "cullcost_sides")
 _NEEDS_CONFIG = ("polygons", "occltests", "cullcost", "cullcost_sides")
-
-
-def directional_profile(scene: Scene2D, quantity: str, p: GridPoint,
-                        config: CullingConfig | None = None) -> tuple[float, ...]:
-    """``sides`` or ``cullcost_sides`` at ``p``: one component per side sector (east,
-    north, west, south), as ``scene_profile`` answers it."""
-    if quantity not in _VECTOR_QUANTITIES:
-        raise ValueError(f"unknown directional quantity {quantity!r}")
-    return scene_profile(scene, quantity, config).query(p)
 
 
 def scene_profile(scene: Scene2D, quantity: str,

@@ -28,6 +28,8 @@ import numpy as np
 from .domain import GridCuboid, GridDomain, GridPoint, _trusted_cuboid
 from .errors import MeshFormatError, OutOfDomainError
 
+DENSE_GUARD = 10**6  # the most cells that a dense array of a mesh holds by default
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -314,7 +316,7 @@ def leaf_arrays(sub: Subdivision) -> LeafArrays:
     return LeafArrays(*(np.concatenate(column)[row] for column in zip(*parts)))
 
 
-def to_dense(sub: Subdivision, max_cells: int = 10**6) -> np.ndarray:
+def to_dense(sub: Subdivision, max_cells: int = DENSE_GUARD) -> np.ndarray:
     """Materialize the subdivision on the full grid.
 
     Returns an array of shape ``extents`` for scalar trees and

@@ -1,54 +1,121 @@
-"""Shared test utilities: random tree construction, dense and JSON oracles, and the
-dense scene reference."""
+"""Shared test utilities: meshes made as levels from leaf records, oracles that walk the
+levels, and the dense scene reference."""
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.fixtures.scene import CullStats, _hit_distances, _quadtree, _ray_dirs, _rect_arrays
-from meshprof.mesh import Branch, Leaf, Node, Subdivision, leaf_arrays
+from meshprof.mesh import Level, Subdivision, _split_bounds, leaf_arrays
+
+# One leaf of a mesh: its box and the fields of its row in the levels.
+Record = namedtuple("Record", "box value samples lo_seen hi_seen saturated degenerate",
+                    defaults=(False, False))
 
 
-def random_tree(rng: np.random.Generator, domain: GridDomain,
-                arity: int = 1, split_prob: float = 0.55,
-                max_depth: int = 6, value_scale: float = 10.0) -> Node:
-    """A structurally valid random tree with random constant leaf values."""
+def leveled(domain: GridDomain, arity: int, leaves, metadata: dict | None = None) -> Subdivision:
+    """The subdivision whose leaves are the ``Record``s ``leaves``, made as levels from the
+    root down: a box that is a leaf's box becomes that leaf, and any other box splits by
+    ``_split_bounds``.  Raises ValueError if the leaves do not tile the domain."""
+    by_box = {(r.box.lo, r.box.hi): r for r in leaves}
+    if len(by_box) != len(leaves):
+        raise ValueError("two leaves share a box")
+    lo = np.zeros((1, domain.ndim), dtype=np.int64)
+    hi = np.array([domain.extents], dtype=np.int64)
+    levels = []
+    while len(lo):
+        here = [by_box.pop(box, None) for box in zip(map(tuple, lo.tolist()),
+                                                      map(tuple, hi.tolist()))]
+        leaf = np.array([r is not None for r in here], dtype=bool)
+        below_lo, below_hi, children = _split_bounds(lo[~leaf], hi[~leaf])
+        if (children == 1).any():
+            raise ValueError(f"a cell at depth {len(levels)} is in no leaf")
+        rows = [r for r in here if r is not None]
+        floats = (np.array([getattr(r, name) for r in rows], dtype=np.float64)
+                  .reshape(len(rows), arity) for name in ("value", "lo_seen", "hi_seen"))
+        levels.append(Level(lo, hi, leaf, children, *floats,
+                            np.array([r.samples for r in rows], dtype=np.int64),
+                            np.array([r.saturated for r in rows], dtype=bool),
+                            np.array([r.degenerate for r in rows], dtype=bool)))
+        lo, hi = below_lo, below_hi
+    if by_box:
+        raise ValueError(f"the leaf of box {next(iter(by_box))} is not a box of the split")
+    return Subdivision(domain, arity, metadata=metadata, levels=levels)
+
+
+def random_leaves(rng: np.random.Generator, domain: GridDomain, arity: int = 1,
+                  split_prob: float = 0.55, max_depth: int = 6,
+                  value_scale: float = 10.0) -> list[Record]:
+    """The leaves of a random tiling, depth-first in split order, with random constant
+    values: each box splits with chance ``split_prob`` down to ``max_depth``."""
 
     def make(box: GridCuboid, depth: int):
         splittable = box.cell_count > 1
         if splittable and depth < max_depth and rng.random() < split_prob:
-            return Branch(box, tuple(make(b, depth + 1) for b in box.split()))
+            for child in box.split():
+                yield from make(child, depth + 1)
+            return
         value = tuple(float(v) for v in rng.normal(0.0, value_scale, size=arity))
-        return Leaf(box, value, 1, value, value)
+        yield Record(box, value, 1, value, value)
 
-    return make(domain.root_cuboid(), 0)
+    return list(make(domain.root_cuboid(), 0))
 
 
 def random_subdivision(rng: np.random.Generator, domain: GridDomain, arity: int = 1,
                        *args, **kwargs) -> Subdivision:
-    """The subdivision of the ``random_tree`` of the same arguments."""
-    return Subdivision(domain, arity, random_tree(rng, domain, arity, *args, **kwargs))
+    """The subdivision of the ``random_leaves`` of the same arguments."""
+    return leveled(domain, arity, random_leaves(rng, domain, arity, *args, **kwargs))
 
 
-def walk_leaves(sub: Subdivision):
-    """Yield (leaf, depth) depth-first in split order, by recursion over ``sub.root``."""
+def fold_levels(sub: Subdivision, on_leaf, on_branch):
+    """The tree of ``sub.levels`` folded by a recursive preorder walk: ``on_leaf(record,
+    depth)`` of each leaf, ``on_branch(box, the results of its children)`` of each branch.
+    The walk meets each depth's nodes in index order, so a node's leaf row and a branch's
+    number of children are found by counting.  Each box must be its place in
+    ``GridCuboid.split`` of its parent's, and every node must be met."""
+    boxes = [list(zip(map(tuple, level.lo.tolist()), map(tuple, level.hi.tolist())))
+             for level in sub.levels]
+    fields = []  # per depth, each leaf's fields in the order of ``Record``'s
+    for level in sub.levels:
+        value, lo_seen, hi_seen = (list(map(tuple, rows.tolist()))
+                                   for rows in (level.value, level.lo_seen, level.hi_seen))
+        fields.append(list(zip(value, level.samples.tolist(), lo_seen, hi_seen,
+                               level.saturated.tolist(), level.degenerate.tolist())))
+    # Per depth: the nodes, the leaves and the branches met so far.
+    nodes, leaves, branches = ([0] * len(sub.levels) for _ in range(3))
 
-    def walk(node, depth):
-        if isinstance(node, Leaf):
-            yield node, depth
-        else:
-            for child in node.children:
-                yield from walk(child, depth + 1)
+    def visit(depth: int, box: GridCuboid):
+        level, i = sub.levels[depth], nodes[depth]
+        assert boxes[depth][i] == (box.lo, box.hi), (depth, i, box)
+        nodes[depth] += 1
+        if level.leaf[i]:
+            leaves[depth] += 1
+            return on_leaf(Record(box, *fields[depth][leaves[depth] - 1]), depth)
+        branches[depth] += 1
+        kids = box.split()
+        assert level.children[branches[depth] - 1] == len(kids), (depth, box)
+        return on_branch(box, [visit(depth + 1, kid) for kid in kids])
 
-    yield from walk(sub.root, 0)
+    out = visit(0, sub.domain.root_cuboid())
+    assert (nodes, leaves, branches) == tuple([len(getattr(level, name)) for level in sub.levels]
+                                              for name in ("leaf", "value", "children"))
+    return out
+
+
+def walk_leaves(sub: Subdivision) -> list[tuple[Record, int]]:
+    """Every leaf of ``sub`` as (its record, its depth), depth-first in split order."""
+    out = []
+    fold_levels(sub, lambda leaf, depth: out.append((leaf, depth)), lambda box, kids: None)
+    return out
 
 
 def dense_eval(sub: Subdivision) -> np.ndarray:
-    """Evaluate every grid cell from a walk of the tree, independent of to_dense."""
+    """Evaluate every grid cell from a walk of the levels, independent of to_dense."""
     shape = sub.domain.extents + ((sub.value_arity,) if sub.value_arity > 1 else ())
     out = np.full(shape, np.nan)
     for leaf, _ in walk_leaves(sub):
@@ -78,23 +145,23 @@ def dense_reference(sub: Subdivision) -> np.ndarray:
 
 def oracle_doc(sub: Subdivision) -> dict:
     """The v1 mesh document as nested dicts and lists, built the way the first
-    v1 writer built it; ``json.dumps(oracle_doc(sub), indent=2)`` is the v1
-    text that ``serialize`` must reproduce byte for byte."""
+    v1 writer built it, from a walk of the levels; ``json.dumps(oracle_doc(sub),
+    indent=2)`` is the v1 text that ``serialize`` must reproduce byte for byte."""
 
-    def node_doc(node) -> dict:
-        box = {"lo": list(node.box.lo), "hi": list(node.box.hi)}
-        if isinstance(node, Branch):
-            return {"box": box, "children": [node_doc(c) for c in node.children]}
+    def box_doc(box: GridCuboid) -> dict:
+        return {"lo": list(box.lo), "hi": list(box.hi)}
+
+    def leaf_doc(leaf: Record, depth: int) -> dict:
         doc = {
-            "box": box,
-            "value": list(node.value),
-            "samples": node.samples,
-            "lo_seen": list(node.lo_seen),
-            "hi_seen": list(node.hi_seen),
+            "box": box_doc(leaf.box),
+            "value": list(leaf.value),
+            "samples": leaf.samples,
+            "lo_seen": list(leaf.lo_seen),
+            "hi_seen": list(leaf.hi_seen),
         }
-        if node.saturated:
+        if leaf.saturated:
             doc["saturated"] = True
-        if node.degenerate:
+        if leaf.degenerate:
             doc["degenerate"] = True
         return doc
 
@@ -106,7 +173,8 @@ def oracle_doc(sub: Subdivision) -> dict:
         },
         "value_arity": sub.value_arity,
         "metadata": sub.metadata,
-        "root": node_doc(sub.root),
+        "root": fold_levels(sub, leaf_doc,
+                            lambda box, kids: {"box": box_doc(box), "children": kids}),
     }
 
 

@@ -53,7 +53,7 @@ from meshprof.fixtures.lipschitz import (
 from meshprof.fixtures.scene import (
     CullingConfig,
     default_cost_model,
-    directional_profile,
+    scene_profile,
     symmetric_scene,
 )
 from meshprof.mesh import constant, evaluate, leaf_arrays, to_dense
@@ -364,8 +364,8 @@ def test_12_view_weights(criterion):
 
     scene = symmetric_scene()
     center = GridPoint((128, 128), (128.0, 128.0))
-    sides = directional_profile(scene, "sides", center)
-    costs = directional_profile(scene, "cullcost_sides", center, CullingConfig(4))
+    sides = scene_profile(scene, "sides").query(center)
+    costs = scene_profile(scene, "cullcost_sides", CullingConfig(4)).query(center)
     side_spread = max(max(sides) - min(sides), max(costs) - min(costs))
 
     ok = (worst_sum < 1e-12 and nonnegative and full_circle_err < 1e-12

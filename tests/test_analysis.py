@@ -27,23 +27,19 @@ from meshprof.analysis import (
     weighted_average,
 )
 from meshprof.builder import BuildConfig, FixedSampling, ProfileFunction, build
-from meshprof.domain import GridDomain
+from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import ProfileQueryError
 from meshprof.fixtures import resolve_fixture
-from meshprof.mesh import Branch, Leaf, Subdivision, constant, evaluate, leaf_arrays
+from meshprof.mesh import Subdivision, constant, evaluate, leaf_arrays
 
-from helpers import dense_eval, random_subdivision
+from helpers import Record, dense_eval, leveled, random_subdivision
 
 
 def quadrant_tree(values):
     """4x4 domain split once; quadrant order is lexicographic by lower corner."""
     dom = GridDomain((4, 4))
-    root_box = dom.root_cuboid()
-    children = tuple(
-        Leaf(b, (float(v),), 1, (float(v),), (float(v),))
-        for b, v in zip(root_box.split(), values)
-    )
-    return Subdivision(dom, 1, Branch(root_box, children))
+    return leveled(dom, 1, [Record(b, (float(v),), 1, (float(v),), (float(v),))
+                            for b, v in zip(dom.root_cuboid().split(), values)])
 
 
 class TestWeightedAverage:
@@ -106,9 +102,8 @@ class TestWeightedAverage:
     def test_center_on_a_table_boundary_counts_once(self):
         # the center of cell 1, 0.05 + 1.5/3 = 0.55, lies on a table-cell boundary
         dom = GridDomain((5,), (0.05,), (1 / 3,))
-        root = dom.root_cuboid()
-        children = tuple(Leaf(b, (v,), 1, (v,), (v,)) for b, v in zip(root.split(), (1.0, 5.0)))
-        sub = Subdivision(dom, 1, Branch(root, children))
+        sub = leveled(dom, 1, [Record(b, (v,), 1, (v,), (v,))
+                               for b, v in zip(dom.root_cuboid().split(), (1.0, 5.0))])
         table = WeightTable(GridDomain((20,), (0.05,), (0.1,)), (1.0,) * 20)
         assert weighted_average(sub, table) == weighted_average(sub) == (3.4,)
 
@@ -418,14 +413,9 @@ SPECIAL = (0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, mat
 def cells(rows) -> Subdivision:
     """A 1-D subdivision split down to single cells, cell ``i`` holding ``rows[i]``."""
     dom = GridDomain((len(rows),))
-
-    def make(box):
-        if box.cell_count > 1:
-            return Branch(box, tuple(map(make, box.split())))
-        row = tuple(rows[box.lo[0]])
-        return Leaf(box, row, 0, row, row)
-
-    return Subdivision(dom, len(rows[0]), make(dom.root_cuboid()))
+    return leveled(dom, len(rows[0]), [Record(GridCuboid((i,), (i + 1,)), tuple(row), 0,
+                                              tuple(row), tuple(row))
+                                       for i, row in enumerate(rows)])
 
 
 def hexes(values) -> list[str]:

@@ -392,14 +392,9 @@ class TestThresholdMonotonicity:
         pf = resolve_fixture("scene:default:numvisible", dom)
 
         def split_boxes(sub):
-            out = set()
-            def walk(node):
-                if hasattr(node, "children"):
-                    out.add((node.box.lo, node.box.hi))
-                    for c in node.children:
-                        walk(c)
-            walk(sub.root)
-            return out
+            return {(tuple(lo), tuple(hi)) for level in sub.levels
+                    for lo, hi in zip(level.lo[~level.leaf].tolist(),
+                                      level.hi[~level.leaf].tolist())}
 
         prev_distinct = None
         prev_splits = None

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import walk_leaves
 from meshprof import cli
 from meshprof.builder import BuildConfig, BuildReport, ProfileFunction, SupNormSampling, build
 from meshprof.cli import main
@@ -199,6 +200,24 @@ class TestEvalDiffAvg:
         err = capsys.readouterr()
         assert err.out == ""
         assert err.err.count(f"bad weight table {bad}") == 2
+
+    @pytest.mark.parametrize("table", [
+        '{"extents": [1, 1], "cell_size": [Infinity, Infinity], "weights": [[1.0]]}',
+        '{"extents": [1, 1], "origin": [-Infinity, 0], "weights": [[1.0]]}',
+        '{"extents": [1, 1], "cell_size": [1' + '0' * 400 + ', 1], "weights": [[1.0]]}'])
+    def test_avg_refuses_a_table_of_non_finite_origin_or_cell_size(self, tmp_path, capsys,
+                                                                    table):
+        # The first averaged to 7.84375, the second warned of an invalid cast, and the third,
+        # a cell size too large for a float, escaped as an OverflowError.
+        out = build_fixture(tmp_path, "ramp.json", "ramp")
+        bad = tmp_path / "t.json"
+        bad.write_text(table)
+        capsys.readouterr()
+        assert run("avg", str(out), "--dist", str(bad)) == 2
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err.startswith(f"meshprof: bad weight table {bad}: ")
+        assert err.err.count("\n") == 1
 
     @pytest.mark.parametrize("key, value", [
         ("extents", "22"), ("extents", [2.7, 2.2]), ("cell_size", "44"),
@@ -515,7 +534,7 @@ class TestExec:
                    "--out", str(via_exec)) == 0
         via_fixture = build_fixture(tmp_path, "fixture.json", "ramp")
         a, b = load_mesh(via_exec), load_mesh(via_fixture)
-        assert a.root == b.root  # identical trees; metadata names the source
+        assert walk_leaves(a) == walk_leaves(b)  # identical leaves; metadata names the source
         assert a.domain == b.domain
 
     def test_repeat_runs_each_point_three_times(self, tmp_path):
@@ -542,6 +561,40 @@ class TestExec:
         assert code == 3
         err = capsys.readouterr().err
         assert "(3, 3)" in err and "exit status 1" in err
+
+    def test_a_cache_directory_that_cannot_be_made_exits_2_before_any_command(
+            self, tmp_path, monkeypatch, capsys):
+        # It was made by the flush after the build, whose every command had run by then.
+        command, log = self.ok_script(tmp_path)
+        (tmp_path / "file").write_text("")
+        cache_dir = tmp_path / "file" / "cache"
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(cache_dir))
+        out = tmp_path / "m.json"
+        assert run("build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
+                   "--policy", "fixed:16", "--out", str(out)) == 2
+        assert f"meshprof: cannot make the exec cache directory {cache_dir}: " in (
+            capsys.readouterr().err)
+        assert not log.exists() and not out.exists()
+
+    def test_a_failed_flush_does_not_hide_the_failing_point(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # The flush's error used to replace the build's, which then exited 2.
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+
+        def fake_run(argv, **kwargs):
+            x, y = map(float, argv[-2:])
+            return subprocess.CompletedProcess(argv, 1 if (x, y) == (3.5, 3.5) else 0,
+                                               stdout=f"{x + y}\n", stderr="")
+
+        def flush(path, answered):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        monkeypatch.setattr(cli, "_flush_exec_cache", flush)
+        assert run("build", "--exec", "probe", "--domain", "4x4", "--threshold", "0.5",
+                   "--policy", "fixed:16", "--out", str(tmp_path / "m.json")) == 3
+        err = capsys.readouterr().err
+        assert "(3, 3)" in err and "exit status 1" in err and "No space left on device" in err
 
     def test_unparseable_output_exits_3(self, tmp_path):
         script = tmp_path / "chatty.py"

@@ -37,6 +37,15 @@ class TestGridDomain:
         with pytest.raises(ValueError):
             GridDomain((4, 4), origin=(0.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["origin", "cell_size"])
+    def test_non_finite_origin_or_cell_size_is_refused(self, field, bad):
+        # A NaN cell size passed the check for sizes <= 0, and infinities passed every check.
+        with pytest.raises(ValueError, match="finite"):
+            GridDomain((4, 4), **{field: (1.0, bad)})
+        with pytest.raises(ValueError, match="finite"):
+            GridDomain((4,), **{field: (bad,)})
+
     def test_point_bounds(self):
         dom = GridDomain((8, 8))
         p = dom.point((7, 0))

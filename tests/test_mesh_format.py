@@ -24,15 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_doc, random_subdivision
+from helpers import Record, leveled, oracle_doc, random_subdivision, walk_leaves
 from meshprof import mesh
 from meshprof.analysis import combine
 from meshprof.builder import BuildConfig, SupNormSampling, build
 from meshprof.domain import GridDomain
 from meshprof.errors import MeshFormatError
 from meshprof.fixtures import resolve_fixture
-from meshprof.mesh import (Branch, Leaf, Subdivision, constant, deserialize, serialize,
-                           serialize_pieces)
+from meshprof.mesh import Subdivision, constant, deserialize, serialize, serialize_pieces
 
 CORPUS_DIR = Path(__file__).resolve().parent / "data" / "mesh_v1"
 
@@ -44,16 +43,15 @@ def built(token, domain, threshold, seed=0):
     return build(profile, domain, config)[0]
 
 
-def halves(box, leaf_fields):
-    """``box`` split in two, then each half in two, with one leaf per quarter."""
-    quarters = [q for half in box.split() for q in half.split()]
-    leaves = [Leaf(q, *fields) for q, fields in zip(quarters, leaf_fields)]
-    return Branch(box, tuple(Branch(half, tuple(leaves[2 * i:2 * i + 2]))
-                             for i, half in enumerate(box.split())))
+def halves(domain, leaf_fields, metadata=None):
+    """``domain`` split in two, then each half in two, with one leaf per quarter."""
+    quarters = [q for half in domain.root_cuboid().split() for q in half.split()]
+    return leveled(domain, 1, [Record(q, *fields) for q, fields in zip(quarters, leaf_fields)],
+                   metadata)
 
 
 def corpus() -> dict:
-    """File name -> the tree whose v1 text the file holds."""
+    """File name -> the mesh whose v1 text the file holds."""
     line = GridDomain((37,), origin=(-2.5,), cell_size=(0.25,))
     plane = GridDomain((6, 5), origin=(10.0, -3.5), cell_size=(0.5, 2.0))
     cube = GridDomain((5, 4, 3), origin=(1.0, 2.0, -1.0), cell_size=(0.5, 0.5, 2.0))
@@ -68,12 +66,11 @@ def corpus() -> dict:
         "spike_saturated_1d.json": built("spike:4", GridDomain((32,)), 0.1, seed=2),
         "ratio_derived_2d.json": combine(numerator, denominator, "ratio"),
         "constant_empty_metadata_2d.json": constant(GridDomain((3, 3)), (7.5,)),
-        "special_floats_1d.json": Subdivision(
-            floats, 1,
-            halves(floats.root_cuboid(), [((-0.0,), 1, (-0.0,), (0.0,)),
-                                          ((5e-324,), 2, (0.0,), (1e-323,)),
-                                          ((1e16,), 1, (1e16,), (1e16,)),
-                                          ((0.1,), 4, (1e-7,), (0.1,))]),
+        "special_floats_1d.json": halves(
+            floats, [((-0.0,), 1, (-0.0,), (0.0,)),
+                     ((5e-324,), 2, (0.0,), (1e-323,)),
+                     ((1e16,), 1, (1e16,), (1e16,)),
+                     ((0.1,), 4, (1e-7,), (0.1,))],
             {"fixture": "hand-built", "note": "Größe – 視界",
              "nested": {"名前": ["ü", 1, 2.5, None, True], "empty": {}, "list": []}}),
     }
@@ -141,25 +138,16 @@ def test_serialize_spells_every_number_as_json_does(value):
     dom = GridDomain((4,))
     lo, hi = dom.root_cuboid().split()
     first, second = lo.split()
-    for root in (Leaf(dom.root_cuboid(), value, 0, value, value),
-                 Branch(dom.root_cuboid(), (Leaf(lo, value, 1, value, value),
-                                            Leaf(hi, value, 2, value, value))),
-                 Branch(dom.root_cuboid(), (Branch(lo, (Leaf(first, value, 3, value, value),
-                                                        Leaf(second, value, 1, value, value))),
-                                            Leaf(hi, value, 0, value, value)))):
+    for leaves in ([Record(dom.root_cuboid(), value, 0, value, value)],
+                   [Record(lo, value, 1, value, value), Record(hi, value, 2, value, value)],
+                   [Record(first, value, 3, value, value), Record(second, value, 1, value, value),
+                    Record(hi, value, 0, value, value)]):
         if not value:
             with pytest.raises(ValueError):
-                Subdivision(dom, len(value), root)
+                leveled(dom, len(value), leaves)
             continue
-        sub = Subdivision(dom, len(value), root)
+        sub = leveled(dom, len(value), leaves)
         assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
-
-
-@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), None, "1.0", [1.0]])
-def test_serialize_refuses_what_is_not_a_json_number(value):
-    dom = GridDomain((4,))
-    with pytest.raises(TypeError):
-        Subdivision(dom, 1, Leaf(dom.root_cuboid(), (value,), 0, (0.0,), (0.0,)))
 
 
 # -- The text in pieces -------------------------------------------------------
@@ -363,9 +351,7 @@ def test_leaves_an_ulp_or_two_outside_their_samples_still_load():
     leaf = next(leaf_docs(doc["root"]))
     outside = math.nextafter(math.nextafter(leaf["hi_seen"][0], math.inf), math.inf)
     leaf["value"] = [outside]
-    loaded = deserialize(json.dumps(doc)).root
-    while isinstance(loaded, Branch):
-        loaded = loaded.children[0]
+    (loaded, _), *_ = walk_leaves(deserialize(json.dumps(doc)))
     assert loaded.value == (outside,) and loaded.hi_seen[0] < outside
 
 

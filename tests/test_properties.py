@@ -6,9 +6,8 @@ tile the domain, that every leaf value lies within the range of its own
 samples, that every leaf the builder chose to stop at passes its spread
 mode's test on its stored fields, and that serialization round-trips bit for
 bit and writes the same text as the v1 oracle encoder.  ``leaf_arrays`` must
-read, from a build's levels and from the levels derived from a tree alike,
-exactly what a recursive walk of the tree reads, and ``==``, which reads
-levels, must agree with equality of the assembled trees.  The cell lookup,
+read, from a build's levels and from levels made from leaf records alike,
+exactly what a recursive walk of the levels reads.  The cell lookup,
 ``evaluate``, ``to_dense`` and ``slice_grid`` must read what the leaves of
 ``leaf_arrays`` unravel to, on builds, loaded meshes, algebra results and
 one-leaf meshes.  The runs are
@@ -17,7 +16,6 @@ cases where a leaf mean used to land an ulp outside its samples' range.
 """
 
 import dataclasses
-import itertools
 import json
 from pathlib import Path
 
@@ -39,8 +37,8 @@ from meshprof.builder import (
 from meshprof.domain import GridDomain
 from meshprof.fixtures import resolve_fixture
 from meshprof.export import slice_grid
-from meshprof.mesh import (Branch, Subdivision, _leaf_rows, constant, deserialize, evaluate,
-                           leaf_arrays, serialize, to_dense)
+from meshprof.mesh import (_leaf_rows, constant, deserialize, evaluate, leaf_arrays, serialize,
+                           to_dense)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -130,7 +128,7 @@ def bits(sub):
 
 
 def walked_rows(sub):
-    """One row per leaf from a recursive walk of ``sub.root``, floats as hex."""
+    """One row per leaf from a recursive walk of ``sub``'s levels, floats as hex."""
     return [(list(leaf.box.lo), list(leaf.box.hi),
              [[v.hex() for v in vs] for vs in (leaf.value, leaf.lo_seen, leaf.hi_seen)],
              leaf.samples, leaf.saturated, leaf.degenerate, depth)
@@ -178,7 +176,7 @@ def test_leaf_arrays_are_the_tree_walk_on_the_golden_corpus(path):
 
 @st.composite
 def trees(draw):
-    """Two random trees on one domain, from ``helpers.random_subdivision``, and their arity."""
+    """Two random meshes on one domain, from ``helpers.random_subdivision``, and their arity."""
     ndim = draw(st.integers(1, 3))
     extents = tuple(draw(st.lists(st.integers(1, 40 if ndim == 1 else 12),
                                   min_size=ndim, max_size=ndim)))
@@ -199,32 +197,6 @@ def test_leaf_arrays_of_tree_levels_are_the_tree_walk_bit_for_bit(pair, op):
         derived.append(selection_map([a, b], view=(30.0, 90.0) if arity == 4 else None))
     for sub in derived:
         assert table_rows(sub) == walked_rows(sub)
-
-
-def with_value(sub: Subdivision, index: int, value: tuple) -> Subdivision:
-    """``sub`` made again from its tree, with its ``index``-th leaf (depth first) holding
-    ``value``."""
-    leaves = itertools.count()
-
-    def walk(node):
-        if isinstance(node, Branch):
-            return Branch(node.box, tuple(map(walk, node.children)))
-        return dataclasses.replace(node, value=value) if next(leaves) == index else node
-
-    return Subdivision(sub.domain, sub.value_arity, walk(sub.root), sub.metadata)
-
-
-@PROPERTY_SETTINGS
-@given(trees(), st.integers(0, 2**16), st.floats(-1e3, 1e3))
-def test_equality_of_levels_is_equality_of_trees(pair, index, shift):
-    (a, b), arity = pair
-    index %= len(leaf_arrays(a).depth)
-    value = tuple(walk_leaves(a))[index][0].value
-    zeros = [with_value(a, index, (zero,) * arity) for zero in (0.0, -0.0)]
-    for x, y in ((a, b), (a, deserialize(serialize(a))), (a, with_value(a, index, value)),
-                 (a, with_value(a, index, tuple(v + shift for v in value))), zeros):
-        assert (x == y) == (x.root == y.root)
-    assert a == deserialize(serialize(a)) and zeros[0] == zeros[1]
 
 
 @PROPERTY_SETTINGS

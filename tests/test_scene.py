@@ -21,7 +21,6 @@ from meshprof.fixtures import (
     cull_render,
     default_cost_model,
     default_scene,
-    directional_profile,
     named_scene,
     num_visible,
     resolve_fixture,
@@ -257,22 +256,17 @@ class TestDirectionalProfiles:
     def test_sides_quantity_equals_ground_truth_split(self):
         scene = default_scene()
         p = P(70.0, 180.0)
-        assert directional_profile(scene, "sides", p) == \
+        assert scene_profile(scene, "sides").query(p) == \
             tuple(float(v) for v in visible_by_side(scene, p))
 
     def test_cost_components_come_from_single_side_runs(self):
         scene = default_scene()
         cfg = CullingConfig(3)
         p = P(70.0, 180.0)
-        got = directional_profile(scene, "cullcost_sides", p, cfg)
+        got = scene_profile(scene, "cullcost_sides", cfg).query(p)
         assert got == tuple(simulated_cost(scene, cfg, p, side=k) for k in range(4))
 
     def test_unknown_quantity(self):
-        with pytest.raises(ValueError):
-            directional_profile(default_scene(), "sparkle", P(10.0, 10.0))
-        for scalar in ("numvisible", "cullcost", "polygons", "occltests", "brutecost"):
-            with pytest.raises(ValueError, match="directional"):
-                directional_profile(default_scene(), scalar, P(10.0, 10.0))
         with pytest.raises(ValueError):
             scene_profile(default_scene(), "sparkle")
 
@@ -306,7 +300,7 @@ class TestSymmetricScene:
         scene = symmetric_scene()
         center = P(128.0, 128.0)
         assert visible_by_side(scene, center) == (4, 4, 4, 4)
-        costs = directional_profile(scene, "cullcost_sides", center, CullingConfig(4))
+        costs = scene_profile(scene, "cullcost_sides", CullingConfig(4)).query(center)
         assert len(set(costs)) == 1
 
 
