@@ -16,14 +16,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .builder import ProfileFunction, _answer_cells
 from .domain import GridDomain, GridPoint
 from .mesh import (DENSE_GUARD, Subdivision, _derived, _split_bounds, evaluate, leaf_arrays,
                    to_dense)
+
+if TYPE_CHECKING:
+    from .builder import ProfileFunction
 
 _SIDE_COUNT = 4           # value components of a directional subdivision
 _SECTOR_DEG = 90.0        # angular width of one side's sector
@@ -445,6 +447,8 @@ def error_vs_oracle(sub: Subdivision, f: ProfileFunction,
     For vector values the absolute error is taken per component and pooled;
     the cells' errors are added in row-major order, from +0.0.
     """
+    from .builder import _answer_cells
+
     domain = sub.domain
     if domain.cell_count > max_cells:
         raise ValueError(

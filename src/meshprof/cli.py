@@ -20,50 +20,32 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
-import shlex
-import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    CostModel,
-    Uniform,
-    UnitCost,
-    WeightTable,
-    combine,
-    cost_estimate,
-    error_vs_oracle,
-    evaluate_view,
-    parameter_profile,
-    parameter_sweep,
-    select,
-    selection_map,
-    weighted_average,
-)
-from .builder import (
-    BuildConfig,
-    DiameterSampling,
-    FixedSampling,
-    ProfileFunction,
-    RmsSampling,
-    SupNormSampling,
-    build,
-)
 from .domain import GridDomain
 from .errors import MeshprofError, NonDeterministicProfileError, ProfileQueryError
-from .export import write_files, write_heatmap, write_leaf_csv
-from .fixtures import FIXTURE_HELP, resolve_fixture
-from .fixtures.scene import DEFAULT_POLY_COST_MS, DEFAULT_TEST_COST_MS
 from .mesh import _leaf_rows, constant, deserialize, serialize_pieces
+
+# The parser's epilog and the tail of a bad ``--fixture`` token's message.
+FIXTURE_HELP = """fixture tokens:
+  const:V                     constant V everywhere
+  ramp                        sum of world coordinates
+  step[:H[:AT]]               0 then H from world x = AT on (defaults 100, domain midpoint)
+  spike[:W]                   flat line hiding a tent of support W (default 24)
+  tent                        tent peaking at sqrt(L) over a length-L line
+  zramp[:EPS]                 zero-mean ramp with slow variance decay (default 0.1)
+  sqdiff                      (p - x)^2 over a square input-by-parameter grid
+  scene:NAME:QUANTITY[:depth=D][:rays=R]
+                              visibility world NAME (default, symmetric, variantN);
+                              QUANTITY one of numvisible, sides, polygons, occltests,
+                              cullcost, cullcost_sides, brutecost"""
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -98,6 +80,8 @@ def _parse_threshold(text: str, flag: str = "--threshold") -> tuple[float, ...]:
 
 
 def _parse_policy(text: str):
+    from .builder import DiameterSampling, FixedSampling, RmsSampling, SupNormSampling
+
     name, _, rest = text.partition(":")
     try:
         if name == "fixed":
@@ -142,32 +126,58 @@ def _format_value(value) -> str:
 # -- Files, hashes and manifests -------------------------------------------
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise _CliError(f"cannot read {path}: {e}") from e
+def _sha256(chunks) -> str:
+    import hashlib
 
-
-def _load_mesh(path: str) -> "Subdivision":
-    return deserialize(_read_text(path))
-
-
-def _sha256(path: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
+    for chunk in chunks:
+        digest.update(chunk)
     return digest.hexdigest()
 
 
 def _input_hashes(paths) -> dict[str, str]:
-    return {path: _sha256(path) for path in paths if os.path.isfile(path)}
+    """The SHA-256 of each of ``paths`` that is a regular file, read from disk now."""
+    hashes = {}
+    for path in filter(os.path.isfile, paths):
+        with open(path, "rb") as fh:
+            hashes[path] = _sha256(iter(lambda: fh.read(65536), b""))
+    return hashes
+
+
+def _read_text(path: str, hashes: dict | None = None) -> str:
+    """The text of ``path``, read as a text-mode open reads it.
+
+    With ``hashes``, the SHA-256 of the bytes read is kept there under ``path``
+    if it is a regular file; the bytes are dropped before the caller parses.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise _CliError(f"cannot read {path}: {e}") from e
+    if hashes is not None and os.path.isfile(path):
+        hashes[path] = _sha256([data])
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _load_mesh(path: str, hashes: dict | None = None) -> "Subdivision":
+    return deserialize(_read_text(path, hashes))
+
+
+def _fixture_profile(token: str, domain: GridDomain):
+    from .fixtures import resolve_fixture
+
+    try:
+        return resolve_fixture(token, domain)
+    except ValueError as e:
+        raise _CliError(f"{e}\n{FIXTURE_HELP}") from e
 
 
 def _write_atomic(path: str, pieces) -> None:
     """Write the text ``pieces`` to ``path``, encoding each as it comes; all or nothing."""
+    from .export import write_files
+
     try:
         write_files([(path, map(str.encode, pieces))])
     except OSError as e:
@@ -184,14 +194,14 @@ def _ensure_writable(paths, force: bool) -> None:
             raise _CliError(f"refusing to overwrite {path} (use --force)")
 
 
-def _write_manifest(primary_out: str, argv, config: dict, inputs,
+def _write_manifest(primary_out: str, argv, config: dict, hashes: dict,
                     outputs, report: dict | None = None) -> None:
     doc = {
         "tool": "meshprof",
         "tool_version": __version__,
         "command": list(argv),
         "config": config,
-        "input_hashes": _input_hashes(inputs),
+        "input_hashes": hashes,
         "outputs": sorted(outputs),
     }
     if report is not None:
@@ -200,12 +210,12 @@ def _write_manifest(primary_out: str, argv, config: dict, inputs,
     _write_atomic(_manifest_path(primary_out), [text])
 
 
-def _write_output(args, pieces, config: dict, inputs, report: dict | None = None) -> None:
+def _write_output(args, pieces, config: dict, hashes: dict, report: dict | None = None) -> None:
     """Write ``pieces`` to ``--out`` and its manifest; refuses to overwrite without --force."""
     outputs = [args.out, _manifest_path(args.out)]
     _ensure_writable(outputs, args.force)
     _write_atomic(args.out, pieces)
-    _write_manifest(args.out, args.argv, config, inputs, outputs, report)
+    _write_manifest(args.out, args.argv, config, hashes, outputs, report)
 
 
 # -- External-command profiles ---------------------------------------------
@@ -227,7 +237,7 @@ def _exec_cache_file(command: str, domain: GridDomain, repeat: int) -> str | Non
         "cell_size": list(domain.cell_size),
         "repeat": repeat,
     }, sort_keys=True)
-    name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
+    name = _sha256([key.encode("utf-8")])[:32]
     return os.path.join(cache_dir, f"exec-{name}.json")
 
 
@@ -278,6 +288,13 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
     store.  The row of a failed cell, or of one that did not run, is NaN, and
     ``query`` then raises the error kept for it, or runs the cell.
     """
+    import shlex
+    import subprocess
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .builder import ProfileFunction
+
     argv = shlex.split(command)
     if not argv:
         raise _CliError("--exec command is empty")
@@ -352,6 +369,8 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
 
 
 def _cmd_build(args) -> int:
+    from .builder import BuildConfig, build
+
     domain = _parse_domain(args.domain)
     threshold = _parse_threshold(args.threshold)
     policy = _parse_policy(args.policy)
@@ -373,12 +392,11 @@ def _cmd_build(args) -> int:
     cache_file = None
     answered: dict = {}
     if args.fixture is not None:
-        try:
-            profile = resolve_fixture(args.fixture, domain)
-        except ValueError as e:
-            raise _CliError(str(e)) from e
+        profile = _fixture_profile(args.fixture, domain)
         source = {"fixture": args.fixture}
     else:
+        import shlex
+
         cache_file = _exec_cache_file(args.exec, domain, args.repeat)
         answered = _load_exec_cache(cache_file, domain, len(threshold))
         profile = _exec_profile(args.exec, domain, len(threshold), args.repeat, args.jobs,
@@ -404,7 +422,8 @@ def _cmd_build(args) -> int:
     echo = dict(config.echo())
     echo.update(source)
     echo["domain"] = list(domain.extents)
-    _write_output(args, chain(serialize_pieces(sub), ["\n"]), echo, inputs, sub.metadata["stats"])
+    _write_output(args, chain(serialize_pieces(sub), ["\n"]), echo, _input_hashes(inputs),
+                  sub.metadata["stats"])
     print(f"wrote {args.out}: {report.leaf_count} leaves, depth {report.depth}, "
           f"{report.distinct_queries} distinct queries", file=sys.stderr)
     return _EXIT_OK
@@ -421,12 +440,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    a = _load_mesh(args.a)
-    b = _load_mesh(args.b)
+    from .analysis import combine
+
+    hashes: dict = {}
+    a = _load_mesh(args.a, hashes)
+    b = _load_mesh(args.b, hashes)
     _ensure_writable([args.out, _manifest_path(args.out)], args.force)
     diff = combine(a, b, "subtract")
-    _write_output(args, chain(serialize_pieces(diff), ["\n"]), {"op": "subtract"},
-                  [args.a, args.b])
+    _write_output(args, chain(serialize_pieces(diff), ["\n"]), {"op": "subtract"}, hashes)
     return _EXIT_OK
 
 
@@ -437,10 +458,12 @@ def _numbers(value, kinds: tuple, nested: bool = False) -> bool:
         type(v) in kinds or nested and _numbers(v, kinds, nested) for v in value)
 
 
-def _load_distribution(source: str | None):
+def _load_distribution(source: str | None, hashes: dict | None = None):
+    from .analysis import Uniform, WeightTable
+
     if source is None or source == "uniform":
-        return Uniform(), []
-    text = _read_text(source)
+        return Uniform()
+    text = _read_text(source, hashes)
     try:
         doc = json.loads(text)
         if type(doc) is not dict:
@@ -459,17 +482,22 @@ def _load_distribution(source: str | None):
         table = WeightTable(domain, tuple(weights.reshape(-1)))
     except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as e:
         raise _CliError(f"bad weight table {source}: {e}") from e
-    return table, [source]
+    return table
 
 
 def _cmd_avg(args) -> int:
+    from .analysis import weighted_average
+
     sub = _load_mesh(args.mesh)
-    dist, _ = _load_distribution(args.dist)
+    dist = _load_distribution(args.dist)
     print(_format_value(weighted_average(sub, dist)))
     return _EXIT_OK
 
 
 def _cmd_cost(args) -> int:
+    from .analysis import CostModel, Uniform, UnitCost, cost_estimate, weighted_average
+
+    hashes = {} if args.out else None
     literals, paths = [], []
     for item in args.counts:
         try:
@@ -484,21 +512,28 @@ def _cmd_cost(args) -> int:
         domain = _parse_domain(args.domain)
         counts = [constant(domain, (v,)) for v in literals]
     else:
-        counts = [_load_mesh(p) for p in paths]
+        counts = [_load_mesh(p, hashes) for p in paths]
 
-    units = _parse_floats(args.unit_costs, "--unit-costs")
+    if args.unit_costs is None:
+        from .fixtures.scene import DEFAULT_POLY_COST_MS, DEFAULT_TEST_COST_MS
+        units = (DEFAULT_POLY_COST_MS, DEFAULT_TEST_COST_MS)
+    else:
+        units = _parse_floats(args.unit_costs, "--unit-costs")
     model = CostModel(tuple(UnitCost(f"count{i}", u) for i, u in enumerate(units)),
                       combinator=args.model)
     result = cost_estimate(counts, model)
     print(_format_value(weighted_average(result, Uniform())))
     if args.out:
         _write_output(args, chain(serialize_pieces(result), ["\n"]),
-                      {"model": args.model, "unit_costs": list(units)}, paths)
+                      {"model": args.model, "unit_costs": list(units)}, hashes)
     return _EXIT_OK
 
 
 def _cmd_select(args) -> int:
-    candidates = [_load_mesh(p) for p in args.candidates]
+    from .analysis import evaluate_view, select, selection_map
+
+    hashes = {} if args.cell is None and args.out else None
+    candidates = [_load_mesh(p, hashes) for p in args.candidates]
     view = None
     if args.view is not None:
         pair = _parse_floats(args.view, "--view")
@@ -522,16 +557,18 @@ def _cmd_select(args) -> int:
     config = {"candidates": list(args.candidates)}
     if view is not None:
         config["view"] = list(view)
-    _write_output(args, chain(serialize_pieces(labels), ["\n"]), config, args.candidates)
+    _write_output(args, chain(serialize_pieces(labels), ["\n"]), config, hashes)
     return _EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
+    from .analysis import parameter_profile, parameter_sweep
+
     if (args.sweep is None) == (args.param_axis is None):
         raise _CliError("exactly one of --sweep or --param-axis is required")
-
+    hashes = {} if args.out else None
     if args.sweep is not None:
-        builds, paths = [], []
+        builds = []
         for item in args.sweep:
             param_text, _, path = item.partition("=")
             if not path:
@@ -540,9 +577,8 @@ def _cmd_optimize(args) -> int:
                 param = float(param_text)
             except ValueError as e:
                 raise _CliError(f"bad parameter in {item!r}: {e}") from e
-            builds.append((param, _load_mesh(path)))
-            paths.append(path)
-        dist, dist_inputs = _load_distribution(args.dist)
+            builds.append((param, _load_mesh(path, hashes)))
+        dist = _load_distribution(args.dist, hashes)
         best, table = parameter_sweep(builds, dist)
         print(repr(best))
         if args.out:
@@ -550,10 +586,10 @@ def _cmd_optimize(args) -> int:
             for param, avg in sorted(table, key=lambda row: row[0]):
                 lines.append(",".join([repr(param)] + [repr(v) for v in avg]))
             _write_output(args, ["\n".join(lines) + "\n"],
-                          {"sweep": list(args.sweep)}, paths + dist_inputs)
+                          {"sweep": list(args.sweep)}, hashes)
         return _EXIT_OK
 
-    sub = _load_mesh(args.mesh)
+    sub = _load_mesh(args.mesh, hashes)
     chosen = parameter_profile(sub, args.param_axis)
     input_axes = [a for a in range(sub.domain.ndim) if a != args.param_axis]
     lines = [",".join(f"cell_{a}" for a in input_axes) + ",best_param_index"]
@@ -562,16 +598,16 @@ def _cmd_optimize(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        _write_output(args, [text], {"param_axis": args.param_axis}, [args.mesh])
+        _write_output(args, [text], {"param_axis": args.param_axis}, hashes)
     return _EXIT_OK
 
 
 def _cmd_quality(args) -> int:
+    from .analysis import error_vs_oracle
+    from .builder import BuildConfig, build
+
     domain = _parse_domain(args.domain)
-    try:
-        profile = resolve_fixture(args.fixture, domain)
-    except ValueError as e:
-        raise _CliError(str(e)) from e
+    profile = _fixture_profile(args.fixture, domain)
     thresholds = _parse_threshold(args.thresholds, "--thresholds")
     policy = _parse_policy(args.policy)
 
@@ -593,12 +629,15 @@ def _cmd_quality(args) -> int:
         _write_output(args, [text],
                       {"fixture": args.fixture, "thresholds": list(thresholds),
                        "policy": policy.token(), "seed": args.seed,
-                       "domain": list(domain.extents)}, [])
+                       "domain": list(domain.extents)}, {})
     return _EXIT_OK
 
 
 def _cmd_render(args) -> int:
-    sub = _load_mesh(args.mesh)
+    from .export import write_heatmap, write_leaf_csv
+
+    hashes: dict = {}
+    sub = _load_mesh(args.mesh, hashes)
     fixed = {}
     for item in args.slice:
         axis_text, _, index_text = item.partition("=")
@@ -618,7 +657,7 @@ def _cmd_render(args) -> int:
         write_leaf_csv(sub, args.leaf_csv)
     _write_manifest(args.out, args.argv,
                     {"palette": args.palette, "slice": sorted(fixed.items())},
-                    [args.mesh], outputs)
+                    hashes, outputs)
     return _EXIT_OK
 
 
@@ -687,9 +726,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", nargs="+", required=True,
                    help="count subdivision files, or literal per-cell counts")
     p.add_argument("--model", choices=("sequential", "parallel"), default="sequential")
-    p.add_argument("--unit-costs",
-                   default=f"{DEFAULT_POLY_COST_MS},{DEFAULT_TEST_COST_MS}",
-                   help="comma-separated cost per count unit, in ms")
+    p.add_argument("--unit-costs", help="comma-separated cost per count unit, in ms")
     p.add_argument("--domain", help="grid extents for literal counts")
     _add_output_flags(p, required=False)
     p.set_defaults(handler=_cmd_cost)

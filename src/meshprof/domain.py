@@ -46,6 +46,8 @@ class GridDomain:
             raise ValueError("extents, origin and cell_size must have equal length")
         if any(e < 1 for e in self.extents):
             raise ValueError(f"extents must be >= 1, got {self.extents}")
+        if any(e >= 2**63 for e in self.extents):
+            raise ValueError(f"extents must be < 2**63, got {self.extents}")
         if not all(map(math.isfinite, self.origin + self.cell_size)):
             raise ValueError(f"origin {self.origin} and cell sizes {self.cell_size} must be finite")
         if any(c <= 0 for c in self.cell_size):

@@ -36,20 +36,6 @@ from .scene import (
     visible_by_side,
 )
 
-FIXTURE_HELP = """fixture tokens:
-  const:V                     constant V everywhere
-  ramp                        sum of world coordinates
-  step[:H[:AT]]               0 then H from world x = AT on (defaults 100, domain midpoint)
-  spike[:W]                   flat line hiding a tent of support W (default 24)
-  tent                        tent peaking at sqrt(L) over a length-L line
-  zramp[:EPS]                 zero-mean ramp with slow variance decay (default 0.1)
-  sqdiff                      (p - x)^2 over a square input-by-parameter grid
-  scene:NAME:QUANTITY[:depth=D][:rays=R]
-                              visibility world NAME (default, symmetric, variantN);
-                              QUANTITY one of numvisible, sides, polygons, occltests,
-                              cullcost, cullcost_sides, brutecost"""
-
-
 def _line_length(domain: GridDomain) -> int:
     return int(round(domain.extents[0] * domain.cell_size[0]))
 
@@ -93,7 +79,7 @@ def resolve_fixture(token: str, domain: GridDomain) -> ProfileFunction:
     One-dimensional constructions (spike, tent, zramp) size themselves from
     the domain's world length along the first axis; scene quantities ignore
     any degenerate extra grid axes.  Raises ValueError on unknown or
-    malformed tokens.
+    malformed tokens; the CLI appends its token grammar to the message.
     """
     parts = token.split(":")
     head = parts[0]
@@ -134,5 +120,5 @@ def resolve_fixture(token: str, domain: GridDomain) -> ProfileFunction:
             return _fit_to_domain(scene_profile(scene, quantity, config),
                                   scene.world, domain)
     except (IndexError, ValueError) as e:
-        raise ValueError(f"bad fixture token {token!r}: {e}\n{FIXTURE_HELP}") from None
-    raise ValueError(f"unknown fixture token {token!r}\n{FIXTURE_HELP}")
+        raise ValueError(f"bad fixture token {token!r}: {e}") from None
+    raise ValueError(f"unknown fixture token {token!r}")

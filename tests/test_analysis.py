@@ -13,7 +13,6 @@ from meshprof.analysis import (
     CostModel,
     ErrorStats,
     UnitCost,
-    Uniform,
     WeightTable,
     combine,
     cost_estimate,

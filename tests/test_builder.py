@@ -29,7 +29,7 @@ from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import NonDeterministicProfileError, ProfileQueryError
 from meshprof.fixtures import resolve_fixture
 from meshprof.fixtures.lipschitz import ramp
-from meshprof.mesh import _split_bounds, deserialize, leaf_arrays, serialize, to_dense
+from meshprof.mesh import _split_bounds, deserialize, leaf_arrays, serialize
 
 
 def world_profile(fn):

@@ -3,6 +3,7 @@
 import argparse
 import errno
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -17,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import meshprof.builder
+import meshprof.fixtures
 from helpers import walk_leaves
 from meshprof import cli
 from meshprof.builder import BuildConfig, BuildReport, ProfileFunction, SupNormSampling, build
@@ -24,6 +27,9 @@ from meshprof.cli import main
 from meshprof.domain import GridDomain
 from meshprof.fixtures import resolve_fixture
 from meshprof.mesh import constant, deserialize, evaluate, serialize, serialize_pieces
+
+
+HELP = Path(__file__).parent / "data" / "cli_help"
 
 
 def run(*argv):
@@ -131,6 +137,20 @@ class TestBuild:
         assert code == 2  # arity mismatch caught by validation
 
 
+class TestDomainFlag:
+    @pytest.mark.parametrize("command", [
+        ["build", "--fixture", "ramp", "--threshold", "1"],
+        ["quality", "--fixture", "ramp", "--thresholds", "1"],
+    ])
+    def test_an_extent_past_int64_exits_2_naming_domain(self, tmp_path, capsys, command):
+        out = tmp_path / "m.json"
+        assert run(*command, "--domain", "100000000000000000000x2", "--out", str(out)) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith("meshprof: bad --domain '100000000000000000000x2': ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEvalDiffAvg:
     def test_eval_prints_one_line_per_cell(self, tmp_path, capsys):
         out = build_fixture(tmp_path, "ramp.json", "ramp")
@@ -166,6 +186,16 @@ class TestEvalDiffAvg:
         assert evaluate(sub, sub.domain.point((0, 0))) == (2.0,)
         manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
         assert set(manifest["input_hashes"]) == {str(a), str(b)}
+
+    def test_a_manifest_hashes_the_input_bytes_the_command_read(self, tmp_path):
+        a = build_fixture(tmp_path, "a.json", "ramp")
+        b = build_fixture(tmp_path, "b.json", "const:3")
+        read = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (a, b)}
+        # The output replaces an input before the manifest is written.
+        assert run("diff", str(a), str(b), "--out", str(a), "--force") == 0
+        manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
+        assert hashlib.sha256(a.read_bytes()).hexdigest() != read[str(a)]
+        assert manifest["input_hashes"] == read
 
     def test_avg_uniform(self, tmp_path, capsys):
         out = build_fixture(tmp_path, "c.json", "const:5")
@@ -446,8 +476,9 @@ class TestQuality:
                 raise RuntimeError("oracle down")
             return (float(sum(p.index)),)
 
-        monkeypatch.setattr(cli, "resolve_fixture", lambda token, dom: ProfileFunction(1, query))
-        monkeypatch.setattr(cli, "build", lambda f, dom, config: (
+        monkeypatch.setattr(meshprof.fixtures, "resolve_fixture",
+                            lambda token, dom: ProfileFunction(1, query))
+        monkeypatch.setattr(meshprof.builder, "build", lambda f, dom, config: (
             constant(dom, (0.0,)), BuildReport(0, 0, 1, 0, 0, 0.0)))
         assert run("quality", "--fixture", "ramp", "--domain", "4x4", "--thresholds", "2") == 3
         got = capsys.readouterr()
@@ -1047,6 +1078,29 @@ class TestMeshOutputs:
 
 
 class TestParserBasics:
+    @pytest.mark.parametrize("argv, name", [(["--help"], "meshprof.txt"),
+                                            (["cost", "--help"], "cost.txt")])
+    def test_help_text(self, monkeypatch, capsys, argv, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == (HELP / name).read_text()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["build", "--fixture", "nope", "--domain", "8x8", "--threshold", "1", "--out", "m.json"],
+         "unknown_fixture.txt"),
+        (["quality", "--fixture", "step:abc", "--domain", "8x8", "--thresholds", "1"],
+         "bad_fixture.txt"),
+    ])
+    def test_a_bad_fixture_token_prints_the_token_grammar(self, tmp_path, monkeypatch, capsys,
+                                                          argv, name):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        got = capsys.readouterr()
+        assert got.out == "" and got.err == (HELP / name).read_text()
+        assert list(tmp_path.iterdir()) == []
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run("--version")
@@ -1083,3 +1137,102 @@ class TestParserBasics:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+# The names ``meshprof`` exported when its __init__ imported every submodule.
+PACKAGE_EXPORTS = {
+    "analysis": ["CostModel", "ErrorStats", "Uniform", "UnitCost", "WeightTable", "combine",
+                 "cost_estimate", "error_vs_oracle", "evaluate_view", "parameter_profile",
+                 "parameter_sweep", "select", "selection_map", "view_weights",
+                 "weighted_average"],
+    "builder": ["BuildConfig", "BuildReport", "DiameterSampling", "FixedSampling",
+                "ProfileFunction", "QueryCache", "RmsSampling", "SupNormSampling", "build",
+                "sample_size"],
+    "domain": ["GridCuboid", "GridDomain", "GridPoint"],
+    "errors": ["MeshFormatError", "MeshprofError", "NonDeterministicProfileError",
+               "OutOfDomainError", "ProfileQueryError", "UnsplittableCuboidError"],
+    "export": ["leaf_csv", "slice_grid", "write_heatmap", "write_leaf_csv"],
+    "mesh": ["Branch", "Leaf", "Subdivision", "constant", "deserialize", "evaluate",
+             "leaf_arrays", "serialize", "to_dense"],
+}
+
+# Prints the exit status and the meshprof, subprocess and concurrent.futures modules loaded.
+IMPORT_PROBE = """
+import json, sys
+from meshprof import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, [m for m in sys.modules
+                         if m.split(".")[0] in ("meshprof", "subprocess", "concurrent")]]))
+"""
+
+HEAVY = {"meshprof.builder", "meshprof.analysis", "meshprof.fixtures", "subprocess",
+         "concurrent.futures"}
+
+
+class TestImports:
+    """A command's process imports only the modules that the command runs."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("imports")
+        for name, token in (("a.json", "ramp"), ("b.json", "const:3")):
+            build_fixture(path, name, token)
+        (path / "echo.py").write_text("import sys\nprint(sys.argv[1])\n")
+        return path
+
+    def loaded(self, cwd, code: str, *argv) -> set:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        status, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert status == 0, proc.stderr
+        return set(modules)
+
+    @pytest.mark.parametrize("argv, heavy", [
+        (["--version"], set()),
+        (["eval", "a.json", "1,1", "7,0"], set()),
+        (["render", "a.json", "--out", "a.pgm", "--leaf-csv", "a.csv", "--force"], set()),
+        (["diff", "a.json", "b.json", "--out", "d.json", "--force"], {"meshprof.analysis"}),
+        (["avg", "a.json"], {"meshprof.analysis"}),
+        (["select", "--candidates", "a.json", "b.json", "--out", "s.json", "--force"],
+         {"meshprof.analysis"}),
+        (["cost", "--counts", "a.json", "b.json", "--unit-costs", "1,2", "--out", "c.json",
+          "--force"], {"meshprof.analysis"}),
+        (["optimize", "--sweep", "1=a.json", "2=b.json"], {"meshprof.analysis"}),
+        (["build", "--exec", f"{sys.executable} echo.py", "--domain", "4", "--threshold", "100",
+          "--policy", "fixed:2", "--out", "e.json", "--force"],
+         {"meshprof.builder", "subprocess", "concurrent.futures"}),
+    ])
+    def test_a_command_loads_only_what_it_runs(self, workdir, argv, heavy):
+        loaded = self.loaded(workdir, IMPORT_PROBE, *argv)
+        assert {"meshprof.cli", "meshprof.mesh"} <= loaded
+        assert loaded & HEAVY == heavy
+        if "meshprof.analysis" not in heavy:
+            assert "meshprof.analysis" not in loaded
+        assert not any(m.startswith("meshprof.fixtures") for m in loaded)
+
+    def test_importing_the_package_loads_no_submodule(self, tmp_path):
+        probe = "import json, sys, meshprof\nprint(json.dumps([0, list(sys.modules)]))"
+        assert {m for m in self.loaded(tmp_path, probe) if m.startswith("meshprof")} == {
+            "meshprof"}
+
+    def test_every_package_name_is_its_submodule_object(self):
+        names = {"__version__"}
+        for module, exported in PACKAGE_EXPORTS.items():
+            sub = importlib.import_module(f"meshprof.{module}")
+            assert getattr(meshprof, module) is sub
+            for name in exported:
+                assert getattr(meshprof, name) is getattr(sub, name), name
+            names.update(exported, [module])
+        assert len(names) == 1 + 47 + 6
+        assert names <= set(dir(meshprof))
+        assert set(meshprof.__all__) == names - {"__version__"}
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            meshprof.nope

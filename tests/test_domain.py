@@ -37,6 +37,14 @@ class TestGridDomain:
         with pytest.raises(ValueError):
             GridDomain((4, 4), origin=(0.0,))
 
+    @pytest.mark.parametrize("extents", [(2**63, 2), (3, 10**20)])
+    def test_an_extent_past_int64_is_refused(self, extents):
+        with pytest.raises(ValueError, match=r"extents must be < 2\*\*63"):
+            GridDomain(extents)
+
+    def test_the_largest_int64_extent_is_kept(self):
+        assert GridDomain((2**63 - 1,)).extents == (2**63 - 1,)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["origin", "cell_size"])
     def test_non_finite_origin_or_cell_size_is_refused(self, field, bad):
