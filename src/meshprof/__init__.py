@@ -38,11 +38,8 @@ def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(f".{_HOME[name]}", __name__)
-    if name == _HOME[name]:
-        return module
-    value = globals()[name] = getattr(module, name)
-    return value
+    return module if name == _HOME[name] else getattr(module, name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted({*globals(), *__all__})

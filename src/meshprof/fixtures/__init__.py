@@ -1,6 +1,12 @@
-"""Ground-truth profile functions and the token registry the CLI uses."""
+"""Ground-truth profile functions and the token registry the CLI uses.
+
+The scene's names are imported from ``fixtures.scene`` on first access
+(PEP 562), so a closed-form fixture loads no scene.
+"""
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 
@@ -18,23 +24,23 @@ from .lipschitz import (
     step,
     zero_mean_ramp,
 )
-from .scene import (
-    CullingConfig,
-    CullStats,
-    Scene2D,
-    SceneObject,
-    brute_force_cost,
-    cull_render,
-    default_cost_model,
-    default_scene,
-    named_scene,
-    num_visible,
-    scene_profile,
-    scene_variant,
-    simulated_cost,
-    symmetric_scene,
-    visible_by_side,
-)
+
+_SCENE_NAMES = ("CullingConfig", "CullStats", "Scene2D", "SceneObject", "brute_force_cost",
+                "cull_render", "default_cost_model", "default_scene", "named_scene",
+                "num_visible", "scene_profile", "scene_variant", "simulated_cost",
+                "symmetric_scene", "visible_by_side")
+
+
+def __getattr__(name: str):
+    if name != "scene" and name not in _SCENE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    scene = importlib.import_module(".scene", __name__)
+    return scene if name == "scene" else getattr(scene, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_SCENE_NAMES, "scene"})
+
 
 def _line_length(domain: GridDomain) -> int:
     return int(round(domain.extents[0] * domain.cell_size[0]))
@@ -104,6 +110,8 @@ def resolve_fixture(token: str, domain: GridDomain) -> ProfileFunction:
         if head == "sqdiff" and len(parts) == 1:
             return square_gap(_line_length(domain)).profile()
         if head == "scene":
+            from .scene import CullingConfig, named_scene, scene_profile
+
             name, quantity = parts[1], parts[2]
             rays = 16
             depth = None

@@ -1209,14 +1209,14 @@ class TestImports:
         (["build", "--exec", f"{sys.executable} echo.py", "--domain", "4", "--threshold", "100",
           "--policy", "fixed:2", "--out", "e.json", "--force"],
          {"meshprof.builder", "subprocess", "concurrent.futures"}),
+        (["build", "--fixture", "ramp", "--domain", "8x8", "--threshold", "1", "--out", "r.json",
+          "--force"], {"meshprof.builder", "meshprof.fixtures"}),
     ])
     def test_a_command_loads_only_what_it_runs(self, workdir, argv, heavy):
         loaded = self.loaded(workdir, IMPORT_PROBE, *argv)
         assert {"meshprof.cli", "meshprof.mesh"} <= loaded
         assert loaded & HEAVY == heavy
-        if "meshprof.analysis" not in heavy:
-            assert "meshprof.analysis" not in loaded
-        assert not any(m.startswith("meshprof.fixtures") for m in loaded)
+        assert "meshprof.fixtures.scene" not in loaded
 
     def test_importing_the_package_loads_no_submodule(self, tmp_path):
         probe = "import json, sys, meshprof\nprint(json.dumps([0, list(sys.modules)]))"
