@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -215,7 +216,6 @@ def combine(a: Subdivision, b: Subdivision, op: str) -> Subdivision:
 class UnitCost:
     name: str
     per_unit: float
-    units: str = "ms"
 
     def __post_init__(self):
         if self.per_unit < 0:
@@ -245,12 +245,14 @@ class CostModel:
 
     def apply(self, counts: Sequence[float]) -> float:
         terms = [u.per_unit * c for u, c in zip(self.unit_costs, counts)]
-        return sum(terms) if self.combinator == "sequential" else max(terms)
+        # Left to right from +0.0: Python 3.12's ``sum`` of floats compensates.
+        return (functools.reduce(operator.add, terms, 0.0) if self.combinator == "sequential"
+                else max(terms))
 
     def describe(self) -> dict:
         return {
             "combinator": self.combinator,
-            "unit_costs": [[u.name, u.per_unit, u.units] for u in self.unit_costs],
+            "unit_costs": [[u.name, u.per_unit, "ms"] for u in self.unit_costs],
         }
 
 
@@ -272,8 +274,8 @@ def cost_estimate(counts: Sequence[Subdivision], model: CostModel) -> Subdivisio
     shape, rows = _refine(counts)
     with np.errstate(all="ignore"):
         terms = [u.per_unit * r[:, 0] for u, r in zip(model.unit_costs, rows)]
-        # From +0.0 left to right, as ``apply`` on Python 3.11, or the first largest term.
-        value = (sum(terms) if model.combinator == "sequential"
+        # From +0.0 left to right, as ``apply`` adds, or the first largest term.
+        value = (functools.reduce(operator.add, terms, 0.0) if model.combinator == "sequential"
                  else functools.reduce(_BINARY_OPS["max"], terms))
     return _derived(domain, shape, value[:, None],
                     {"derived": "cost_estimate", "model": model.describe()})
@@ -285,7 +287,7 @@ def cost_estimate(counts: Sequence[Subdivision], model: CostModel) -> Subdivisio
 def _selection_keys(values: np.ndarray, view) -> np.ndarray:
     """The keys that candidates' value rows compete by: a scalar value itself,
     or a 4-component value weighted by the view, added from +0.0 component by
-    component as Python 3.11's ``sum`` adds floats."""
+    component, left to right."""
     if view is None:
         if values.shape[1] != 1:
             raise ValueError("selection over vector subdivisions needs a view (direction, fov)")
@@ -365,8 +367,7 @@ def parameter_sweep(builds: Sequence[tuple[float, Subdivision]],
     return best_param, table
 
 
-def parameter_profile(sub: Subdivision, parameter_axis: int,
-                      max_cells: int = DENSE_GUARD) -> np.ndarray:
+def parameter_profile(sub: Subdivision, parameter_axis: int) -> np.ndarray:
     """Best parameter cell index per input cell, from a scalar subdivision.
 
     The domain is read as (input axes x parameter axis); for every
@@ -380,8 +381,7 @@ def parameter_profile(sub: Subdivision, parameter_axis: int,
         raise ValueError("domain needs at least one input axis and one parameter axis")
     if not 0 <= parameter_axis < sub.domain.ndim:
         raise ValueError(f"no axis {parameter_axis} in a {sub.domain.ndim}-d domain")
-    dense = to_dense(sub, max_cells)
-    return np.argmin(dense, axis=parameter_axis)
+    return np.argmin(to_dense(sub), axis=parameter_axis)
 
 
 # -- Direction-dependent evaluation ---------------------------------------
@@ -413,7 +413,7 @@ def view_weights(direction_deg: float, fov_deg: float) -> tuple[float, ...]:
     # Normalizing by the summed overlap rather than the nominal fov keeps
     # the weights summing to exactly 1 even when boundary clipping rounds
     # the individual pieces.
-    total = sum(overlaps)
+    total = functools.reduce(operator.add, overlaps, 0.0)
     return tuple(o / total for o in overlaps)
 
 
@@ -432,17 +432,12 @@ class ErrorStats:
     mean_abs: float
     max_abs: float
 
-    def row(self) -> dict:
-        return {"cells": self.cells, "mean_abs_error": self.mean_abs,
-                "max_abs_error": self.max_abs}
 
-
-def error_vs_oracle(sub: Subdivision, f: ProfileFunction,
-                    max_cells: int = DENSE_GUARD) -> ErrorStats:
+def error_vs_oracle(sub: Subdivision, f: ProfileFunction) -> ErrorStats:
     """Exhaustive |subdivision - f| statistics over every grid cell.
 
     Asks ``f`` for every cell as a build does (``_answer_cells``), so the
-    domain is guarded to ``max_cells``, and an answer that fails, has the
+    domain is guarded to ``DENSE_GUARD`` cells, and an answer that fails, has the
     wrong arity or is not finite raises ProfileQueryError naming its point.
     For vector values the absolute error is taken per component and pooled;
     the cells' errors are added in row-major order, from +0.0.
@@ -450,14 +445,14 @@ def error_vs_oracle(sub: Subdivision, f: ProfileFunction,
     from .builder import _answer_cells
 
     domain = sub.domain
-    if domain.cell_count > max_cells:
+    if domain.cell_count > DENSE_GUARD:
         raise ValueError(
-            f"domain has {domain.cell_count} cells, over the exhaustive guard {max_cells}")
+            f"domain has {domain.cell_count} cells, over the exhaustive guard {DENSE_GUARD}")
     if f.arity != sub.value_arity:
         raise ValueError(f"oracle arity {f.arity} != subdivision arity {sub.value_arity}")
     n, arity = domain.cell_count, sub.value_arity
     truth = np.empty((n, arity))
     _answer_cells(f, domain, np.arange(n), truth, np.ones(n, dtype=bool))
-    err = np.abs(to_dense(sub, max_cells).reshape(n, arity) - truth)
+    err = np.abs(to_dense(sub).reshape(n, arity) - truth)
     total = np.add.accumulate(np.concatenate([[0.0], err.sum(axis=1)]))[-1]
     return ErrorStats(n, float(total) / (n * arity), max(0.0, float(err.max())))

@@ -306,12 +306,6 @@ class QueryCache:
             self._keys = np.insert(self._keys, at, keys)
             self._values = np.insert(self._values, at, values[first], axis=0)
 
-    def sorted_rows(self) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
-        """Distinct queries as (index, value), ordered by linear index."""
-        index = np.unravel_index(self._keys, self._domain.extents)
-        return list(zip(zip(*(axis.tolist() for axis in index)),
-                        map(tuple, self._values.tolist())))
-
 
 # -- Build ----------------------------------------------------------------
 
@@ -613,14 +607,12 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
     return levels
 
 
-def build(f: ProfileFunction, domain: GridDomain, config: BuildConfig, *,
-          sample_log=None) -> tuple[Subdivision, BuildReport]:
+def build(f: ProfileFunction, domain: GridDomain,
+          config: BuildConfig) -> tuple[Subdivision, BuildReport]:
     """Approximate ``f`` over ``domain`` by an adaptive subdivision.
 
     Returns the subdivision plus a report with query counts, tree shape, and
-    wall time.  ``sample_log`` may be a writable text file; every distinct
-    query is appended as a CSV row (cell indices, then value components),
-    ordered by cell.  Every query goes to ``f`` or to this build's own cache,
+    wall time.  Every query goes to ``f`` or to this build's own cache,
     which starts empty; a profile that must keep its answers across runs, or
     through a failed build, records them itself.
     """
@@ -638,9 +630,4 @@ def build(f: ProfileFunction, domain: GridDomain, config: BuildConfig, *,
     stats = report.to_dict()
     del stats["wall_time_s"]  # varies run to run; meshes and manifests must not
     metadata = {"profile": f.name, "config": config.echo(), "stats": stats}
-    sub = Subdivision(domain, f.arity, metadata=metadata, levels=levels)
-    if sample_log is not None:
-        for index, value in cache.sorted_rows():
-            row = list(map(str, index)) + [repr(v) for v in value]
-            sample_log.write(",".join(row) + "\n")
-    return sub, report
+    return Subdivision(domain, f.arity, metadata=metadata, levels=levels), report

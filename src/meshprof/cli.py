@@ -54,11 +54,7 @@ _EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 class _CliError(Exception):
-    """Validation failure carrying the exit status to report."""
-
-    def __init__(self, message: str, code: int = _EXIT_VALIDATION):
-        super().__init__(message)
-        self.code = code
+    """A validation failure: ``main`` reports its message and exits 2."""
 
 
 # -- Flag parsing helpers --------------------------------------------------
@@ -776,13 +772,10 @@ def main(argv=None) -> int:
     args.argv = ["meshprof"] + list(argv)
     try:
         return args.handler(args)
-    except _CliError as e:
-        print(f"meshprof: {e}", file=sys.stderr)
-        return e.code
     except (ProfileQueryError, NonDeterministicProfileError) as e:
         print(f"meshprof: profile failure: {e}", file=sys.stderr)
         return _EXIT_PROFILE
-    except (MeshprofError, ValueError, OSError) as e:
+    except (_CliError, MeshprofError, ValueError, OSError) as e:
         print(f"meshprof: {e}", file=sys.stderr)
         return _EXIT_VALIDATION
     except KeyboardInterrupt:

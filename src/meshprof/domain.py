@@ -109,16 +109,8 @@ class GridDomain:
         Raises ValueError if an index lies outside ``[0, cell_count)``.
         """
         index, world = self._unravel_world(lins)
-        make = GridPoint.__new__
-        points = []
-        for ix, w in zip(zip(*(a.tolist() for a in index)), zip(*(a.tolist() for a in world))):
-            # The fields are already int and float tuples; skip the frozen
-            # dataclass __init__, the bulk of the cost here.
-            point = make(GridPoint)
-            object.__setattr__(point, "index", ix)
-            object.__setattr__(point, "world", w)
-            points.append(point)
-        return points
+        return list(map(GridPoint, zip(*(a.tolist() for a in index)),
+                        zip(*(a.tolist() for a in world))))
 
     def _unravel_world(self, lins: list[int]) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
         index = np.unravel_index(np.asarray(lins, dtype=np.int64), self.extents)

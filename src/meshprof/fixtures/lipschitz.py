@@ -15,7 +15,9 @@ differences.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,7 +62,8 @@ def constant(value: float) -> LipschitzFixture:
 
 def ramp() -> LipschitzFixture:
     """f = sum of coordinates; changes by exactly one cell size per axis step."""
-    return LipschitzFixture("ramp", lambda *w: sum(w, 0.0), 1.0)
+    # Left to right from +0.0, as arrays add: Python 3.12's ``sum`` of floats compensates.
+    return LipschitzFixture("ramp", lambda *w: functools.reduce(operator.add, w, 0.0), 1.0)
 
 
 def step(height: float = 100.0, at: float = 32.0) -> LipschitzFixture:

@@ -519,9 +519,9 @@ def cull_render(scene: Scene2D, config: CullingConfig, p: GridPoint,
 # -- Simulated costs ------------------------------------------------------
 
 
-def default_cost_model(combinator: str = "sequential") -> CostModel:
+def default_cost_model() -> CostModel:
     return CostModel((UnitCost("polygons", DEFAULT_POLY_COST_MS),
-                      UnitCost("occlusion_tests", DEFAULT_TEST_COST_MS)), combinator)
+                      UnitCost("occlusion_tests", DEFAULT_TEST_COST_MS)))
 
 
 def simulated_cost(scene: Scene2D, config: CullingConfig, p: GridPoint,
@@ -538,9 +538,9 @@ def _model_cost(model: CostModel, stats: CullStats) -> float:
     return model.apply([stats.polygons_rendered, stats.occlusion_tests])
 
 
-def brute_force_cost(scene: Scene2D, poly_cost: float = DEFAULT_POLY_COST_MS) -> float:
+def brute_force_cost(scene: Scene2D) -> float:
     """Cost of rendering every polygon in the scene, with no tests at all."""
-    return poly_cost * scene.total_polys
+    return DEFAULT_POLY_COST_MS * scene.total_polys
 
 
 # -- Profile functions ----------------------------------------------------

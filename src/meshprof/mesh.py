@@ -28,7 +28,7 @@ import numpy as np
 from .domain import GridCuboid, GridDomain, GridPoint, _trusted_cuboid
 from .errors import MeshFormatError, OutOfDomainError
 
-DENSE_GUARD = 10**6  # the most cells that a dense array of a mesh holds by default
+DENSE_GUARD = 10**6  # the most cells that a dense array of a mesh holds
 
 
 @dataclass(frozen=True)
@@ -316,16 +316,16 @@ def leaf_arrays(sub: Subdivision) -> LeafArrays:
     return LeafArrays(*(np.concatenate(column)[row] for column in zip(*parts)))
 
 
-def to_dense(sub: Subdivision, max_cells: int = DENSE_GUARD) -> np.ndarray:
+def to_dense(sub: Subdivision) -> np.ndarray:
     """Materialize the subdivision on the full grid.
 
     Returns an array of shape ``extents`` for scalar trees and
     ``extents + (arity,)`` otherwise.  Guarded: refuses domains larger than
-    ``max_cells`` cells.
+    ``DENSE_GUARD`` cells.
     """
     n = sub.domain.cell_count
-    if n > max_cells:
-        raise ValueError(f"domain has {n} cells, dense guard is {max_cells}")
+    if n > DENSE_GUARD:
+        raise ValueError(f"domain has {n} cells, dense guard is {DENSE_GUARD}")
     return _box_values(sub, (0,) * sub.domain.ndim, sub.domain.extents)
 
 
@@ -363,11 +363,6 @@ def _box_values(sub: Subdivision, lo, hi) -> np.ndarray:
 # depth at a time, ``_READ_NODES`` nodes at a time: checks over whole columns of
 # the nodes accept them, and only if one refuses are the nodes checked one by
 # one, to name the first problem.
-
-
-def _number(v: float) -> str:
-    """A non-finite float, spelled as ``json.dumps`` spells it."""
-    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
 
 
 @functools.cache
@@ -408,8 +403,7 @@ def _level_texts(level: Level, depth: int):
     """Each node of one depth as (its text, its number of children), in index order: a leaf
     or a childless branch is whole, a branch's text ends where its first child's begins.
     Spelled ``_BLOCK`` nodes at a time: numbers as Python's ints and floats, which ``%s``
-    spells as ``json.dumps`` does, except non-finite floats, which ``_number`` spells; one
-    ``%`` template per node."""
+    spells as ``json.dumps`` does; one ``%`` template per node."""
     f = _Layout(1 + 2 * depth)
     nd, m = level.lo.shape[1], level.value.shape[1]
     box, field = f.open + _slots(nd, *f.box) + f.hi + _slots(nd, *f.box), _slots(m, *f.field)
@@ -424,10 +418,8 @@ def _level_texts(level: Level, depth: int):
         n, k = len(leaf), int(np.count_nonzero(leaf))
         own = slice(leaves, leaves + k)  # the block's leaves
         boxes = np.concatenate([level.lo[a:a + n], level.hi[a:a + n]], axis=1).astype(object)
-        floats = np.concatenate([level.value[own], level.lo_seen[own], level.hi_seen[own]], axis=1)
-        spelled = floats.astype(object)
-        for i, j in zip(*np.nonzero(~np.isfinite(floats))):
-            spelled[i, j] = _number(spelled[i, j])
+        spelled = np.concatenate([level.value[own], level.lo_seen[own], level.hi_seen[own]],
+                                 axis=1).astype(object)
         samples = level.samples[own, None].astype(object)
         cells = np.concatenate([boxes[leaf], spelled[:, :m], samples, spelled[:, m:]], axis=1)
         code = 2 * level.saturated[own] + level.degenerate[own]
@@ -450,7 +442,14 @@ def serialize_pieces(sub: Subdivision):
     by more than one node's text, and the whole text is never held at once.
 
     The nodes are written in preorder, which meets each depth's nodes in index order, so
-    each depth's level is spelled in blocks as the walk reaches them."""
+    each depth's level is spelled in blocks as the walk reaches them.  Raises ValueError,
+    before the first piece, if a leaf holds a number that is not finite, which the reader
+    would refuse."""
+    for depth, level in enumerate(sub.levels):
+        for name in ("value", "lo_seen", "hi_seen"):
+            if not np.isfinite(getattr(level, name)).all():
+                raise ValueError(f"a leaf's {name} at depth {depth} is not a finite number;"
+                                 " mesh files hold finite numbers only")
     dom = sub.domain
     header = json.dumps({"domain": {"extents": list(dom.extents), "origin": list(dom.origin),
                                     "cell_size": list(dom.cell_size)},

@@ -9,6 +9,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from meshprof.builder import ProfileFunction
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.fixtures.scene import CullStats, _hit_distances, _quadtree, _ray_dirs, _rect_arrays
 from meshprof.mesh import Level, Subdivision, _split_bounds, leaf_arrays
@@ -176,6 +177,36 @@ def oracle_doc(sub: Subdivision) -> dict:
         "root": fold_levels(sub, leaf_doc,
                             lambda box, kids: {"box": box_doc(box), "children": kids}),
     }
+
+
+class Recording:
+    """A profile that passes ``f``'s answers on and keeps each cell's first finite one, as a
+    build's query cache keeps its distinct queries.  Build with ``.profile``; ``f.batch``,
+    if any, must answer in the shape ``ProfileFunction`` documents."""
+
+    def __init__(self, f: ProfileFunction, domain: GridDomain):
+        self.answers: dict[tuple[int, ...], tuple[float, ...]] = {}
+
+        def query(p):
+            value = f.query(p)
+            self.answers.setdefault(p.index, tuple(map(float, value)))
+            return value
+
+        def batch(world):
+            values = f.batch(world)
+            rows = np.asarray(values, dtype=np.float64).reshape(len(world), f.arity)
+            for index, row in zip(domain.index_from_world(world).tolist(), rows.tolist()):
+                if all(map(math.isfinite, row)):
+                    self.answers.setdefault(tuple(index), tuple(row))
+            return values
+
+        self.profile = ProfileFunction(f.arity, query, f.pure, f.name,
+                                       batch if f.batch else None)
+
+    def log(self) -> str:
+        """The kept answers as CSV rows ordered by cell: cell indices, then value components."""
+        return "".join(",".join([*map(str, index), *map(repr, value)]) + "\n"
+                       for index, value in sorted(self.answers.items()))
 
 
 # -- Dense scene reference ------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 import meshprof
 from meshprof.analysis import (
+    CostModel,
     Uniform,
     combine,
     cost_estimate,
@@ -254,8 +255,9 @@ def test_08_cost_identity(criterion):
     dom = GridDomain((4, 4))
     counts = [constant(dom, (1_000_000.0,)), constant(dom, (100.0,))]
     p = dom.point((0, 0))
-    seq = evaluate(cost_estimate(counts, default_cost_model("sequential")), p)[0]
-    par = evaluate(cost_estimate(counts, default_cost_model("parallel")), p)[0]
+    model = default_cost_model()
+    seq = evaluate(cost_estimate(counts, model), p)[0]
+    par = evaluate(cost_estimate(counts, CostModel(model.unit_costs, "parallel")), p)[0]
     ok = seq == 9.2 and par == 5.2
     criterion(8, "cost identity", ok, f"sequential {seq!r}, parallel {par!r}")
 

@@ -1,9 +1,11 @@
 """Averaging, combination, cost models, selection, and view blending."""
 
+import builtins
 import functools
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +31,7 @@ from meshprof.builder import BuildConfig, FixedSampling, ProfileFunction, build
 from meshprof.domain import GridCuboid, GridDomain
 from meshprof.errors import ProfileQueryError
 from meshprof.fixtures import resolve_fixture
-from meshprof.mesh import Subdivision, constant, evaluate, leaf_arrays
+from meshprof.mesh import DENSE_GUARD, Subdivision, constant, evaluate, leaf_arrays, to_dense
 
 from helpers import Record, dense_eval, leveled, random_subdivision
 
@@ -481,8 +483,7 @@ class TestErrorVsOracle:
         dom = GridDomain((4, 4))
         zero = ProfileFunction(1, lambda p: (0.0,))
         stats = error_vs_oracle(constant(dom, (5.0,)), zero)
-        assert stats.mean_abs == 5.0 and stats.max_abs == 5.0 and stats.cells == 16
-        assert stats.row() == {"cells": 16, "mean_abs_error": 5.0, "max_abs_error": 5.0}
+        assert stats == ErrorStats(16, 5.0, 5.0)
 
     def test_batch_and_pointwise_oracles_give_identical_stats(self):
         def query(p):
@@ -512,10 +513,20 @@ class TestErrorVsOracle:
             scalar, ProfileFunction(1, ramp.query))
 
     def test_cell_guard(self):
-        dom = GridDomain((64, 64))
-        with pytest.raises(ValueError, match="guard"):
-            error_vs_oracle(constant(dom, (1.0,)), ProfileFunction(1, lambda p: (0.0,)),
-                            max_cells=100)
+        # 101 * 9901 cells, one past the guard; the dense readers refuse before asking.
+        dom = GridDomain((101, 9901))
+        assert dom.cell_count == DENSE_GUARD + 1
+        sub, asked = constant(dom, (1.0,)), []
+        oracle = ProfileFunction(1, lambda p: asked.append(p) or (0.0,),
+                                 batch=lambda world: asked.append(world) or np.zeros(len(world)))
+        for read in (to_dense, lambda s: parameter_profile(s, 1),
+                     lambda s: error_vs_oracle(s, oracle)):
+            with pytest.raises(ValueError, match="guard"):
+                read(sub)
+        assert asked == []
+        at_guard = constant(GridDomain((1000, 1000)), (1.0,))
+        zero = ProfileFunction(1, lambda p: (0.0,), batch=lambda world: np.zeros(len(world)))
+        assert error_vs_oracle(at_guard, zero) == ErrorStats(DENSE_GUARD, 1.0, 1.0)
 
     def test_arity_guard(self):
         dom = GridDomain((4, 4))
@@ -553,3 +564,45 @@ class TestErrorVsOracle:
             error_vs_oracle(constant(dom, (0.5, 0.5)), oracle)
         assert err.value.point.index == (1, 3)
         assert str(err.value) == f"query at (1, 3) failed: {reason}"
+
+
+def compensated_sum(items, start=0):
+    """``sum`` as Python 3.12 and later run it: Python floats (and the ints among them) are
+    added with Neumaier's compensation; anything else, or ints alone, as before."""
+    items = list(items)
+    kinds = {type(x) for x in [start, *items]}
+    if float not in kinds or not kinds <= {int, float}:
+        return builtins.sum(items, start)
+    total, c = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_no_result_depends_on_a_compensated_sum(monkeypatch):
+    """Every meshprof module's ``sum`` replaced by the compensated one leaves the ramp's
+    answers, view weights and costs as they were, and the ramp's point answers equal its
+    batch's, which numpy adds left to right."""
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert compensated_sum([2, 3]) == 5 and compensated_sum([0.5], 1) == 1.5
+    dom = GridDomain((5, 6, 7), (0.1,) * 3, (0.3,) * 3)
+    rng = np.random.default_rng(11)
+    cones = list(zip(rng.uniform(-720.0, 720.0, 3000).tolist(),
+                     rng.uniform(1e-3, 360.0, 3000).tolist()))
+    model = CostModel((UnitCost("a", 1.0), UnitCost("b", 1.0), UnitCost("c", 1.0)))
+
+    def results():
+        ramp = resolve_fixture("ramp", dom)
+        return ([ramp.query(p)[0] for p in dom.points_from_linear(range(dom.cell_count))],
+                [view_weights(*cone) for cone in cones], model.apply([1e16, 1.0, -1e16]))
+
+    plain = results()
+    for name, module in list(sys.modules.items()):
+        if name == "meshprof" or name.startswith("meshprof."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert results() == plain
+    batch = resolve_fixture("ramp", dom).batch(dom.world_from_linear(range(dom.cell_count)))
+    assert plain[0] == batch.tolist()
+    assert plain[2] == 0.0

@@ -1,7 +1,6 @@
 """Adaptive build loop: sampling policies, spread tests, cache, batches."""
 
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -30,6 +29,8 @@ from meshprof.errors import NonDeterministicProfileError, ProfileQueryError
 from meshprof.fixtures import resolve_fixture
 from meshprof.fixtures.lipschitz import ramp
 from meshprof.mesh import _split_bounds, deserialize, leaf_arrays, serialize
+
+from helpers import Recording
 
 
 def world_profile(fn):
@@ -292,7 +293,8 @@ class TestDeterminismAndCache:
             assert np.array_equal(batched, single)
         assert [(p.index, p.world) for p in logs[0]] == [(p.index, p.world) for p in logs[1]]
         assert len(logs[0]) > 64  # purity spot-checks re-queried some hits
-        assert caches[0].sorted_rows() == caches[1].sorted_rows()
+        assert np.array_equal(caches[0]._keys, caches[1]._keys)
+        assert np.array_equal(caches[0]._values, caches[1]._values)
         assert caches[0].total_requests == caches[1].total_requests
 
     def test_failed_batch_falls_back_to_point_queries(self):
@@ -343,11 +345,11 @@ class TestDeterminismAndCache:
                     config(1.5, RmsSampling(1.0), seed=2, spread_mode="mean_dev")):
             runs = []
             for f in (pf, pointwise):
-                log = io.StringIO()
-                sub, report = build(f, dom, cfg, sample_log=log)
+                recording = Recording(f, dom)
+                sub, report = build(recording.profile, dom, cfg)
                 counts = report.to_dict()
                 counts.pop("wall_time_s")
-                runs.append((serialize(sub), counts, log.getvalue()))
+                runs.append((serialize(sub), counts, recording.log()))
             assert runs[0] == runs[1]
 
     def test_query_failure_carries_point(self):
@@ -408,10 +410,11 @@ class TestThresholdMonotonicity:
 
 
 def test_sample_log_rows_sorted_by_cell():
-    log = io.StringIO()
     dom = GridDomain((4, 4))
-    build(RAMP, dom, config(0.5, FixedSampling(4), seed=1), sample_log=log)
-    rows = [line.split(",") for line in log.getvalue().splitlines()]
+    recording = Recording(RAMP, dom)
+    _, report = build(recording.profile, dom, config(0.5, FixedSampling(4), seed=1))
+    rows = [line.split(",") for line in recording.log().splitlines()]
+    assert len(rows) == report.distinct_queries
     cells = [(int(r[0]), int(r[1])) for r in rows]
     assert cells == sorted(cells)
     for r in rows:
@@ -421,7 +424,7 @@ def test_sample_log_rows_sorted_by_cell():
 
 # Digest of the build matrix below, recorded on the per-box builder that the
 # array-level builder replaced.  A change to it means some mesh, report or
-# sample log changed.
+# sample log (the distinct queries and their answers, ordered by cell) changed.
 MATRIX_DIGEST = "5f059eac0723a74fa8351ee028d843c6a2d20ddc3597f133a95b5fd73dd24921"
 
 
@@ -440,12 +443,12 @@ def test_build_matrix_digest():
         for policy in policies:
             for seed in (3, 2**64 - 1):
                 for mode in ("range", "mean_dev"):
-                    log = io.StringIO()
-                    sub, report = build(pf, dom, config(1.0, policy, seed=seed,
-                                                        spread_mode=mode), sample_log=log)
+                    recording = Recording(pf, dom)
+                    sub, report = build(recording.profile, dom,
+                                        config(1.0, policy, seed=seed, spread_mode=mode))
                     counts = report.to_dict()
                     del counts["wall_time_s"]
-                    for part in (serialize(sub), repr(sorted(counts.items())), log.getvalue()):
+                    for part in (serialize(sub), repr(sorted(counts.items())), recording.log()):
                         digest.update(part.encode())
     assert digest.hexdigest() == MATRIX_DIGEST
 

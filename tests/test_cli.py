@@ -187,6 +187,17 @@ class TestEvalDiffAvg:
         manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
         assert set(manifest["input_hashes"]) == {str(a), str(b)}
 
+    def test_a_difference_that_is_not_finite_exits_2_and_writes_nothing(self, tmp_path,
+                                                                         capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_mesh(a, constant(GridDomain((4, 4)), (1e308,)))
+        write_mesh(b, constant(GridDomain((4, 4)), (-1e308,)))
+        assert run("diff", str(a), str(b), "--out", str(tmp_path / "d.json")) == 2
+        assert capsys.readouterr().err == (
+            "meshprof: a leaf's value at depth 0 is not a finite number;"
+            " mesh files hold finite numbers only\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
     def test_a_manifest_hashes_the_input_bytes_the_command_read(self, tmp_path):
         a = build_fixture(tmp_path, "a.json", "ramp")
         b = build_fixture(tmp_path, "b.json", "const:3")
@@ -343,6 +354,13 @@ class TestCost:
         assert float(capsys.readouterr().out) == pytest.approx(9.2)
         sub = load_mesh(out)
         assert evaluate(sub, sub.domain.point((0, 0)))[0] == pytest.approx(9.2)
+
+    def test_a_cost_that_is_not_finite_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "cost.json"
+        assert run("cost", "--counts", "1e308", "1e308", "--domain", "4x4",
+                   "--unit-costs", "10,10", "--out", str(out)) == 2
+        assert "is not a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_custom_unit_costs(self, tmp_path, capsys):
         assert run("cost", "--counts", "2", "3", "--domain", "4x4",

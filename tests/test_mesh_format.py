@@ -135,18 +135,31 @@ def test_corpus_covers_its_cases():
 @pytest.mark.parametrize("value", [(math.nan,), (math.inf, -math.inf), (np.float64("-inf"),),
                                    (), (2**70, False), (np.float64(1e-310), -0.0)])
 def test_serialize_spells_every_number_as_json_does(value):
+    # A number that is not finite is refused, naming its field and the depth of its
+    # first leaf, as the reader refuses it.
     dom = GridDomain((4,))
     lo, hi = dom.root_cuboid().split()
     first, second = lo.split()
-    for leaves in ([Record(dom.root_cuboid(), value, 0, value, value)],
-                   [Record(lo, value, 1, value, value), Record(hi, value, 2, value, value)],
-                   [Record(first, value, 3, value, value), Record(second, value, 1, value, value),
-                    Record(hi, value, 0, value, value)]):
+    for depth, leaves in ((0, [Record(dom.root_cuboid(), value, 0, value, value)]),
+                          (1, [Record(lo, value, 1, value, value),
+                               Record(hi, value, 2, value, value)]),
+                          (1, [Record(first, value, 3, value, value),
+                               Record(second, value, 1, value, value),
+                               Record(hi, value, 0, value, value)])):
         if not value:
             with pytest.raises(ValueError):
                 leveled(dom, len(value), leaves)
             continue
         sub = leveled(dom, len(value), leaves)
+        if all(map(math.isfinite, value)):
+            assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
+            continue
+        for field in ("value", "lo_seen", "hi_seen"):
+            with pytest.raises(ValueError, match=f"{field} at depth {depth} is not a finite"):
+                list(serialize_pieces(sub))
+            zero = tuple(0.0 for _ in value)
+            leaves = [r._replace(**{field: zero}) for r in leaves]
+            sub = leveled(dom, len(value), leaves)
         assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
 
 
@@ -256,6 +269,14 @@ def level_made(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(level_made(), st.integers(1, 3000))
 def test_levels_are_written_as_the_oracle_writes_their_tree(sub, bound):
+    # A NaN or an infinity is refused; the levels are then written with finite stand-ins.
+    fields = ("value", "lo_seen", "hi_seen")
+    if not all(np.isfinite(getattr(level, name)).all() for level in sub.levels for name in fields):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            serialize(sub)
+        sub = Subdivision(sub.domain, sub.value_arity, metadata=sub.metadata, levels=[
+            level._replace(**{name: np.nan_to_num(getattr(level, name)) for name in fields})
+            for level in sub.levels])
     text = serialize(sub)
     assert "root" not in vars(sub)
     assert text == json.dumps(oracle_doc(sub), indent=2)

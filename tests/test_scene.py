@@ -233,7 +233,8 @@ class TestCosts:
         p = P(40.0, 40.0)
         stats = cull_render(scene, cfg, p)
         expected = max(4e-6 * stats.polygons_rendered, 0.052 * stats.occlusion_tests)
-        assert simulated_cost(scene, cfg, p, default_cost_model("parallel")) == expected
+        parallel = CostModel(default_cost_model().unit_costs, "parallel")
+        assert simulated_cost(scene, cfg, p, parallel) == expected
 
     def test_custom_model(self):
         scene = Scene2D((100.0, 100.0), (SceneObject((60.0, 45.0, 70.0, 55.0), 7),), ())
@@ -244,7 +245,6 @@ class TestCosts:
         scene = default_scene()
         assert scene.total_polys == 194677
         assert brute_force_cost(scene) == pytest.approx(0.778708)
-        assert brute_force_cost(scene, poly_cost=1.0) == 194677.0
 
     def test_culling_beats_brute_force_in_the_pocket(self):
         scene = default_scene()
