@@ -218,8 +218,8 @@ class UnitCost:
     per_unit: float
 
     def __post_init__(self):
-        if self.per_unit < 0:
-            raise ValueError(f"unit cost {self.name} must be >= 0")
+        if not (math.isfinite(self.per_unit) and self.per_unit >= 0):
+            raise ValueError(f"unit cost {self.name} must be finite and >= 0, got {self.per_unit}")
 
 
 @dataclass(frozen=True)

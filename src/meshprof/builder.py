@@ -553,14 +553,21 @@ def _segment_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -
     Boxes with equal counts are summed together, as one ``(boxes, k, arity)``
     array reduced along its middle axis; that adds each box's rows in the
     order ``values[s:s + k].sum(axis=0)`` does, which ``add.reduceat`` would
-    not.
+    not.  A sum that overflows is taken again as the sum of the samples
+    divided by ``k``, which stays within their range.
     """
-    sums = np.empty((len(counts), values.shape[1]))
+    means = np.empty((len(counts), values.shape[1]))
     ks, group = np.unique(counts, return_inverse=True)
     for g, k in enumerate(ks.tolist()):
         boxes = np.flatnonzero(group == g)
-        sums[boxes] = np.add.reduce(values[starts[boxes, None] + np.arange(k)], axis=1)
-    return sums / counts[:, None]
+        rows = values[starts[boxes, None] + np.arange(k)]
+        with np.errstate(over="ignore"):
+            mean = np.add.reduce(rows, axis=1) / k
+            over = ~np.isfinite(mean)
+            if over.any():
+                mean[over] = np.add.reduce(rows / k, axis=1)[over]
+        means[boxes] = mean
+    return means
 
 
 def _build_levels(domain: GridDomain, config: BuildConfig,

@@ -356,62 +356,36 @@ def _box_values(sub: Subdivision, lo, hi) -> np.ndarray:
 #     or   {"box": ..., "value": [...], "samples": n,
 #           "lo_seen": [...], "hi_seen": [...]}   (+ "saturated"/"degenerate": true)
 #
-# The text is exactly what ``json.dumps(doc, indent=2)`` makes of that layout
-# from the levels' int64 and float64 columns.  The tree part is written directly:
-# json's indenting encoder is pure Python and several times slower.  Floats
-# use repr, which round-trips bit-exactly.  The reader checks the document a
-# depth at a time, ``_READ_NODES`` nodes at a time: checks over whole columns of
-# the nodes accept them, and only if one refuses are the nodes checked one by
-# one, to name the first problem.
-
-
-@functools.cache
-class _Layout:
-    """The constant text around one node's fields at one nesting level; one per level."""
-
-    def __init__(self, level: int):
-        i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
-        self.open = '{' + i1 + '"box": {' + i2 + '"lo": '
-        self.hi = ',' + i2 + '"hi": '
-        self.value = i1 + '},' + i1 + '"value": '
-        self.samples = ',' + i1 + '"samples": '
-        self.lo_seen = ',' + i1 + '"lo_seen": '
-        self.hi_seen = ',' + i1 + '"hi_seen": '
-        self.saturated = ',' + i1 + '"saturated": true'
-        self.degenerate = ',' + i1 + '"degenerate": true'
-        self.children = i1 + '},' + i1 + '"children": [' + i2
-        self.no_children = i1 + '},' + i1 + '"children": []' + i0 + '}'
-        self.child_sep = ',' + i2
-        self.children_end = i1 + ']' + i0 + '}'
-        self.close = i0 + '}'
-        # (open, separator, close) of number arrays: box bounds sit two
-        # levels in, leaf fields one.
-        self.box = ('[' + i3, ',' + i3, i2 + ']')
-        self.field = ('[' + i2, ',' + i2, i1 + ']')
-
+# The text is exactly what ``json.dumps(doc, separators=(",", ":"))`` makes of that
+# layout from the levels' int64 and float64 columns; meshes written indented, as
+# ``indent=2`` makes them, read the same.  The tree part is written directly, from one
+# ``%`` template per kind of node.  Floats use repr, which round-trips bit-exactly.  The
+# reader checks the document a depth at a time, ``_READ_NODES`` nodes at a time: checks
+# over whole columns of the nodes accept them, and only if one refuses are the nodes
+# checked one by one, to name the first problem.
 
 _PIECE_CHARS = 1 << 20  # characters per piece of ``serialize_pieces``
 _BLOCK = 64  # nodes of one depth spelled at a time
 
 
-def _slots(n: int, start: str, sep: str, end: str) -> str:
+def _slots(n: int) -> str:
     """The ``%`` template of an array of ``n`` numbers."""
-    return start + sep.join(["%s"] * n) + end if n else "[]"
+    return "[" + ",".join(["%s"] * n) + "]"
 
 
-def _level_texts(level: Level, depth: int):
+def _level_texts(level: Level):
     """Each node of one depth as (its text, its number of children), in index order: a leaf
     or a childless branch is whole, a branch's text ends where its first child's begins.
     Spelled ``_BLOCK`` nodes at a time: numbers as Python's ints and floats, which ``%s``
     spells as ``json.dumps`` does; one ``%`` template per node."""
-    f = _Layout(1 + 2 * depth)
     nd, m = level.lo.shape[1], level.value.shape[1]
-    box, field = f.open + _slots(nd, *f.box) + f.hi + _slots(nd, *f.box), _slots(m, *f.field)
-    leaf_text = box + f.value + field + f.samples + "%s" + f.lo_seen + field + f.hi_seen + field
+    box, field = '{"box":{"lo":' + _slots(nd) + ',"hi":' + _slots(nd), _slots(m)
+    leaf_text = (box + '},"value":' + field + ',"samples":%s,"lo_seen":' + field
+                 + ',"hi_seen":' + field)
     # By saturated * 2 + degenerate, and by whether a branch has children.
-    leaf_templates = [leaf_text + s + d + f.close for s in ("", f.saturated)
-                      for d in ("", f.degenerate)]
-    branch_templates = [box + f.no_children, box + f.children]
+    leaf_templates = [leaf_text + s + d + "}" for s in ("", ',"saturated":true')
+                      for d in ("", ',"degenerate":true')]
+    branch_templates = [box + '},"children":[]}', box + '},"children":[']
     leaves = branches = 0
     for a in range(0, len(level.leaf), _BLOCK):
         leaf = level.leaf[a:a + _BLOCK]
@@ -453,21 +427,22 @@ def serialize_pieces(sub: Subdivision):
     dom = sub.domain
     header = json.dumps({"domain": {"extents": list(dom.extents), "origin": list(dom.origin),
                                     "cell_size": list(dom.cell_size)},
-                         "value_arity": sub.value_arity, "metadata": sub.metadata}, indent=2)
-    depths = [_level_texts(level, depth) for depth, level in enumerate(sub.levels)]
+                         "value_arity": sub.value_arity, "metadata": sub.metadata},
+                        separators=(",", ":"))
+    depths = list(map(_level_texts, sub.levels))
 
     def nodes(depth: int, count: int):
         # The next ``count`` nodes of one depth, each followed by its subtree.
         for i in range(count):
             text, kids = next(depths[depth])
-            yield text if i == 0 else _Layout(2 * depth - 1).child_sep + text
+            yield text if i == 0 else "," + text
             if kids:
                 yield from nodes(depth + 1, kids)
-                yield _Layout(2 * depth + 1).children_end
+                yield "]}"
 
-    # The header ends in "\n}"; the root goes in as its last key.
+    # The header ends in "}"; the root goes in as its last key.
     out, size = [], 0
-    for item in chain([header[:-2] + ',\n  "root": '], nodes(0, 1), ["\n}"]):
+    for item in chain([header[:-1] + ',"root":'], nodes(0, 1), ["}"]):
         out.append(item)
         size += len(item)
         if size >= _PIECE_CHARS:
@@ -480,8 +455,9 @@ def serialize_pieces(sub: Subdivision):
 
 
 def serialize(sub: Subdivision) -> str:
-    """The v1 JSON text of ``sub``: ``json.dumps`` of the layout above, ``indent=2``, and
-    ``serialize_pieces`` joined; a writer of large meshes writes the pieces instead."""
+    """The v1 JSON text of ``sub``: ``json.dumps`` of the layout above, with the separators
+    ``(",", ":")``, and ``serialize_pieces`` joined; a writer of large meshes writes the
+    pieces instead."""
     return "".join(serialize_pieces(sub))
 
 

@@ -4,6 +4,7 @@ levels, and the dense scene reference."""
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from collections import namedtuple
 
@@ -144,10 +145,17 @@ def dense_reference(sub: Subdivision) -> np.ndarray:
     return out
 
 
+def oracle_text(sub: Subdivision) -> str:
+    """``json.dumps(oracle_doc(sub), separators=(",", ":"))``: the v1 text that ``serialize``
+    must reproduce byte for byte."""
+    return json.dumps(oracle_doc(sub), separators=(",", ":"))
+
+
 def oracle_doc(sub: Subdivision) -> dict:
     """The v1 mesh document as nested dicts and lists, built the way the first
-    v1 writer built it, from a walk of the levels; ``json.dumps(oracle_doc(sub),
-    indent=2)`` is the v1 text that ``serialize`` must reproduce byte for byte."""
+    v1 writer built it, from a walk of the levels.  That writer spelled it
+    ``json.dumps(doc, indent=2)``; the writer now spells it compactly, as
+    ``oracle_text`` does, and the reader reads both."""
 
     def box_doc(box: GridCuboid) -> dict:
         return {"lo": list(box.lo), "hi": list(box.hi)}

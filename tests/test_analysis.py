@@ -219,8 +219,9 @@ class TestCostModels:
         assert par.apply([2.0, 3.0]) == 30.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            UnitCost("poly", -1.0)
+        for bad in (-1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="unit cost poly must be finite and >= 0"):
+                UnitCost("poly", bad)
         with pytest.raises(ValueError):
             CostModel(())
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Adaptive build loop: sampling policies, spread tests, cache, batches."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from meshprof.builder import (
     _draw_each,
     _replay_choice,
     _sample_cells,
+    _segment_means,
     _stream,
 )
 from meshprof.domain import GridCuboid, GridDomain
@@ -135,6 +137,15 @@ class TestSpreadTest:
         return [(lo, hi, tuple(v), tuple(ls), tuple(hs)) for lo, hi, v, ls, hs in zip(
             t.lo[:, 0].tolist(), t.hi[:, 0].tolist(), t.value.tolist(), t.lo_seen.tolist(),
             t.hi_seen.tolist())]
+
+    def test_samples_whose_sum_overflows_keep_their_mean(self):
+        # Each component is summed alone: one that overflows leaves the other's bits as they were.
+        assert _segment_means(np.array([[1e308], [1.5e308]]), np.array([0]),
+                              np.array([2])).tolist() == [[1.25e308]]
+        assert self.leaves_of([(1e308, 0.1), (1.5e308, 0.2)], (math.inf, math.inf)) == [
+            (0, 2, (1.25e308, (0.1 + 0.2) / 2), (1e308, 0.1), (1.5e308, 0.2))]
+        assert self.leaves_of([(-1e308,), (-1.5e308,), (-1.5e308,)], (math.inf,)) == [
+            (0, 3, (-1.5e308 / 3 * 2 + -1e308 / 3,), (-1.5e308,), (-1e308,))]
 
     def test_spread_exactly_at_threshold_passes(self):
         assert self.leaves_of([(1.0,), (1.5,), (2.0,)], (1.0,)) == [
@@ -423,8 +434,9 @@ def test_sample_log_rows_sorted_by_cell():
 
 
 # Digest of the build matrix below, recorded on the per-box builder that the
-# array-level builder replaced.  A change to it means some mesh, report or
-# sample log (the distinct queries and their answers, ordered by cell) changed.
+# array-level builder replaced, when meshes were written indented; they are hashed
+# re-spelled so.  A change to it means some mesh, report or sample log (the
+# distinct queries and their answers, ordered by cell) changed.
 MATRIX_DIGEST = "5f059eac0723a74fa8351ee028d843c6a2d20ddc3597f133a95b5fd73dd24921"
 
 
@@ -448,7 +460,8 @@ def test_build_matrix_digest():
                                         config(1.0, policy, seed=seed, spread_mode=mode))
                     counts = report.to_dict()
                     del counts["wall_time_s"]
-                    for part in (serialize(sub), repr(sorted(counts.items())), recording.log()):
+                    indented = json.dumps(json.loads(serialize(sub)), indent=2)
+                    for part in (indented, repr(sorted(counts.items())), recording.log()):
                         digest.update(part.encode())
     assert digest.hexdigest() == MATRIX_DIGEST
 

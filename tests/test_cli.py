@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -38,6 +39,11 @@ def run(*argv):
 
 def load_mesh(path):
     return deserialize(path.read_text())
+
+
+def compact(text: str) -> str:
+    """The compact spelling of the JSON mesh ``text``, with the newline a mesh file ends in."""
+    return json.dumps(json.loads(text), separators=(",", ":")) + "\n"
 
 
 def write_mesh(path, sub):
@@ -123,13 +129,26 @@ class TestBuild:
         assert list(tmp_path.iterdir()) == []
 
     def test_scene_build_writes_the_pinned_bytes(self, tmp_path):
-        # The SHA-256 of the mesh written when scene profiles answered one point at a
-        # time; batches of a level's cells must write the same bytes.
+        # The SHA-256 of the mesh written, indented, when scene profiles answered one point
+        # at a time; batches of a level's cells must write the same document, now compact.
         out = tmp_path / "m.json"
         assert run("build", "--fixture", "scene:default:cullcost:depth=3", "--domain", "32x32",
                    "--threshold", "0.2", "--out", str(out)) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        text = out.read_text(encoding="utf-8")
+        assert text == compact(text)
+        indented = json.dumps(json.loads(text), indent=2) + "\n"
+        assert hashlib.sha256(indented.encode()).hexdigest() == (
             "900a761671c52c0fe46f8ad9c38b20232f040c15dc9901e15342e37e9356c75e")
+
+    def test_a_build_of_samples_near_the_float_range_warns_of_nothing(self, tmp_path, capsys):
+        # Their sum overflows; the mean must not, nor warn of it.
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("build", "--fixture", "const:1e308", "--domain", "4x4",
+                       "--threshold", "1", "--out", str(out)) == 0
+        assert capsys.readouterr().err == f"wrote {out}: 1 leaves, depth 0, 3 distinct queries\n"
+        assert evaluate(load_mesh(out), GridDomain((4, 4)).point((3, 3))) == (1e308,)
 
     def test_vector_fixture_needs_matching_threshold(self, tmp_path):
         code = run("build", "--fixture", "scene:symmetric:sides", "--domain", "8x8",
@@ -360,6 +379,16 @@ class TestCost:
         assert run("cost", "--counts", "1e308", "1e308", "--domain", "4x4",
                    "--unit-costs", "10,10", "--out", str(out)) == 2
         assert "is not a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("units", ["inf,1", "nan,1", "1,-inf"])
+    def test_a_unit_cost_that_is_not_finite_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                       units):
+        out = tmp_path / "cost.json"
+        assert run("cost", "--counts", "1", "1", "--domain", "2x2", "--unit-costs", units,
+                   "--out", str(out)) == 2
+        got = capsys.readouterr()
+        assert got.out == "" and "must be finite and >= 0" in got.err
         assert list(tmp_path.iterdir()) == []
 
     def test_custom_unit_costs(self, tmp_path, capsys):
@@ -1031,7 +1060,7 @@ class TestMeshOutputs:
     """Meshes go into their output file piece by piece, never as one whole text."""
 
     def test_build_and_diff_write_the_v1_text_and_a_newline(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("meshprof.mesh._PIECE_CHARS", 4096)  # many pieces per file
+        monkeypatch.setattr("meshprof.mesh._PIECE_CHARS", 1024)  # many pieces per file
         a = build_fixture(tmp_path, "a.json", "ramp", domain="32x32", threshold="2",
                           policy="sup:c=1")
         b = build_fixture(tmp_path, "b.json", "step:4:2", domain="32x32")
@@ -1039,12 +1068,37 @@ class TestMeshOutputs:
         assert run("diff", str(a), str(b), "--out", str(d)) == 0
         for path in (a, d):
             data = path.read_bytes()
-            assert len(data) > 10 * 4096
+            assert len(data) > 10 * 1024
             assert data == (serialize(deserialize(data.decode("utf-8"))) + "\n").encode("utf-8")
+            assert data.decode("utf-8") == compact(data.decode("utf-8"))
         assert not list(tmp_path.glob("*.tmp.*"))
 
+    def test_diff_select_and_cost_read_indented_meshes_and_write_compact_ones(self, tmp_path):
+        # Meshes written before the writer spelled them compactly, indented, still load, and
+        # give the same outputs as their compact spellings.
+        a = build_fixture(tmp_path, "a.json", "ramp", domain="16x16", threshold="2")
+        b = build_fixture(tmp_path, "b.json", "step:4:2", domain="16x16")
+        indented = tmp_path / "indented"
+        indented.mkdir()
+        for path in (a, b):
+            text = json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=2) + "\n"
+            assert text.count("\n") > 100
+            (indented / path.name).write_text(text, encoding="utf-8")
+        written = {}
+        for where in (tmp_path, indented):
+            x, y = str(where / "a.json"), str(where / "b.json")
+            for name, argv in (("d.json", ["diff", x, y]),
+                               ("s.json", ["select", "--candidates", x, y]),
+                               ("c.json", ["cost", "--counts", x, y, "--unit-costs", "1,2"])):
+                assert run(*argv, "--out", str(where / name)) == 0
+                written[where, name] = (where / name).read_text(encoding="utf-8")
+        for name in ("d.json", "s.json", "c.json"):
+            text = written[indented, name]
+            assert text == written[tmp_path, name] == compact(text)
+            assert text.count("\n") == 1 and len(deserialize(text).levels) > 1
+
     def test_a_write_that_fails_partway_keeps_the_old_mesh(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("meshprof.mesh._PIECE_CHARS", 4096)
+        monkeypatch.setattr("meshprof.mesh._PIECE_CHARS", 1024)
         out = build_fixture(tmp_path, "m.json", "ramp", domain="32x32", threshold="2")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         real = cli.serialize_pieces
@@ -1061,7 +1115,7 @@ class TestMeshOutputs:
 
     @pytest.fixture(scope="class")
     def ramp_mesh(self):
-        """The ramp 256x256 mesh of ``build --policy sup:c=1 --threshold 2``: 16.7 MB of text."""
+        """The ramp 256x256 mesh of ``build --policy sup:c=1 --threshold 2``: 2.05 MB of text."""
         domain = GridDomain((256, 256))
         config = BuildConfig(threshold=(2.0,), policy=SupNormSampling(1.0), seed=0)
         return build(resolve_fixture("ramp", domain), domain, config)[0]
@@ -1075,9 +1129,11 @@ class TestMeshOutputs:
         finally:
             tracemalloc.stop()
 
-    def test_writing_a_mesh_holds_a_small_part_of_its_text(self, tmp_path, ramp_mesh):
+    def test_writing_a_mesh_holds_a_small_part_of_its_text(self, tmp_path, ramp_mesh,
+                                                          monkeypatch):
+        monkeypatch.setattr("meshprof.mesh._PIECE_CHARS", 1 << 17)
         size = sum(map(len, serialize_pieces(ramp_mesh)))
-        assert size > 10**7
+        assert size > 15 * (1 << 17)
         out = tmp_path / "m.json"
         args = argparse.Namespace(out=str(out), force=False, argv=["meshprof"])
         peak = self.traced_peak(
@@ -1087,12 +1143,13 @@ class TestMeshOutputs:
 
     def test_loading_a_mesh_frees_its_document_as_the_tree_grows(self, ramp_mesh):
         text = serialize(ramp_mesh)
+        parsed = self.traced_peak(lambda: json.loads(text))
         loaded = []
         peak = self.traced_peak(lambda: loaded.append(deserialize(text)))
         assert loaded == [ramp_mesh]
-        # Holding the whole parsed document beside the finished tree peaks at
-        # about 1.65 times the text; freeing it as the tree grows, 1.07 times.
-        assert peak < 1.35 * len(text)
+        # Holding the whole parsed document beside the finished tree peaks at about
+        # twice what parsing it alone does; freeing it as the tree grows, 1.02 times.
+        assert peak < 1.35 * parsed
 
 
 class TestParserBasics:

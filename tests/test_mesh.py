@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import Record, dense_eval, leveled, random_subdivision, walk_leaves
+from helpers import Record, dense_eval, leveled, oracle_text, random_subdivision, walk_leaves
 from meshprof import mesh
 from meshprof.builder import BuildConfig, SupNormSampling, build
 from meshprof.domain import GridDomain
@@ -197,5 +197,6 @@ class TestLevels:
         level = Level(np.array([[0]]), np.array([[8]]), one, np.zeros(0, dtype=np.int64),
                       np.array([[-0.0]]), np.array([[-0.0]]), np.array([[0.0]]),
                       np.ones(1, dtype=np.int64), ~one, ~one)
-        text = serialize(Subdivision(GridDomain((8,)), 1, levels=[level]))
-        assert '"hi_seen": [\n      0.0\n    ]' in text
+        sub = Subdivision(GridDomain((8,)), 1, levels=[level])
+        assert serialize(sub) == oracle_text(sub)
+        assert '"value":[-0.0],"samples":1,"lo_seen":[-0.0],"hi_seen":[0.0]}' in serialize(sub)

@@ -1,13 +1,17 @@
 """The v1 mesh JSON format: a golden corpus, the writer against its oracle encoder.
 
 Each file under ``tests/data/mesh_v1/`` but one is the v1 text of one
-subdivision from ``corpus()``, written by the v1 writer when the corpus was
-added.  ``serialize`` must reproduce every such file byte for byte, and each
-must load back to the same subdivision.  The files are fixed on purpose: a
-writer change that alters one of them changes the format.  The other file,
-``hand_built_mixed_2d.json``, holds numbers that no subdivision holds, and
-stays as a file that the reader must refuse.  To add a case, add it to
-``corpus()`` and write only the new file, from the repository root, with
+subdivision from ``corpus()``, as the v1 writer spelled it when the corpus was
+added: ``json.dumps(doc, indent=2)``.  The file of the same name under
+``compact/`` is the standard library's compact spelling of it,
+``json.dumps(json.loads(text), separators=(",", ":"))``, which is what the
+writer now writes.  ``serialize`` must reproduce every compact file byte for
+byte, and both spellings must load back to the same subdivision.  The files
+are fixed on purpose: a writer change that alters one of them changes the
+format.  The other file, ``hand_built_mixed_2d.json``, holds numbers that no
+subdivision holds, and stays, in both spellings, as a file that the reader
+must refuse.  To add a case, add it to ``corpus()`` and write only the new
+files, from the repository root, with
 ``PYTHONPATH=src python tests/test_mesh_format.py NAME``.  The file under
 ``refusals/`` pins how the reader refuses each mutation of the loadable files.
 """
@@ -24,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import Record, leveled, oracle_doc, random_subdivision, walk_leaves
+from helpers import Record, leveled, oracle_text, random_subdivision, walk_leaves
 from meshprof import mesh
 from meshprof.analysis import combine
 from meshprof.builder import BuildConfig, SupNormSampling, build
@@ -77,7 +81,16 @@ def corpus() -> dict:
 
 
 def golden(name: str) -> str:
+    """The indented text of the file ``name``."""
     return (CORPUS_DIR / name).read_text(encoding="utf-8")
+
+
+def compact(name: str) -> str:
+    """The compact text of the file ``name``."""
+    return (CORPUS_DIR / "compact" / name).read_text(encoding="utf-8")
+
+
+SPELLINGS = {"indented": golden, "compact": compact}
 
 
 # The one golden file the reader must refuse: its leaf holds a JSON ``true``.  It was
@@ -86,36 +99,45 @@ def golden(name: str) -> str:
 UNLOADABLE = {"hand_built_mixed_2d.json": "$.root.value[1]"}
 
 
+@pytest.mark.parametrize("name", sorted([*corpus(), *UNLOADABLE]))
+def test_compact_file_is_the_standard_librarys_spelling_of_its_indented_file(name):
+    assert compact(name) == json.dumps(json.loads(golden(name)), separators=(",", ":"))
+    assert golden(name) == json.dumps(json.loads(compact(name)), indent=2)
+
+
 @pytest.mark.parametrize("name", sorted(corpus()))
 def test_serialize_reproduces_golden_file(name):
     sub = corpus()[name]
-    assert serialize(sub) == golden(name)
-    assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
+    assert serialize(sub) == compact(name)
+    assert serialize(sub) == oracle_text(sub)
 
 
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
 @pytest.mark.parametrize("name", sorted(corpus()))
-def test_golden_file_loads_and_writes_back(name):
-    text = golden(name)
-    again = deserialize(text)
-    assert serialize(again) == text
+def test_golden_file_loads_and_writes_back(name, spelling):
+    again = deserialize(SPELLINGS[spelling](name))
+    assert again == deserialize(compact(name)) == corpus()[name]
+    assert serialize(again) == compact(name)
 
 
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
 @pytest.mark.parametrize("name", sorted(corpus()))
-def test_golden_file_loads_three_nodes_of_a_depth_at_a_time(name, monkeypatch):
-    text = golden(name)
+def test_golden_file_loads_three_nodes_of_a_depth_at_a_time(name, spelling, monkeypatch):
+    text = SPELLINGS[spelling](name)
     whole = deserialize(text)
     monkeypatch.setattr(mesh, "_READ_NODES", 3)
     again = deserialize(text)
-    assert serialize(again) == text
+    assert serialize(again) == compact(name)
     for a, b in zip(again.levels, whole.levels, strict=True):
         assert all(np.array_equal(x, y) and x.dtype == y.dtype and x.shape == y.shape
                    for x, y in zip(a, b))
 
 
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
 @pytest.mark.parametrize("name", sorted(UNLOADABLE))
-def test_golden_file_outside_the_reader_is_refused(name):
+def test_golden_file_outside_the_reader_is_refused(name, spelling):
     with pytest.raises(MeshFormatError) as err:
-        deserialize(golden(name))
+        deserialize(SPELLINGS[spelling](name))
     assert err.value.path == UNLOADABLE[name]
 
 
@@ -152,7 +174,7 @@ def test_serialize_spells_every_number_as_json_does(value):
             continue
         sub = leveled(dom, len(value), leaves)
         if all(map(math.isfinite, value)):
-            assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
+            assert serialize(sub) == oracle_text(sub)
             continue
         for field in ("value", "lo_seen", "hi_seen"):
             with pytest.raises(ValueError, match=f"{field} at depth {depth} is not a finite"):
@@ -160,7 +182,7 @@ def test_serialize_spells_every_number_as_json_does(value):
             zero = tuple(0.0 for _ in value)
             leaves = [r._replace(**{field: zero}) for r in leaves]
             sub = leveled(dom, len(value), leaves)
-        assert serialize(sub) == json.dumps(oracle_doc(sub), indent=2)
+        assert serialize(sub) == oracle_text(sub)
 
 
 # -- The text in pieces -------------------------------------------------------
@@ -168,7 +190,7 @@ def test_serialize_spells_every_number_as_json_does(value):
 
 def node_texts(text: str) -> list[str]:
     """``text`` cut before each node's opening brace: every cut holds one node's text."""
-    return re.split(r'(?=\{\n *"box")', text)
+    return re.split(r'(?=\{"box")', text)
 
 
 @pytest.mark.parametrize("bound", [None, 1, 200, 2000])
@@ -178,7 +200,7 @@ def test_pieces_join_to_the_golden_file(name, bound, monkeypatch):
         monkeypatch.setattr(mesh, "_PIECE_CHARS", bound)
     sub = corpus()[name]
     pieces = list(serialize_pieces(sub))
-    assert "".join(pieces) == serialize(sub) == golden(name)
+    assert "".join(pieces) == serialize(sub) == compact(name)
     if bound is None:
         assert len(pieces) == 1  # every corpus file is far below a mebibyte
     assert all(pieces)
@@ -203,7 +225,7 @@ def test_no_piece_passes_the_bound_by_more_than_one_node(bound, monkeypatch):
 def test_a_piece_is_handed_out_when_it_reaches_the_bound(name, monkeypatch):
     """A bound of exactly the text before the root, or before the root's first child,
     ends the first piece there."""
-    texts = node_texts(golden(name))
+    texts = node_texts(compact(name))
     for k in (1, 2):
         monkeypatch.setattr(mesh, "_PIECE_CHARS", len("".join(texts[:k])))
         assert next(serialize_pieces(corpus()[name])) == "".join(texts[:k])
@@ -230,7 +252,7 @@ def test_a_depth_62_line_round_trips_in_pieces(bound, monkeypatch):
         monkeypatch.setattr(mesh, "_PIECE_CHARS", bound)
     pieces = list(serialize_pieces(sub))
     text = "".join(pieces)
-    assert text == json.dumps(oracle_doc(sub), indent=2)
+    assert text == oracle_text(sub)
     assert all(pieces) and all(len(piece) >= (bound or 0) for piece in pieces[:-1])
     assert len(pieces) == 1 if bound is None else len(pieces) > 1
     loaded = deserialize(text)
@@ -279,7 +301,7 @@ def test_levels_are_written_as_the_oracle_writes_their_tree(sub, bound):
             for level in sub.levels])
     text = serialize(sub)
     assert "root" not in vars(sub)
-    assert text == json.dumps(oracle_doc(sub), indent=2)
+    assert text == oracle_text(sub)
     longest = max(map(len, node_texts(text)))
     with patch.object(mesh, "_PIECE_CHARS", bound):
         pieces = list(serialize_pieces(sub))
@@ -608,10 +630,13 @@ def test_mutations_reach_every_kind_and_key():
 
 
 def write(names) -> None:
-    CORPUS_DIR.mkdir(parents=True, exist_ok=True)
+    """Write the compact file of each case in ``names``, and its indented re-spelling."""
+    (CORPUS_DIR / "compact").mkdir(parents=True, exist_ok=True)
     trees = corpus()
     for name in names:
-        (CORPUS_DIR / name).write_text(serialize(trees[name]), encoding="utf-8")
+        text = serialize(trees[name])
+        (CORPUS_DIR / "compact" / name).write_text(text, encoding="utf-8")
+        (CORPUS_DIR / name).write_text(json.dumps(json.loads(text), indent=2), encoding="utf-8")
 
 
 if __name__ == "__main__":
