@@ -185,7 +185,6 @@ class BuildConfig:
     seed: int = 0
     min_samples: int = 2
     spread_mode: str = "range"
-    purity_check_rate: float = 0.01
 
     def __post_init__(self):
         object.__setattr__(self, "threshold", tuple(float(t) for t in self.threshold))
@@ -243,6 +242,7 @@ def sample_size(policy: SamplePolicy, cuboid: GridCuboid, config: BuildConfig,
 
 
 _MASK_64 = (1 << 64) - 1
+_PURITY_CHECK_RATE = 0.01  # the share of a pure profile's cache hits asked again
 
 
 class QueryCache:
@@ -263,7 +263,7 @@ class QueryCache:
     def __init__(self, f: ProfileFunction, domain: GridDomain, config: BuildConfig):
         self._f = f
         self._domain = domain
-        self._check_rate = config.purity_check_rate if f.pure else 0.0
+        self._check_rate = _PURITY_CHECK_RATE if f.pure else 0.0
         self._check_rng = np.random.default_rng((config.seed ^ 0x5EEDCAFE) & _MASK_64)
         self.total_requests = 0
         self._keys = np.empty(0, dtype=np.int64)
@@ -597,8 +597,9 @@ def _build_levels(domain: GridDomain, config: BuildConfig,
         lo_seen = np.minimum.reduceat(values, starts)
         hi_seen = np.maximum.reduceat(values, starts)
         mean = _segment_means(values, starts, counts)
-        spread = (hi_seen - lo_seen if config.spread_mode == "range"
-                  else np.maximum(hi_seen - mean, mean - lo_seen))
+        with np.errstate(over="ignore"):  # an infinite spread splits the box, as it should
+            spread = (hi_seen - lo_seen if config.spread_mode == "range"
+                      else np.maximum(hi_seen - mean, mean - lo_seen))
         # A single-cell box reached the grid floor: its one sample is exact,
         # but below the root a parent's split forced it, so it is saturated.
         floor = (hi - lo).prod(axis=1) == 1

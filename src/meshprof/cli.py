@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .domain import GridDomain
 from .errors import MeshprofError, NonDeterministicProfileError, ProfileQueryError
-from .mesh import _leaf_rows, constant, deserialize, serialize_pieces
+from .mesh import _leaf_rows, constant, deserialize, serialize_pieces, write_files
 
 # The parser's epilog and the tail of a bad ``--fixture`` token's message.
 FIXTURE_HELP = """fixture tokens:
@@ -172,8 +172,6 @@ def _fixture_profile(token: str, domain: GridDomain):
 
 def _write_atomic(path: str, pieces) -> None:
     """Write the text ``pieces`` to ``path``, encoding each as it comes; all or nothing."""
-    from .export import write_files
-
     try:
         write_files([(path, map(str.encode, pieces))])
     except OSError as e:
@@ -249,6 +247,8 @@ def _load_exec_cache(path: str | None, domain: GridDomain,
             if type(vals) is not list or not all(type(v) in (int, float) for v in vals):
                 raise ValueError(f"entry {key} is not an array of numbers: {vals!r}")
             lin, value = int(key), tuple(map(float, vals))
+            if key != str(lin):
+                raise ValueError(f"entry key {key!r} is not written as the cell index {lin}")
             if not 0 <= lin < domain.cell_count:
                 raise ValueError(f"entry {key} lies outside the {domain.cell_count}-cell domain")
             if len(value) != arity:
@@ -257,7 +257,7 @@ def _load_exec_cache(path: str | None, domain: GridDomain,
                 raise ValueError(f"entry {key} has non-finite value {value}")
             answered[lin] = value
         return answered
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as e:
         raise _CliError(f"corrupt exec cache {path}: {e}") from e
 
 
@@ -274,20 +274,19 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
     """One process invocation per query; arguments are the world coordinates.
 
     The command must print ``arity`` finite decimal numbers on stdout; with
-    ``repeat > 1`` it runs that many times per point and the componentwise
-    median is kept.  A nonzero exit or unusable output fails the point.
-    ``answered``, keyed by linear cell index, is the profile's store: each
-    point's value, or the error it failed with, enters it the moment its
-    commands complete, so a build that stops keeps every completed point.
-    The batch runs the cells not in the store, up to ``jobs`` at once, and
-    starts none once a point has failed; it then reads every row from the
-    store.  The row of a failed cell, or of one that did not run, is NaN, and
-    ``query`` then raises the error kept for it, or runs the cell.
+    ``repeat > 1`` it runs that many times per point, one after another, and
+    the componentwise median is kept.  A nonzero exit or unusable output fails
+    the point.  ``answered``, keyed by linear cell index, is the profile's
+    store: each point's value, or its error, enters it once its last command
+    completes.  Up to ``jobs`` commands run at once, none starts once a point
+    has failed, and however a run ends, the commands running are waited for and
+    their points stored.  The batch runs the cells not in the store, then reads
+    every row from it; a failed or unrun cell's row is NaN, and ``query`` then
+    raises the error kept for it, or runs the cell.
     """
     import shlex
     import subprocess
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
+    from collections import deque
 
     from .builder import ProfileFunction
 
@@ -295,34 +294,53 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
     if not argv:
         raise _CliError("--exec command is empty")
 
-    def run_once(world) -> tuple[float, ...]:
-        full = argv + [repr(float(c)) for c in world]
-        proc = subprocess.run(full, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"exit status {proc.returncode}; stderr: {proc.stderr.strip()!r}")
-        tokens = proc.stdout.split()
+    def finish(child) -> tuple[float, ...]:
+        stdout, stderr = child.communicate()
+        if child.returncode != 0:
+            raise RuntimeError(f"exit status {child.returncode}; stderr: {stderr.strip()!r}")
+        tokens = stdout.split()
         if len(tokens) != arity:
-            raise RuntimeError(f"expected {arity} numbers on stdout, got {proc.stdout!r}")
+            raise RuntimeError(f"expected {arity} numbers on stdout, got {stdout!r}")
         try:
             value = tuple(float(t) for t in tokens)
         except ValueError:
-            raise RuntimeError(f"non-numeric output {proc.stdout!r}") from None
+            raise RuntimeError(f"non-numeric output {stdout!r}") from None
         if not all(map(math.isfinite, value)):
-            raise RuntimeError(f"non-finite output {proc.stdout!r}")
+            raise RuntimeError(f"non-finite output {stdout!r}")
         return value
 
-    def run(lin: int, world) -> None:
+    def run(todo) -> None:
+        todo, running = deque(todo), deque()  # running: (lin, world, runs, child), oldest first
+
+        def drain(go: bool) -> None:
+            while running or (go and todo):
+                if go and todo and len(running) < jobs:
+                    (lin, world), runs = todo.popleft(), []
+                else:
+                    lin, world, runs, child = running[0]
+                    try:
+                        runs.append(finish(child))
+                    except Exception as e:
+                        answered[lin], go = e, False
+                    running.popleft()
+                    if len(runs) == repeat:
+                        answered[lin] = (runs[0] if repeat == 1
+                                         else tuple(np.median(runs, axis=0).tolist()))
+                    if lin in answered or not go:
+                        continue
+                running.append((lin, world, runs, subprocess.Popen(
+                    argv + [repr(float(c)) for c in world], text=True,
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)))
+
         try:
-            runs = [run_once(world) for _ in range(repeat)]
-            answered[lin] = runs[0] if repeat == 1 else tuple(np.median(runs, axis=0).tolist())
-        except Exception as e:
-            answered[lin] = e
+            drain(True)
+        finally:
+            drain(False)
 
     def query(p) -> tuple[float, ...]:
         lin = int(np.ravel_multi_index(p.index, domain.extents))
         if lin not in answered:
-            run(lin, p.world)
+            run([(lin, p.world)])
         if isinstance(answered[lin], Exception):
             raise answered[lin]
         return answered[lin]
@@ -332,27 +350,9 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
         cells = domain.index_from_world(world)
         exact = (cells >= 0).all(axis=1)
         lins = np.ravel_multi_index(tuple(cells[exact].T), domain.extents).tolist()
-        todo = [(lin, w) for lin, w in zip(lins, world[exact].tolist()) if lin not in answered]
-        stop = threading.Event()
-
-        def attempt(lin: int, w) -> None:
-            if not stop.is_set():
-                run(lin, w)
-                if isinstance(answered[lin], Exception):
-                    stop.set()
-
-        if jobs > 1 and len(todo) > 1:
-            pool = ThreadPoolExecutor(max_workers=jobs)
-            try:
-                list(pool.map(attempt, *zip(*todo)))
-            finally:
-                pool.shutdown(cancel_futures=True)
-        else:
-            for lin, w in todo:
-                attempt(lin, w)
-        failed = (math.nan,) * arity
+        run((lin, w) for lin, w in zip(lins, world[exact].tolist()) if lin not in answered)
         out = np.full((len(world), arity), math.nan)
-        out[exact] = np.reshape([v if type(v) is tuple else failed
+        out[exact] = np.reshape([v if type(v) is tuple else (math.nan,) * arity
                                  for v in map(answered.get, lins)], (-1, arity))
         return out
 

@@ -14,16 +14,14 @@ bytes.  Every file goes through a temporary file beside it and lands with
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DENSE_GUARD, Subdivision, _box_values, leaf_arrays
+from .mesh import DENSE_GUARD, Subdivision, _box_values, leaf_arrays, write_files
 
 
 @dataclass(frozen=True)
@@ -138,25 +136,3 @@ def leaf_csv(sub: Subdivision) -> str:
 
 def write_leaf_csv(sub: Subdivision, path: str) -> None:
     write_files([(path, [leaf_csv(sub).encode("utf-8")])])
-
-
-def write_files(files: list[tuple[str, Iterable[bytes]]]) -> None:
-    """Write each ``(path, chunks)`` to a temporary file beside it, then move all into place.
-
-    The byte ``chunks`` are written as they are drawn, so a generator can
-    stream a file.  If a write fails or a chunk iterator raises, every
-    temporary file is removed and no path changes.
-    """
-    temps = []
-    try:
-        for path, chunks in files:
-            temps.append(f"{path}.tmp.{os.getpid()}")
-            with open(temps[-1], "wb") as fh:
-                fh.writelines(chunks)  # drops each chunk before it asks for the next
-        for (path, _), tmp in zip(files, temps):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in temps:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        raise

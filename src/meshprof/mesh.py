@@ -12,12 +12,15 @@ its subdivision is made.  The writer and ``==`` read the levels; the tree of
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import json
 import math
+import os
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import attrgetter, contains
@@ -459,6 +462,28 @@ def serialize(sub: Subdivision) -> str:
     ``(",", ":")``, and ``serialize_pieces`` joined; a writer of large meshes writes the
     pieces instead."""
     return "".join(serialize_pieces(sub))
+
+
+def write_files(files: list[tuple[str, Iterable[bytes]]]) -> None:
+    """Write each ``(path, chunks)`` to a temporary file beside it, then move all into place.
+
+    The byte ``chunks`` are written as they are drawn, so a generator can
+    stream a file.  If a write fails or a chunk iterator raises, every
+    temporary file is removed and no path changes.
+    """
+    temps = []
+    try:
+        for path, chunks in files:
+            temps.append(f"{path}.tmp.{os.getpid()}")
+            with open(temps[-1], "wb") as fh:
+                fh.writelines(chunks)  # drops each chunk before it asks for the next
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
 
 
 def _expect(doc, key: str, types, path: str):

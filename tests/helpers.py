@@ -217,6 +217,30 @@ class Recording:
                        for index, value in sorted(self.answers.items()))
 
 
+def fake_popen(answer):
+    """A stand-in for ``subprocess.Popen`` whose child of ``argv`` exits with the status and
+    prints the stdout of ``answer(argv)``, a ``(returncode, stdout)`` pair; what ``answer``
+    raises, the start raises.  ``running`` counts the children not yet collected by
+    ``communicate``, and ``most`` is the largest count it reached."""
+
+    class Child:
+        running = most = 0
+
+        def __init__(self, argv, **kwargs):
+            self._status, self._stdout = answer(argv)
+            self.returncode = None
+            Child.running += 1
+            Child.most = max(Child.most, Child.running)
+
+        def communicate(self):
+            if self.returncode is None:
+                Child.running -= 1
+                self.returncode = self._status
+            return self._stdout, ""
+
+    return Child
+
+
 # -- Dense scene reference ------------------------------------------------------
 
 

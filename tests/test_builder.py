@@ -76,6 +76,18 @@ class TestSampleSize:
         expected = math.ceil(k_prime * math.log(k_prime) ** 2)  # 1107 < 4096 cells
         assert sample_size(SupNormSampling(1.0), box, cfg, dom) == expected
 
+    @pytest.mark.parametrize("c, s", [(1.0, 0.2), (1.0, 1.0), (5.0, 4.0)])
+    def test_sup_policy_takes_every_cell_once_c_h_reaches_s(self, c, s):
+        # k' = cells * (c * h / s) ** ndim is then at least the box's cell count.  So the
+        # README's 64x64 build at sup:c=1 and threshold 0.2 queries all 4,096 cells.
+        dom = GridDomain((64, 64))
+        cfg = config(s, SupNormSampling(c))
+        boxes = [dom.root_cuboid()]
+        while boxes:
+            box = boxes.pop()
+            assert sample_size(SupNormSampling(c), box, cfg, dom) == box.cell_count
+            boxes.extend(box.split() if box.cell_count > 1 else [])
+
     def test_rms_policy_formula(self):
         dom = GridDomain((64, 64))
         box = dom.root_cuboid()
@@ -146,6 +158,15 @@ class TestSpreadTest:
             (0, 2, (1.25e308, (0.1 + 0.2) / 2), (1e308, 0.1), (1.5e308, 0.2))]
         assert self.leaves_of([(-1e308,), (-1.5e308,), (-1.5e308,)], (math.inf,)) == [
             (0, 3, (-1.5e308 / 3 * 2 + -1e308 / 3,), (-1.5e308,), (-1e308,))]
+
+    @pytest.mark.parametrize("rows, spread_mode", [
+        ([(-1e308,), (1e308,)], "range"),
+        ([(-1.7e308,), (1.7e308,), (1.6e308,)], "mean_dev"),
+    ])
+    def test_a_spread_past_the_float_range_splits_the_box(self, rows, spread_mode):
+        # The root's spread overflows to inf, which no threshold passes.
+        assert self.leaves_of(rows, (1.0,), spread_mode) == [
+            (i, i + 1, row, row, row) for i, row in enumerate(rows)]
 
     def test_spread_exactly_at_threshold_passes(self):
         assert self.leaves_of([(1.0,), (1.5,), (2.0,)], (1.0,)) == [
@@ -288,12 +309,13 @@ class TestDeterminismAndCache:
                                          "state": {"state": s_hi << 64 | s_lo,
                                                    "inc": c_hi << 64 | c_lo}}
 
-    def test_batched_queries_match_per_cell_queries(self):
+    def test_batched_queries_match_per_cell_queries(self, monkeypatch):
+        monkeypatch.setattr("meshprof.builder._PURITY_CHECK_RATE", 0.5)
         dom = GridDomain((8, 8), (1.0, -2.0), (0.5, 3.0))
         logs = ([], [])
         caches = [QueryCache(ProfileFunction(1, lambda p, log=log: log.append(p) or
                                              (p.world[0] * p.world[1],)),
-                             dom, config(1.0, FixedSampling(4), seed=3, purity_check_rate=0.5))
+                             dom, config(1.0, FixedSampling(4), seed=3))
                   for log in logs]
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -329,24 +351,24 @@ class TestDeterminismAndCache:
             build(pf, GridDomain((8, 8)), config(1.0, FixedSampling(64), seed=0))
         assert "(2, 5)" in str(err.value)
 
-    def test_batch_keeps_its_finite_rows(self):
+    def test_batch_keeps_its_finite_rows(self, monkeypatch):
+        monkeypatch.setattr("meshprof.builder._PURITY_CHECK_RATE", 0.0)
         calls = []
 
         def batch(world):
             return np.where(world[:, 0] == 2.5, np.nan, world[:, 0])
         pf = ProfileFunction(1, lambda p: calls.append(p.index) or (p.world[0],), batch=batch)
-        sub, _ = build(pf, GridDomain((8, 8)),
-                       config(0.5, FixedSampling(64), seed=0, purity_check_rate=0.0))
+        sub, _ = build(pf, GridDomain((8, 8)), config(0.5, FixedSampling(64), seed=0))
         assert sorted(calls) == [(2, j) for j in range(8)]
         ref, _ = build(ProfileFunction(1, lambda p: (p.world[0],)), GridDomain((8, 8)),
-                       config(0.5, FixedSampling(64), seed=0, purity_check_rate=0.0))
+                       config(0.5, FixedSampling(64), seed=0))
         assert serialize(sub) == serialize(ref)
 
-    def test_batch_disagreeing_with_query_is_caught(self):
+    def test_batch_disagreeing_with_query_is_caught(self, monkeypatch):
+        monkeypatch.setattr("meshprof.builder._PURITY_CHECK_RATE", 1.0)
         pf = ProfileFunction(1, lambda p: (p.world[0],), batch=lambda w: w[:, 0] + 1.0)
         with pytest.raises(NonDeterministicProfileError):
-            build(pf, GridDomain((16, 16)),
-                  config(0.5, FixedSampling(256), seed=0, purity_check_rate=1.0))
+            build(pf, GridDomain((16, 16)), config(0.5, FixedSampling(256), seed=0))
 
     def test_batch_build_matches_point_build(self):
         dom = GridDomain((32, 24), (-1.0, 2.0), (0.5, 1.5))
@@ -378,23 +400,24 @@ class TestDeterminismAndCache:
         with pytest.raises(ProfileQueryError):
             build(pf, GridDomain((4, 4)), config(1.0, FixedSampling(4), seed=0))
 
-    def test_impure_profile_detected(self):
+    def test_impure_profile_detected(self, monkeypatch):
+        monkeypatch.setattr("meshprof.builder._PURITY_CHECK_RATE", 1.0)
         calls = {}
         def drifting(p):
             calls[p.index] = calls.get(p.index, 0) + 1
             return (p.world[0] + p.world[1] + 100.0 * (calls[p.index] - 1),)
         with pytest.raises(NonDeterministicProfileError):
             build(ProfileFunction(1, drifting, pure=True), GridDomain((16, 16)),
-                  config(0.5, FixedSampling(256), seed=0, purity_check_rate=1.0))
+                  config(0.5, FixedSampling(256), seed=0))
 
-    def test_declared_impure_profile_is_never_spot_checked(self):
+    def test_declared_impure_profile_is_never_spot_checked(self, monkeypatch):
+        monkeypatch.setattr("meshprof.builder._PURITY_CHECK_RATE", 1.0)
         calls = {}
         def drifting(p):
             calls[p.index] = calls.get(p.index, 0) + 1
             return (p.world[0] + 100.0 * (calls[p.index] - 1),)
         pf = ProfileFunction(1, drifting, pure=False)
-        _, report = build(pf, GridDomain((16, 16)),
-                          config(0.5, FixedSampling(256), seed=0, purity_check_rate=1.0))
+        _, report = build(pf, GridDomain((16, 16)), config(0.5, FixedSampling(256), seed=0))
         assert report.leaf_count >= 1
 
 

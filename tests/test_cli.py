@@ -21,7 +21,7 @@ import pytest
 
 import meshprof.builder
 import meshprof.fixtures
-from helpers import walk_leaves
+from helpers import fake_popen, walk_leaves
 from meshprof import cli
 from meshprof.builder import BuildConfig, BuildReport, ProfileFunction, SupNormSampling, build
 from meshprof.cli import main
@@ -659,15 +659,14 @@ class TestExec:
         # The flush's error used to replace the build's, which then exited 2.
         monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
 
-        def fake_run(argv, **kwargs):
+        def answer(argv):
             x, y = map(float, argv[-2:])
-            return subprocess.CompletedProcess(argv, 1 if (x, y) == (3.5, 3.5) else 0,
-                                               stdout=f"{x + y}\n", stderr="")
+            return 1 if (x, y) == (3.5, 3.5) else 0, f"{x + y}\n"
 
         def flush(path, answered):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(subprocess, "run", fake_run)
+        monkeypatch.setattr(subprocess, "Popen", fake_popen(answer))
         monkeypatch.setattr(cli, "_flush_exec_cache", flush)
         assert run("build", "--exec", "probe", "--domain", "4x4", "--threshold", "0.5",
                    "--policy", "fixed:16", "--out", str(tmp_path / "m.json")) == 3
@@ -761,6 +760,29 @@ class TestExec:
         assert f"corrupt exec cache {cache}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"entries": {"5": [5.5], "05": [99.0]}}',  # used to build with 99.0 at cell 5
+        '{"entries": {" 3": [3.5]}}',
+        '{"entries": {"+4": [4.5]}}',
+        '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",  # used to exit 1, uncaught
+    ], ids=["05", "space", "plus", "deep"])
+    def test_cache_with_a_key_not_as_written_or_too_deep_exits_2(self, tmp_path, monkeypatch,
+                                                                capsys, text):
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        command, log = self.ok_script(tmp_path)
+        out = tmp_path / "m.json"
+        args = ["build", "--exec", command, "--domain", "4x4", "--threshold", "0.5",
+                "--policy", "fixed:16", "--force", "--out", str(out)]
+        assert run(*args) == 0
+        out.unlink()
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        cache.write_text(text)
+        calls = len(log.read_text().splitlines())
+        assert run(*args) == 2
+        assert f"corrupt exec cache {cache}" in capsys.readouterr().err
+        assert not out.exists() and cache.read_text() == text
+        assert len(log.read_text().splitlines()) == calls
+
     @pytest.mark.parametrize("value", ["7", "12", [True], [10 ** 400]])
     def test_cache_entry_that_is_not_an_array_of_numbers_exits_2(self, tmp_path, monkeypatch,
                                                                 capsys, value):
@@ -798,25 +820,32 @@ class TestExec:
         assert len(log.read_text().splitlines()) == calls
 
     def test_interrupt_keeps_every_answer_so_far(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
-        k, calls = 6, []
+        # Under --jobs 4, the three commands running when the sixth start is interrupted
+        # are waited for and kept.
+        for jobs in ("1", "4"):
+            cache_dir = tmp_path / f"cache{jobs}"
+            monkeypatch.setenv("MESHPROF_CACHE_DIR", str(cache_dir))
+            k, calls = 6, []
 
-        def fake_run(argv, **kwargs):
-            calls.append(argv)
-            if len(calls) == k:
-                raise KeyboardInterrupt
-            x, y = map(float, argv[-2:])
-            return subprocess.CompletedProcess(argv, 0, stdout=f"{x + y}\n", stderr="")
+            def answer(argv):
+                calls.append(argv)
+                if len(calls) == k:
+                    raise KeyboardInterrupt
+                x, y = map(float, argv[-2:])
+                return 0, f"{x + y}\n"
 
-        monkeypatch.setattr(subprocess, "run", fake_run)
-        assert run("build", "--exec", "probe", "--domain", "4x4", "--threshold", "0.5",
-                   "--policy", "fixed:16", "--out", str(tmp_path / "m.json")) == 130
-        cache, = (tmp_path / "cache").glob("exec-*.json")
-        saved = json.loads(cache.read_text())["entries"]
-        answered = {str(np.ravel_multi_index((int(float(x)), int(float(y))), (4, 4))):
-                    [float(x) + float(y)] for _, x, y in calls[:k - 1]}
-        assert saved == answered and len(saved) == k - 1
-        assert not (tmp_path / "m.json").exists()
+            popen = fake_popen(answer)
+            monkeypatch.setattr(subprocess, "Popen", popen)
+            assert run("build", "--exec", "probe", "--domain", "4x4", "--threshold", "0.5",
+                       "--policy", "fixed:16", "--jobs", jobs,
+                       "--out", str(tmp_path / "m.json")) == 130
+            cache, = cache_dir.glob("exec-*.json")
+            saved = json.loads(cache.read_text())["entries"]
+            answered = {str(np.ravel_multi_index((int(float(x)), int(float(y))), (4, 4))):
+                        [float(x) + float(y)] for _, x, y in calls[:k - 1]}
+            assert saved == answered and len(saved) == k - 1
+            assert not (tmp_path / "m.json").exists()
+            assert popen.running == 0 and popen.most == int(jobs)
 
     def test_jobs_2_writes_the_same_mesh_and_cache_as_jobs_1(self, tmp_path, monkeypatch):
         command, log = self.ok_script(tmp_path)
@@ -966,8 +995,7 @@ class TestExec:
     def test_a_batch_row_off_every_center_runs_nothing(self, monkeypatch):
         """A row that is no cell's center is left NaN and stores nothing, so that a later
         query of the cell runs the command at its center."""
-        monkeypatch.setattr(subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(
-            argv, 0, stdout=f"{argv[-1]}\n", stderr=""))
+        monkeypatch.setattr(subprocess, "Popen", fake_popen(lambda argv: (0, f"{argv[-1]}\n")))
         domain, answered = GridDomain((4,)), {}
         profile = cli._exec_profile("probe", domain, 1, 1, 1, answered)
         rows = profile.batch(np.array([[0.7], [1.5]]))
@@ -976,19 +1004,15 @@ class TestExec:
         assert profile.query(domain.point((0,))) == (0.5,)
 
     def test_parallel_runs_store_every_point(self, monkeypatch):
-        """Eight workers on a shortened switch interval lose no stored point."""
-        monkeypatch.setattr(subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(
-            argv, 0, stdout=f"{argv[-1]}\n", stderr=""))
+        """Eight children at a time store every point, and none is left uncollected."""
+        popen = fake_popen(lambda argv: (0, f"{argv[-1]}\n"))
+        monkeypatch.setattr(subprocess, "Popen", popen)
         domain, answered = GridDomain((4096,)), {}
         profile = cli._exec_profile("probe", domain, 1, 1, 8, answered)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows = profile.batch(domain.world_from_linear(np.arange(4096)))
-        finally:
-            sys.setswitchinterval(interval)
+        rows = profile.batch(domain.world_from_linear(np.arange(4096)))
         assert answered == {lin: (lin + 0.5,) for lin in range(4096)}
         assert rows[:, 0].tolist() == [lin + 0.5 for lin in range(4096)]
+        assert popen.most == 8 and popen.running == 0
 
     def test_sigint_under_jobs_2_keeps_every_completed_point(self, tmp_path):
         """Ctrl-C while a level runs in parallel keeps each point whose command completed."""
@@ -1243,8 +1267,8 @@ print(json.dumps([code, [m for m in sys.modules
                          if m.split(".")[0] in ("meshprof", "subprocess", "concurrent")]]))
 """
 
-HEAVY = {"meshprof.builder", "meshprof.analysis", "meshprof.fixtures", "subprocess",
-         "concurrent.futures"}
+HEAVY = {"meshprof.builder", "meshprof.analysis", "meshprof.fixtures", "meshprof.export",
+         "subprocess", "concurrent.futures"}
 
 
 class TestImports:
@@ -1273,7 +1297,8 @@ class TestImports:
     @pytest.mark.parametrize("argv, heavy", [
         (["--version"], set()),
         (["eval", "a.json", "1,1", "7,0"], set()),
-        (["render", "a.json", "--out", "a.pgm", "--leaf-csv", "a.csv", "--force"], set()),
+        (["render", "a.json", "--out", "a.pgm", "--leaf-csv", "a.csv", "--force"],
+         {"meshprof.export"}),
         (["diff", "a.json", "b.json", "--out", "d.json", "--force"], {"meshprof.analysis"}),
         (["avg", "a.json"], {"meshprof.analysis"}),
         (["select", "--candidates", "a.json", "b.json", "--out", "s.json", "--force"],
@@ -1283,7 +1308,7 @@ class TestImports:
         (["optimize", "--sweep", "1=a.json", "2=b.json"], {"meshprof.analysis"}),
         (["build", "--exec", f"{sys.executable} echo.py", "--domain", "4", "--threshold", "100",
           "--policy", "fixed:2", "--out", "e.json", "--force"],
-         {"meshprof.builder", "subprocess", "concurrent.futures"}),
+         {"meshprof.builder", "subprocess"}),
         (["build", "--fixture", "ramp", "--domain", "8x8", "--threshold", "1", "--out", "r.json",
           "--force"], {"meshprof.builder", "meshprof.fixtures"}),
     ])

@@ -193,7 +193,7 @@ class TestAtomicWrites:
                 return HalfWriter(fh)
             return fh
 
-        monkeypatch.setattr(export, "open", fake_open, raising=False)
+        monkeypatch.setattr("meshprof.mesh.open", fake_open, raising=False)  # write_files' open
 
     @pytest.mark.parametrize("failing", ["map.pgm", "map.pgm.json"])
     def test_heatmap(self, tmp_path, monkeypatch, failing):

@@ -260,15 +260,15 @@ def test_scene_batch_leaves_rows_of_no_cell_to_the_query():
     assert tuple(got[0]) == pf.query(dom.point((0, 0)))
 
 
-def test_scene_build_survives_purity_checks_of_every_hit():
+def test_scene_build_survives_purity_checks_of_every_hit(monkeypatch):
     from meshprof.builder import BuildConfig, DiameterSampling, build
 
     dom = GridDomain((16, 16))
     pf = resolve_fixture("scene:default:cullcost:depth=4", dom)
-    config = BuildConfig(threshold=(0.2,), policy=DiameterSampling(0.5), seed=3,
-                         purity_check_rate=1.0)
-    sub, report = build(pf, dom, config)
-    again, _ = build(pf, dom, BuildConfig(threshold=(0.2,), policy=DiameterSampling(0.5),
-                                          seed=3))
+    config = BuildConfig(threshold=(0.2,), policy=DiameterSampling(0.5), seed=3)
+    with monkeypatch.context() as m:
+        m.setattr("meshprof.builder._PURITY_CHECK_RATE", 1.0)
+        sub, report = build(pf, dom, config)
+    again, _ = build(pf, dom, config)
     assert report.total_requests > report.distinct_queries > 0
     assert serialize(sub) == serialize(again)
