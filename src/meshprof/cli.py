@@ -273,17 +273,17 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
                   answered: dict) -> ProfileFunction:
     """One process invocation per query; arguments are the world coordinates.
 
-    The command must print ``arity`` finite decimal numbers on stdout; with
-    ``repeat > 1`` it runs that many times per point, one after another, and
-    the componentwise median is kept.  A nonzero exit or unusable output fails
-    the point.  ``answered``, keyed by linear cell index, is the profile's
-    store: each point's value, or its error, enters it once its last command
-    completes.  Up to ``jobs`` commands run at once, none starts once a point
-    has failed, and however a run ends, the commands running are waited for and
-    their points stored.  The batch runs the cells not in the store, then reads
-    every row from it; a failed or unrun cell's row is NaN, and ``query`` then
-    raises the error kept for it, or runs the cell.
+    The command prints ``arity`` finite numbers on stdout; with ``repeat > 1``
+    it runs that many times per point, one after another, and the componentwise
+    median is kept.  A nonzero exit, unusable output or a failed start fails the
+    point.  ``answered``, keyed by linear cell index, is the store: each point's
+    value, or its error, enters it once its last command exits.  Up to ``jobs``
+    commands run at once, each collected as soon as it exits; none starts once a
+    point has failed, and however a run ends, the commands still running are
+    waited for and their points stored (killed, if that wait is interrupted).
+    A failed or unrun cell's batch row is NaN; ``query`` raises its error, or runs it.
     """
+    import selectors
     import shlex
     import subprocess
     from collections import deque
@@ -294,10 +294,10 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
     if not argv:
         raise _CliError("--exec command is empty")
 
-    def finish(child) -> tuple[float, ...]:
-        stdout, stderr = child.communicate()
-        if child.returncode != 0:
-            raise RuntimeError(f"exit status {child.returncode}; stderr: {stderr.strip()!r}")
+    def finish(status: int, stdout: list, stderr: list) -> tuple[float, ...]:
+        stdout, stderr = (b"".join(o).decode(errors="replace") for o in (stdout, stderr))
+        if status != 0:
+            raise RuntimeError(f"exit status {status}; stderr: {stderr.strip()!r}")
         tokens = stdout.split()
         if len(tokens) != arity:
             raise RuntimeError(f"expected {arity} numbers on stdout, got {stdout!r}")
@@ -310,32 +310,53 @@ def _exec_profile(command: str, domain: GridDomain, arity: int, repeat: int, job
         return value
 
     def run(todo) -> None:
-        todo, running = deque(todo), deque()  # running: (lin, world, runs, child), oldest first
+        todo, running, sel = deque(todo), {}, selectors.DefaultSelector()
 
         def drain(go: bool) -> None:
+            # Read whichever pipe has output; a child is collected once both have closed.
             while running or (go and todo):
                 if go and todo and len(running) < jobs:
                     (lin, world), runs = todo.popleft(), []
                 else:
-                    lin, world, runs, child = running[0]
+                    key = sel.select()[0][0]
+                    lin, world, runs, out = running[key.data]
+                    out[key.fileobj].append(chunk := os.read(key.fd, 1 << 16))
+                    if chunk:
+                        continue
+                    sel.unregister(key.fileobj)
+                    key.fileobj.close()
+                    if not all(pipe.closed for pipe in out):
+                        continue
                     try:
-                        runs.append(finish(child))
+                        runs.append(finish(key.data.wait(), *out.values()))
                     except Exception as e:
                         answered[lin], go = e, False
-                    running.popleft()
+                    del running[key.data]
                     if len(runs) == repeat:
                         answered[lin] = (runs[0] if repeat == 1
                                          else tuple(np.median(runs, axis=0).tolist()))
                     if lin in answered or not go:
                         continue
-                running.append((lin, world, runs, subprocess.Popen(
-                    argv + [repr(float(c)) for c in world], text=True,
-                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)))
+                try:
+                    child = subprocess.Popen(argv + [repr(float(c)) for c in world],
+                                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                except Exception as e:
+                    answered[lin], go = e, False
+                    continue
+                running[child] = lin, world, runs, {child.stdout: [], child.stderr: []}
+                for pipe in (child.stdout, child.stderr):
+                    sel.register(pipe, selectors.EVENT_READ, child)
 
         try:
             drain(True)
         finally:
-            drain(False)
+            try:
+                drain(False)
+            finally:
+                for child in running:  # left only if that wait was interrupted too
+                    with child:  # closes its pipes and waits for it
+                        child.kill()
+                sel.close()
 
     def query(p) -> tuple[float, ...]:
         lin = int(np.ravel_multi_index(p.index, domain.extents))

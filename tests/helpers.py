@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 from collections import namedtuple
 
 import numpy as np
@@ -220,23 +221,47 @@ class Recording:
 def fake_popen(answer):
     """A stand-in for ``subprocess.Popen`` whose child of ``argv`` exits with the status and
     prints the stdout of ``answer(argv)``, a ``(returncode, stdout)`` pair; what ``answer``
-    raises, the start raises.  ``running`` counts the children not yet collected by
-    ``communicate``, and ``most`` is the largest count it reached."""
+    raises, the start raises.  The child's stdout and stderr are real pipes that already
+    hold its output and are closed for writing.  ``running`` counts the children not yet
+    collected by ``wait``, ``most`` is the largest count it reached, and ``killed`` counts
+    the kills; while ``interrupted_waits`` is above 0, a ``wait`` lowers it by one and
+    raises ``KeyboardInterrupt``, as a second Ctrl-C would."""
+
+    def pipe_holding(text):
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        return open(read, "rb")
 
     class Child:
-        running = most = 0
+        running = most = killed = interrupted_waits = 0
 
         def __init__(self, argv, **kwargs):
-            self._status, self._stdout = answer(argv)
+            self._status, stdout = answer(argv)
             self.returncode = None
+            self.stdout, self.stderr = pipe_holding(stdout), pipe_holding("")
             Child.running += 1
             Child.most = max(Child.most, Child.running)
 
-        def communicate(self):
+        def wait(self):
+            if Child.interrupted_waits > 0:
+                Child.interrupted_waits -= 1
+                raise KeyboardInterrupt
             if self.returncode is None:
                 Child.running -= 1
                 self.returncode = self._status
-            return self._stdout, ""
+            return self.returncode
+
+        def kill(self):
+            Child.killed += 1
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.stdout.close()
+            self.stderr.close()
+            self.wait()
 
     return Child
 

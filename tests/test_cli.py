@@ -847,6 +847,56 @@ class TestExec:
             assert not (tmp_path / "m.json").exists()
             assert popen.running == 0 and popen.most == int(jobs)
 
+    def test_a_second_interrupt_kills_and_reaps_the_commands_left(self, tmp_path, monkeypatch):
+        # The sixth start is interrupted, then so is the wait for the three commands still
+        # running: they are killed and reaped, and the two points collected are kept.
+        monkeypatch.setenv("MESHPROF_CACHE_DIR", str(tmp_path / "cache"))
+        calls = []
+
+        def answer(argv):
+            calls.append(argv)
+            if len(calls) == 6:
+                popen.interrupted_waits = 1
+                raise KeyboardInterrupt
+            x, y = map(float, argv[-2:])
+            return 0, f"{x + y}\n"
+
+        popen = fake_popen(answer)
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        assert run("build", "--exec", "probe", "--domain", "4x4", "--threshold", "0.5",
+                   "--policy", "fixed:16", "--jobs", "4",
+                   "--out", str(tmp_path / "m.json")) == 130
+        assert popen.killed == 3 and popen.running == 0
+        cache, = (tmp_path / "cache").glob("exec-*.json")
+        saved = json.loads(cache.read_text())["entries"]
+        started = {str(np.ravel_multi_index((int(float(x)), int(float(y))), (4, 4))):
+                   [float(x) + float(y)] for _, x, y in calls[:5]}
+        assert len(saved) == 2 and saved.items() <= started.items()
+
+    def test_a_slow_command_holds_one_slot_only(self, tmp_path):
+        """Under --jobs 2, the first command runs until the other seven points have
+        completed, which they can only do if each is collected as soon as it exits."""
+        done, first = tmp_path / "done.txt", tmp_path / "first"
+        script = tmp_path / "slow_first.py"
+        script.write_text(
+            "import os, sys, time\n"
+            "try:\n"
+            f"    os.close(os.open({str(first)!r}, os.O_CREAT | os.O_EXCL))\n"
+            "except FileExistsError:\n"
+            f"    open({str(done)!r}, 'a').write(sys.argv[1] + '\\n')\n"
+            "else:\n"
+            "    end = time.monotonic() + 10\n"
+            f"    while not os.path.exists({str(done)!r}) or "
+            f"len(open({str(done)!r}).read().split()) < 7:\n"
+            "        if time.monotonic() > end:\n"
+            "            sys.exit('the other points did not complete')\n"
+            "        time.sleep(0.01)\n"
+            "print(sys.argv[1])\n"
+        )
+        assert run("build", "--exec", f"{sys.executable} {script}", "--domain", "8",
+                   "--threshold", "1000", "--policy", "fixed:8", "--jobs", "2",
+                   "--out", str(tmp_path / "m.json")) == 0
+
     def test_jobs_2_writes_the_same_mesh_and_cache_as_jobs_1(self, tmp_path, monkeypatch):
         command, log = self.ok_script(tmp_path)
         written = []
@@ -1013,6 +1063,28 @@ class TestExec:
         assert answered == {lin: (lin + 0.5,) for lin in range(4096)}
         assert rows[:, 0].tolist() == [lin + 0.5 for lin in range(4096)]
         assert popen.most == 8 and popen.running == 0
+
+    def test_a_command_that_cannot_start_stops_the_batch(self, monkeypatch):
+        """A start that raises fails its point like a failed command: no command starts
+        after it, the one running is collected, and ``query`` raises the start's error."""
+        calls = []
+
+        def answer(argv):
+            calls.append(float(argv[-1]))
+            if len(calls) == 3:
+                raise FileNotFoundError("no such command")
+            return 0, f"{argv[-1]}\n"
+
+        popen = fake_popen(answer)
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        domain, answered = GridDomain((8,)), {}
+        profile = cli._exec_profile("probe", domain, 1, 1, 2, answered)
+        rows = profile.batch(domain.world_from_linear(np.arange(8)))
+        assert calls == [0.5, 1.5, 2.5] and popen.running == 0
+        assert answered.keys() == {0, 1, 2} and (answered[0], answered[1]) == ((0.5,), (1.5,))
+        assert rows[:2, 0].tolist() == [0.5, 1.5] and np.isnan(rows[2:, 0]).all()
+        with pytest.raises(FileNotFoundError, match="no such command"):
+            profile.query(domain.point((2,)))
 
     def test_sigint_under_jobs_2_keeps_every_completed_point(self, tmp_path):
         """Ctrl-C while a level runs in parallel keeps each point whose command completed."""
